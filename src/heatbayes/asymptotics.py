@@ -89,9 +89,6 @@ class RatioTrace:
         """max/min of the ratio over the grid."""
         return float(self.ratio.max() / self.ratio.min())
 
-    def within_factor(self, c: float) -> bool:
-        return self.band() <= c
-
     def decreasing_over_top(self, k: int = 3) -> bool:
         top = self.ratio[-k:]
         return bool(np.all(np.diff(top) < 0))

@@ -28,16 +28,10 @@ from .rng import normal_matrix, substream
 from .sequence import (
     CoefficientSequence,
     DEFAULT_TIME_HORIZON,
-    basis_matrix,
     default_truncation,
     heat_eigenvalues,
     true_signal_coefficients,
 )
-
-# posterior draw curves in figure panels are synthesized from at most this
-# many coordinates; beyond it the omitted tail is invisible at plot scale
-DRAW_SYNTHESIS_TRUNC = 10_000
-
 
 class Mu0Kind(enum.Enum):
     TEST_CUBIC = "cubic"          # the 4x(x-1)(8x-5) benchmark signal
@@ -332,24 +326,14 @@ def render_panel(cfg: ExperimentConfig, spec: PanelSpec) -> PanelData:
     y = kappa.values * mu0.values + z / math.sqrt(spec.n)
     w = posterior_weights(prior_n, kappa, spec.n)
     x = np.linspace(0.0, 1.0, cfg.x_grid_points)
-    mean_x, sd_x, extra = point_evaluation_curves(
-        w, y, x, extra_coefficients=mu0.values[:, None])
-    truth_x = extra[:, 0]
+    streams = [substream(cfg.seed, "panel", spec.data_stream, "draw", j)
+               for j in range(spec.draws)]
+    mean_x, sd_x, extra, curves = point_evaluation_curves(
+        w, y, x, extra_coefficients=mu0.values[:, None], draw_streams=streams)
     z_half = -norm.ppf(cfg.gamma / 2.0)
-    # draw curves: coefficients beyond the synthesis truncation contribute
-    # sub-plot-resolution mass and are omitted
-    nd = min(nn, DRAW_SYNTHESIS_TRUNC)
-    root_s = np.sqrt(w.variance[:nd])
-    mean_c = (w.mean_weight * y)[:nd]
-    curves = np.empty((spec.draws, x.size))
-    if spec.draws:
-        E = basis_matrix(x, nd)
-        for j in range(spec.draws):
-            g = substream(cfg.seed, "panel", spec.data_stream, "draw", j)
-            curves[j] = E @ (mean_c + root_s * g.standard_normal(nd))
     return PanelData(
         label=spec.label or f"{prior_n.kind.value}-a{prior_n.alpha:g}-n{spec.n:g}",
-        x=x, truth=truth_x, post_mean=mean_x,
+        x=x, truth=extra[:, 0], post_mean=mean_x,
         lower=mean_x - z_half * sd_x, upper=mean_x + z_half * sd_x,
         draw_curves=curves,
     )

@@ -27,16 +27,18 @@ from .numeric import compensated_sum
 from .posterior import PosteriorWeights, posterior_weights
 from .priors import PriorFamily, PriorSpec
 from .sequence import (
-    ChunkedSineBasis,
+    AliasingFold,
     CoefficientSequence,
     ObservationSet,
+    basis_columns,
     basis_matrix,
 )
 
 # Maximum allowed relative mass of the last decade of l_i^2 lambda_i.
 ADMISSIBLE_TAIL = 1e-8
 
-_CHUNK = 65536
+# basis columns per block of the direct (non-uniform grid) synthesis
+_CHUNK = 8192
 
 
 class FunctionalKind(enum.Enum):
@@ -200,13 +202,18 @@ def functional_bias(L: LinearFunctional, prior: PriorSpec,
 
 def point_evaluation_curves(weights: PosteriorWeights, y_values: np.ndarray,
                             x_grid, threshold: float = ADMISSIBLE_TAIL,
-                            extra_coefficients: np.ndarray | None = None):
-    """Fused per-x marginal posterior over a grid, chunked over coordinates.
+                            extra_coefficients: np.ndarray | None = None,
+                            draw_streams=()):
+    """Fused per-x marginal posterior over a grid, over all N coordinates.
 
-    Returns (mean_x, sd_x, extra_x) where mean_x and sd_x describe the
-    point-evaluation posterior N(mean(x), sd(x)^2) at every grid point and
-    extra_x synthesizes optional extra coefficient columns (true curve,
-    posterior draws) against the same basis.
+    Returns (mean_x, sd_x, extra_x, draws_x): the point-evaluation posterior
+    N(mean(x), sd(x)^2) at every grid point, optional extra coefficient
+    columns (the true curve) and one posterior draw per generator in
+    draw_streams, all synthesized against the same basis.  On the grid
+    linspace(0, 1, M + 1) the coefficients fold exactly onto 2M residue bins
+    (AliasingFold); a draw takes one normal per bin, the bin sum being
+    N(sum of means, sum of variances), so it is exact in law.  Other grids
+    are synthesized directly, with one normal per coordinate.
 
     Admissibility of the whole family is checked against its envelope: the
     last-decade mass of sum 2 lambda_i (which dominates l(x)_i^2 lambda_i
@@ -227,20 +234,29 @@ def point_evaluation_curves(weights: PosteriorWeights, y_values: np.ndarray,
             f"{decade_env / total_env:.3e} exceeds {threshold:.1e}; raise "
             f"the truncation level (currently {nn})"
         )
-    wy = weights.mean_weight * y_values
-    n_extra = 0 if extra_coefficients is None else extra_coefficients.shape[1]
-    mean_x = np.zeros(x.size)
-    s2_x = np.zeros(x.size)
-    extra_x = np.zeros((x.size, n_extra))
-    basis = ChunkedSineBasis(x, chunk=min(_CHUNK, nn))
-    for start in range(0, nn, basis.chunk):
-        stop = min(start + basis.chunk, nn)
-        E = basis.block(start, stop)
-        mean_x += E @ wy[start:stop]
-        s2_x += (E * E) @ weights.variance[start:stop]
-        if n_extra:
-            extra_x += E @ extra_coefficients[start:stop]
-    return mean_x, np.sqrt(s2_x), extra_x
+    extra = [] if extra_coefficients is None else list(extra_coefficients.T)
+    m = x.size - 1
+    fold = (AliasingFold(m) if m > 0
+            and np.array_equal(x, np.linspace(0.0, 1.0, m + 1)) else None)
+    bins = np.asarray if fold is None else fold.bins
+    mean_b = bins(weights.mean_weight * y_values)
+    var_b = bins(weights.variance)
+    columns = np.column_stack(
+        [mean_b] + [bins(c) for c in extra]
+        + [mean_b + np.sqrt(var_b) * g.standard_normal(var_b.size)
+           for g in draw_streams])
+    if fold is not None:
+        curves = fold.table @ columns
+        s2_x = (fold.table * fold.table) @ var_b
+    else:
+        curves = np.zeros((x.size, columns.shape[1]))
+        s2_x = np.zeros(x.size)
+        for start in range(0, nn, _CHUNK):
+            E = basis_columns(x, start, min(start + _CHUNK, nn))
+            curves += E @ columns[start:start + _CHUNK]
+            s2_x += (E * E) @ var_b[start:start + _CHUNK]
+    return (curves[:, 0], np.sqrt(s2_x), curves[:, 1:1 + len(extra)],
+            curves[:, 1 + len(extra):].T)
 
 
 def pointwise_band(prior: PriorSpec, kappa: CoefficientSequence, n: float,
@@ -255,6 +271,6 @@ def pointwise_band(prior: PriorSpec, kappa: CoefficientSequence, n: float,
     if y.y.truncation_level != kappa.truncation_level:
         raise ValueError("truncation mismatch between y and kappa")
     w = posterior_weights(prior, kappa, n)
-    mean_x, sd_x, _ = point_evaluation_curves(w, y.y.values, x_grid)
+    mean_x, sd_x, _, _ = point_evaluation_curves(w, y.y.values, x_grid)
     z = -norm.ppf(gamma / 2.0)
     return np.column_stack((mean_x - z * sd_x, mean_x + z * sd_x))

@@ -13,7 +13,7 @@ import json
 import time
 from dataclasses import dataclass, field
 
-__version__ = "0.1.0"
+from . import __version__
 
 
 def _render(value) -> str:

@@ -37,12 +37,6 @@ def sinpi(z):
     return out
 
 
-def cospi(z):
-    """cos(pi * z) = sin(pi * (z + 1/2)); adding 1/2 is exact below 2^52,
-    so half-integer zeros and integer +-1 values come out exactly."""
-    return sinpi(np.asarray(z, dtype=float) + 0.5)
-
-
 def log1pexp(x):
     """log(1 + e^x), stable for any real x."""
     x = np.asarray(x, dtype=float)
@@ -103,14 +97,3 @@ def compensated_sum(values) -> float:
         acc.add(values[start:start + 65536])
     return acc.value
 
-
-def kahan_sum(values) -> float:
-    """Classic compensated running sum; scalar loop, for small series."""
-    total = 0.0
-    carry = 0.0
-    for v in values:
-        y = float(v) - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-    return total

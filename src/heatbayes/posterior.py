@@ -93,24 +93,25 @@ class RiskDecomposition:
 
 def posterior_weights(prior: PriorSpec, kappa: CoefficientSequence,
                       n: float) -> PosteriorWeights:
-    """Stable per-coordinate posterior factors at fixed (prior, kappa, n)."""
+    """Stable per-coordinate posterior factors at fixed (prior, kappa, n);
+    the log-space formulas run only where kappa_i > 0, as elsewhere the
+    factors are exactly g = 0, 1 - g = 1, w = 0, s = lambda and t = 0."""
     if not n > 0:
         raise ValueError("signal-to-noise parameter n must be positive")
     check_snr(prior, n)
     nn = kappa.truncation_level
-    log_lam = prior.log_variances(nn)
-    with np.errstate(divide="ignore"):
-        log_kap = np.log(kappa.values)
-    log_a = math.log(n) + log_lam + 2.0 * log_kap
-    log_a = np.where(np.isnan(log_a), -np.inf, log_a)
-    g, omg = shrinkage_factors(log_a)
     lam = prior.variance_values(nn)
-    s = lam * omg
-    t = s * g
+    g, omg, w, s, t = (np.zeros(nn), np.ones(nn), np.zeros(nn), lam.copy(),
+                       np.zeros(nn))
+    act = np.flatnonzero(kappa.values > 0.0)
+    log_lam = prior.log_variances(int(act.max(initial=0)) + 1)[act]
+    log_kap = np.log(kappa.values[act])
+    log_a = math.log(n) + log_lam + 2.0 * log_kap
+    g[act], omg[act] = shrinkage_factors(log_a)
+    s[act] = lam[act] * omg[act]
+    t[act] = s[act] * g[act]
     # w_i = n lambda_i kappa_i / (1 + a_i), formed in log space
-    log_w = math.log(n) + log_lam + log_kap - log1pexp(log_a)
-    log_w = np.where(np.isnan(log_w), -np.inf, log_w)
-    w = np.exp(log_w)
+    w[act] = np.exp(math.log(n) + log_lam + log_kap - log1pexp(log_a))
     return PosteriorWeights(lam=lam, mean_weight=w, gain=g,
                             one_minus_gain=omg, variance=s, shrink_var=t)
 

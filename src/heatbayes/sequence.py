@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import compensated_sum, cospi, sinpi
+from .numeric import compensated_sum, sinpi
 from .rng import substream
 
 DEFAULT_TIME_HORIZON = 0.1
@@ -152,41 +152,56 @@ def basis_matrix(x_grid, truncation_level: int) -> np.ndarray:
     x = np.asarray(x_grid, dtype=float)
     if np.any((x < 0.0) | (x > 1.0)):
         raise ValueError("grid points must lie in [0, 1]")
-    i = np.arange(1, truncation_level + 1, dtype=float)
+    return basis_columns(x, 0, truncation_level)
+
+
+def basis_columns(x: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Columns start..stop-1 of basis_matrix, on an already validated grid."""
+    i = np.arange(start + 1, stop + 1, dtype=float)
     return math.sqrt(2.0) * sinpi(np.outer(x, i))
 
 
-class ChunkedSineBasis:
-    """Streams blocks of the basis matrix for very long coefficient ranges.
+def _tree_sum_rows(a: np.ndarray) -> np.ndarray:
+    """Row sum by repeated halving: a pairwise tree whose rounding grows like
+    log(rows), where numpy's leading-axis sum accumulates row by row."""
+    while a.shape[0] > 1:
+        h = a.shape[0] // 2
+        s = a[:h] + a[h:2 * h]
+        if a.shape[0] % 2:
+            s[-1] += a[-1]
+        a = s
+    return a[0]
 
-    Blocks are produced by the angle addition sin((s+k) pi x) =
-    sin(s pi x) cos(k pi x) + cos(s pi x) sin(k pi x) against one pair of
-    precomputed chunk tables, which is several times cheaper than a fresh
-    sine evaluation per block.  Offsets and tables both come from the
-    argument-reduced sine, so basis values at x = 0 and x = 1 stay exactly
-    zero in every block.
+
+class AliasingFold:
+    """Exact synthesis of sine series on the uniform grid x_k = k/M.
+
+    sin(i pi k/M) depends on i only through i mod 2M, so for any number of
+    coefficients sum_i c_i e_i(x_k) = (table @ bins(c))[k]: bins(c)[r] sums
+    c_i over i = r (mod 2M), and table[k, r] = sqrt(2) sin(pi (r k mod 2M)/M)
+    is gathered from 2M sine values at exact integer residues, so its rows
+    at x = 0 and x = 1 are exact zeros.
     """
 
-    def __init__(self, x_grid, chunk: int = 65536):
-        x = np.asarray(x_grid, dtype=float)
-        if np.any((x < 0.0) | (x > 1.0)):
-            raise ValueError("grid points must lie in [0, 1]")
-        self.x = x
-        self.chunk = chunk
-        k = np.arange(chunk, dtype=float)
-        kx = np.outer(x, k)
-        self._sin = sinpi(kx)
-        self._cos = cospi(kx)
+    def __init__(self, m: int):
+        self.period = 2 * m
+        r = np.arange(self.period)
+        values = math.sqrt(2.0) * sinpi(r / m)
+        self.table = values[np.outer(np.arange(m + 1), r) % self.period]
 
-    def block(self, start: int, stop: int) -> np.ndarray:
-        """E[:, start:stop] for 1-indexed coefficients start+1 .. stop."""
-        m = stop - start
-        if m > self.chunk:
-            raise ValueError("block larger than the precomputed tables")
-        base = (start + 1) * self.x
-        s0 = (math.sqrt(2.0) * sinpi(base))[:, None]
-        c0 = (math.sqrt(2.0) * cospi(base))[:, None]
-        return s0 * self._cos[:, :m] + c0 * self._sin[:, :m]
+    def bins(self, coefficients) -> np.ndarray:
+        """Residue sums of c_1..c_N, added as a pairwise tree over blocks."""
+        c = np.asarray(coefficients, dtype=float)
+        p = self.period
+        rows = c.size // p
+        full = c[:rows * p].reshape(rows, p)
+        step = max(1, (1 << 16) // p)  # rows per block that stays in cache
+        out = _tree_sum_rows(np.array(
+            [np.zeros(p)] + [_tree_sum_rows(full[k:k + step])
+                             for k in range(0, rows, step)]))
+        out[:c.size - rows * p] += c[rows * p:]
+        # position q holds coefficient i = q + 1, i.e. residue (q + 1) mod 2M
+        return np.roll(out, 1)
 
 
 def true_signal_coefficients(truncation_level: int) -> CoefficientSequence:

@@ -39,3 +39,42 @@ def quadrature_bayes(n, lam, kappa, y, points=40_001):
     mean = float(simpson @ (grid * density)) / mass
     var = float(simpson @ ((grid - mean) ** 2 * density)) / mass
     return mean, var
+
+
+def posterior_weights_reference(prior, kappa, n):
+    """The six posterior factor arrays from the log-space formulas over all
+    N coordinates, zero kappa included: (lam, w, g, 1-g, s, t).
+
+    This is the full-length evaluation that the library restricts to the
+    support of kappa; the two must agree bit for bit.
+    """
+    from heatbayes.numeric import log1pexp, shrinkage_factors
+
+    nn = kappa.truncation_level
+    log_lam = prior.log_variances(nn)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_kap = np.log(kappa.values)
+    log_a = math.log(n) + log_lam + 2.0 * log_kap
+    log_a = np.where(np.isnan(log_a), -np.inf, log_a)
+    g, omg = shrinkage_factors(log_a)
+    lam = prior.variance_values(nn)
+    s = lam * omg
+    t = s * g
+    log_w = math.log(n) + log_lam + log_kap - log1pexp(log_a)
+    log_w = np.where(np.isnan(log_w), -np.inf, log_w)
+    return lam, np.exp(log_w), g, omg, s, t
+
+
+def sine_synthesis_reference(x, coefficients, variances):
+    """Direct synthesis against the full basis matrix, (E @ C, E^2 @ v),
+    built a few grid rows at a time to bound memory."""
+    from heatbayes.sequence import basis_matrix
+
+    x = np.asarray(x, dtype=float)
+    curves = np.empty((x.size, coefficients.shape[1]))
+    s2 = np.empty(x.size)
+    for k in range(0, x.size, 8):
+        E = basis_matrix(x[k:k + 8], variances.size)
+        curves[k:k + 8] = E @ coefficients
+        s2[k:k + 8] = (E * E) @ variances
+    return curves, s2

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import sine_synthesis_reference
 
 from heatbayes import (
     CoefficientSequence,
@@ -24,7 +25,13 @@ from heatbayes import (
     true_signal_coefficients,
     true_signal_function,
 )
-from heatbayes.functionals import FunctionalPosterior, check_admissible
+from heatbayes.functionals import (
+    FunctionalPosterior,
+    check_admissible,
+    point_evaluation_curves,
+)
+from heatbayes.posterior import PosteriorWeights
+from heatbayes.sequence import AliasingFold, basis_matrix
 
 
 def zero_obs(nn, n):
@@ -224,6 +231,98 @@ class TestPointwiseBand:
         obs = zero_obs(nn, n)
         with pytest.raises(ValueError):
             pointwise_band(prior, kap, n, obs, [0.5, 1.2], 0.05)
+
+
+def synthetic_weights(nn, seed):
+    """Random factors decaying like i^-2 (as posterior variances of rough
+    priors do); lam = 0 leaves the envelope admissibility gate inactive."""
+    rng = np.random.default_rng(seed)
+    i = np.arange(1, nn + 1, dtype=float)
+    zeros = np.zeros(nn)
+    return PosteriorWeights(
+        lam=zeros, mean_weight=rng.standard_normal(nn) / i**2, gain=zeros,
+        one_minus_gain=np.ones(nn), variance=rng.uniform(0.5, 1.5, nn) / i**2,
+        shrink_var=zeros)
+
+
+def assert_close_to_reference(w, x, extra, got):
+    mean_x, sd_x, extra_x, _ = got
+    ref, s2 = sine_synthesis_reference(
+        x, np.column_stack([w.mean_weight, extra]), w.variance)
+    for curve, expect in ((mean_x, ref[:, 0]), (sd_x, np.sqrt(s2)),
+                          (extra_x, ref[:, 1:])):
+        scale = np.abs(expect).max()
+        assert np.abs(curve - expect).max() <= 1e-12 * scale
+
+
+class TestAliasingFold:
+    """Synthesis on uniform grids through the residue fold against the
+    full basis matrix."""
+
+    @pytest.mark.parametrize("m", [1, 2, 20, 200])
+    def test_fold_matches_direct_synthesis(self, m):
+        x = np.linspace(0.0, 1.0, m + 1)
+        for nn in (m, 2 * m - 1, 2 * m, 2 * m + 1, 7 * m + 3, 100_000):
+            nn = max(nn, 1)
+            w = synthetic_weights(nn, seed=nn)
+            i = np.arange(1, nn + 1, dtype=float)
+            extra = np.column_stack([true_signal_coefficients(nn).values,
+                                     np.cos(i) / i**2])
+            got = point_evaluation_curves(w, np.ones(nn), x,
+                                          extra_coefficients=extra)
+            assert_close_to_reference(w, x, extra, got)
+            mean_x, sd_x, extra_x, _ = got
+            for curve in (mean_x, sd_x, extra_x[:, 0], extra_x[:, 1]):
+                assert curve[0] == 0.0 and curve[-1] == 0.0
+
+    @pytest.mark.parametrize("m", [20, 200])
+    def test_truth_at_rough_truncation(self, m):
+        """The cubic truth synthesized from the 10,132,119 coefficients the
+        poly alpha=0.5 panels use stays at rounding level; a row-by-row
+        accumulation of the residue bins drifts to ~1e-12."""
+        nn = admissible_truncation(PriorSpec.polynomial(0.5))
+        x = np.linspace(0.0, 1.0, m + 1)
+        fold = AliasingFold(m)
+        truth = fold.table @ fold.bins(true_signal_coefficients(nn).values)
+        assert np.abs(truth - true_signal_function(x)).max() <= 1e-14
+
+    def test_non_uniform_grid_direct_path(self):
+        x = np.array([0.0, 0.13, 0.5, 0.77, 1.0])
+        nn = 20_000
+        w = synthetic_weights(nn, seed=3)
+        extra = true_signal_coefficients(nn).values[:, None]
+        got = point_evaluation_curves(w, np.ones(nn), x,
+                                      extra_coefficients=extra)
+        assert_close_to_reference(w, x, extra, got)
+        assert got[1][0] == 0.0 and got[1][-1] == 0.0
+        draws = point_evaluation_curves(
+            w, np.ones(nn), x,
+            draw_streams=[np.random.default_rng(k) for k in range(3)])[3]
+        assert draws.shape == (3, x.size) and np.all(np.isfinite(draws))
+
+    @pytest.mark.parametrize("m,nn", [(2, 3), (20, 1000), (50, 4321)])
+    def test_draw_bins_exact_in_distribution(self, m, nn):
+        """A draw on the fold path has covariance T diag(S) T^T, which must
+        equal the full posterior covariance E diag(s) E^T."""
+        x = np.linspace(0.0, 1.0, m + 1)
+        s = synthetic_weights(nn, seed=m).variance
+        fold = AliasingFold(m)
+        T = fold.table
+        E = basis_matrix(x, nn)
+        folded = T @ np.diag(fold.bins(s)) @ T.T
+        full = (E * s) @ E.T
+        assert np.abs(folded - full).max() <= 1e-12 * np.abs(full).max()
+
+    def test_draws_take_one_normal_per_bin(self):
+        m, nn = 10, 5000
+        x = np.linspace(0.0, 1.0, m + 1)
+        w = synthetic_weights(nn, seed=9)
+        mean_x, _, _, draws = point_evaluation_curves(
+            w, np.ones(nn), x, draw_streams=[np.random.default_rng(4)])
+        fold = AliasingFold(m)
+        z = np.random.default_rng(4).standard_normal(2 * m)
+        expect = mean_x + fold.table @ (np.sqrt(fold.bins(w.variance)) * z)
+        assert np.abs(draws[0] - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
 class TestFunctionalBias:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import quadrature_bayes
+from oracles import posterior_weights_reference, quadrature_bayes
 
 from heatbayes import (
     CoefficientSequence,
@@ -112,6 +112,52 @@ class TestClosedForm:
                     w.shrink_var):
             assert np.all(np.isfinite(arr))
         assert np.all(w.shrink_var <= w.variance)
+
+
+class TestSupportRestriction:
+    """posterior_weights evaluates its formulas only where kappa_i > 0 and
+    must match the full-length evaluation bit for bit."""
+
+    FIELDS = ("lam", "mean_weight", "gain", "one_minus_gain", "variance",
+              "shrink_var")
+
+    def assert_matches_reference(self, prior, kappa, n):
+        got = posterior_weights(prior, kappa, n)
+        for name, ref in zip(self.FIELDS,
+                             posterior_weights_reference(prior, kappa, n)):
+            assert np.array_equal(getattr(got, name), ref), (prior, n, name)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_bitwise_on_heat_operator(self):
+        priors = [PriorSpec.polynomial(a) for a in (0.1, 0.5, 1.0, 3.0, 10.0)]
+        priors += [PriorSpec.polynomial(1.0, tau=1e-3)]
+        priors += [PriorSpec.exponential(a) for a in (0.1, 1.0, 10.0)]
+        for prior in priors:
+            for n in (1e-2, 1.0, 1e4, 1e8, 1e16, 1e250):
+                for nn in (1, 30, 3826):
+                    for T in (0.1, 1e-4):
+                        self.assert_matches_reference(
+                            prior, heat_eigenvalues(T, nn), n)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_bitwise_with_zero_kappa(self):
+        vals = heat_eigenvalues(1e-3, 400).values.copy()
+        vals[[0, 7, 100, 101]] = 0.0
+        vals[350:] = 0.0
+        kappas = [vals, np.zeros(50), np.array([0.0, 0.5])]
+        for v in kappas:
+            kappa = CoefficientSequence(v, v.size)
+            for prior in (PriorSpec.polynomial(0.5), PriorSpec.exponential(1.0)):
+                for n in (1e-2, 1e4, 1e250):
+                    self.assert_matches_reference(prior, kappa, n)
+
+    def test_outside_support_is_prior(self):
+        prior = PriorSpec.polynomial(1.0)
+        kappa = CoefficientSequence(np.zeros(10), 10)
+        w = posterior_weights(prior, kappa, 1e4)
+        assert np.array_equal(w.variance, w.lam)
+        assert not np.any(w.mean_weight) and not np.any(w.shrink_var)
+        assert not np.any(w.gain) and np.all(w.one_minus_gain == 1.0)
 
 
 class TestPosteriorDraw:
