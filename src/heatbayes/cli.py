@@ -195,6 +195,14 @@ def _scaling_from(opt: _Options) -> ScalingRule:
     return ScalingRule.fixed()
 
 
+def _int_flag(opt: _Options, key: str, least: int, default=None):
+    """Integer option of at least `least`; `default` when it is unset."""
+    value = opt.get(key)
+    if value is not None and int(value) < least:
+        raise ValueError(f"--{key} must be at least {least}")
+    return default if value is None else int(value)
+
+
 def _manifest(opt: _Options, keys) -> RunManifest:
     cfg = {k: opt.get(k) for k in keys}
     return RunManifest(config=cfg, seed=int(opt.get("seed")))
@@ -203,7 +211,7 @@ def _manifest(opt: _Options, keys) -> RunManifest:
 def _cmd_simulate(opt: _Options) -> int:
     n = _parse_n_list(opt.get("n"))[0]
     seed = int(opt.get("seed"))
-    nn = int(opt.get("trunc") or default_truncation(n))
+    nn = _int_flag(opt, "trunc", 1, default_truncation(n))
     kappa = heat_eigenvalues(DEFAULT_TIME_HORIZON, nn)
     mu0 = true_signal_coefficients(nn)
     obs = simulate_observations(mu0, kappa, n, seed)
@@ -229,13 +237,12 @@ def _cmd_posterior(opt: _Options) -> int:
     seed = int(opt.get("seed"))
     prior = _prior_from(opt)
     prior = _scaling_from(opt).resolve(prior, n)
-    nn = int(opt.get("trunc") or default_truncation(n, prior.tau))
+    nn = _int_flag(opt, "trunc", 1, default_truncation(n, prior.tau))
     kappa = heat_eigenvalues(DEFAULT_TIME_HORIZON, nn)
     mu0 = true_signal_coefficients(nn)
     obs = simulate_observations(mu0, kappa, n, seed)
     summary = compute_posterior(prior, kappa, n, obs)
-    pts = int(opt.get("grid") or 201)
-    x = np.linspace(0.0, 1.0, pts)
+    x = np.linspace(0.0, 1.0, _int_flag(opt, "grid", 2, 201))
     mean_fn = posterior_mean_function(summary, x)
     out = opt.get("out") or "posterior.csv"
     columns = ("i", "y", "mean", "variance", "shrink_var")
@@ -264,8 +271,8 @@ def _experiment_config(opt: _Options, mu0: Mu0Source) -> ExperimentConfig:
         replications=int(opt.get("reps")),
         mu0=mu0,
         seed=int(opt.get("seed")),
-        trunc=int(opt.get("trunc")) if opt.get("trunc") else None,
-        mc_draws=int(opt.get("draws") or 200_000),
+        trunc=_int_flag(opt, "trunc", 1),
+        mc_draws=int(opt.get("draws")),
     )
 
 
@@ -278,8 +285,8 @@ def _cmd_bands(opt: _Options) -> int:
         gamma=float(opt.get("gamma")),
         replications=1,
         seed=int(opt.get("seed")),
-        trunc=int(opt.get("trunc")) if opt.get("trunc") else None,
-        x_grid_points=int(opt.get("grid") or 201),
+        trunc=_int_flag(opt, "trunc", 1),
+        x_grid_points=_int_flag(opt, "grid", 2, 201),
     )
     panel = render_panel(cfg, PanelSpec(prior=cfg.prior, n=n, data_stream=0))
     columns, rows = panel.to_table()
@@ -381,8 +388,8 @@ def _cmd_figures(opt: _Options) -> int:
                 prior=spec.prior, n_grid=(spec.n,),
                 gamma=float(opt.get("gamma")), replications=1,
                 seed=int(opt.get("seed")),
-                trunc=int(opt.get("trunc")) if opt.get("trunc") else None,
-                x_grid_points=int(opt.get("grid") or 201),
+                trunc=_int_flag(opt, "trunc", 1),
+                x_grid_points=_int_flag(opt, "grid", 2, 201),
             )
             panel = render_panel(cfg, spec)
             columns, rows = panel.to_table()

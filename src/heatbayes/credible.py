@@ -8,7 +8,8 @@ equation for the sampling distribution ||W + bias||^2 with coordinate
 variances t_i.  Both quantiles are estimated by Monte Carlo: weight
 sequences spanning hundreds of orders of magnitude make characteristic-
 function inversion fragile, while the Monte Carlo error is quantifiable
-and reported alongside each radius.
+and reported alongside each radius.  The same sampler draws the squared
+errors of the fixed-truth coverage and risk experiments.
 """
 
 from __future__ import annotations
@@ -76,28 +77,32 @@ class CredibleBall:
         return float(np.linalg.norm(mu.values - self.center.values)) <= self.radius
 
 
-def _active_weights(w: np.ndarray) -> np.ndarray:
-    """Drop coordinates that cannot affect double-precision sums."""
-    return w[w >= np.finfo(float).eps * w.max()]
+def _form_draws(var: np.ndarray, bias: np.ndarray | None, mc_draws: int,
+                seed: int, path: tuple) -> np.ndarray:
+    """mc_draws samples of sum_i (b_i + sqrt(v_i) Z_i)^2, block-streamed.
 
-
-def _mc_draws_sum(weights: np.ndarray, shift: np.ndarray | None,
-                  mc_draws: int, seed: int, path: tuple) -> np.ndarray:
-    """mc_draws samples of sum_i (sqrt(w_i) Z_i + shift_i)^2, block-streamed.
-
+    Only coordinates with v_i >= eps * max v are sampled: the others cannot
+    affect double-precision sums through their noise, and each adds b_i^2
+    as a fixed mass.  ``bias=None`` is the central form sum v_i Z_i^2.
     Blocks of fixed size are keyed (seed, *path, block); results do not
     depend on how blocks are assigned to workers.
     """
-    root = np.sqrt(weights)
+    active = var >= np.finfo(float).eps * var.max()
+    w = var[active]
+    shift = None if bias is None else bias[active]
+    root = np.sqrt(w)
     out = []
     for block_idx, start in enumerate(range(0, mc_draws, BLOCK)):
         m = min(BLOCK, mc_draws - start)
-        z = substream(seed, *path, block_idx).standard_normal((m, root.size))
+        z = substream(seed, *path, block_idx).standard_normal((m, w.size))
         if shift is None:
-            out.append(np.square(z) @ weights)
+            out.append(np.square(z) @ w)
         else:
             out.append(np.square(root * z + shift).sum(axis=1))
-    return np.concatenate(out)
+    draws = np.concatenate(out)
+    if bias is None:
+        return draws
+    return draws + compensated_sum(bias[~active] ** 2)
 
 
 def _empirical_quantile(draws: np.ndarray, p: float) -> QuantileEstimate:
@@ -127,9 +132,7 @@ def quadratic_form_quantile(q: QuadraticForm, p: float, mc_draws: int = 200_000,
     w = q.weights.values
     if w.size == 0 or w.max() <= 0.0:
         raise ValueError("quadratic form needs at least one positive weight")
-    active = _active_weights(w)
-    draws = _mc_draws_sum(active, None, mc_draws, seed, ("qf",))
-    return _empirical_quantile(draws, p)
+    return _empirical_quantile(_form_draws(w, None, mc_draws, seed, ("qf",)), p)
 
 
 def credible_ball(summary: PosteriorSummary, gamma: float,
@@ -168,20 +171,13 @@ def frequentist_radius(prior: PriorSpec, kappa: CoefficientSequence, n: float,
     w = posterior_weights(prior, kappa, n)
     bias = -mu0.values * w.one_minus_gain
     t = w.shrink_var
-    tmax = t.max()
-    if tmax <= 0.0 and not np.any(bias):
-        raise ValueError("degenerate sampling distribution: no variance, no bias")
-    if tmax > 0.0:
-        active = t >= np.finfo(float).eps * tmax
-    else:
-        active = np.zeros(t.size, dtype=bool)
-    # coordinates with negligible t contribute a deterministic bias mass
-    frozen_sq = compensated_sum(bias[~active] ** 2)
-    if not np.any(active):
-        r = math.sqrt(frozen_sq)
-        return QuantileEstimate(value=r, stderr=0.0, draws=0)
-    draws = _mc_draws_sum(t[active], bias[active], mc_draws, seed, ("freq",))
-    est = _empirical_quantile(draws + frozen_sq, 1.0 - gamma)
+    if t.max() <= 0.0:
+        if not np.any(bias):
+            raise ValueError("degenerate sampling distribution: no variance, no bias")
+        return QuantileEstimate(value=math.sqrt(compensated_sum(bias**2)),
+                                stderr=0.0, draws=0)
+    est = _empirical_quantile(_form_draws(t, bias, mc_draws, seed, ("freq",)),
+                              1.0 - gamma)
     radius = math.sqrt(est.value)
     return QuantileEstimate(
         value=radius,

@@ -1,8 +1,19 @@
 """Monte Carlo coverage, risk, and figure-data experiments.
 
-Replications are keyed by (seed, purpose, n-index, replication) through the
-splittable stream layout, so results are independent of execution order
-and worker count; reports aggregate rows in grid order.
+Every random number comes from an `rng.substream` path, so results are
+independent of execution order and worker count; reports aggregate rows
+in grid order.  With k the index of n in the grid, r a replication and b a
+draw block, the paths are:
+
+    (seed, "radius", k)        seed of the credible-radius quantile
+    (seed, "freq", k)          seed of the frequentist-radius quantile
+    (seed, "ball", k, b)       fixed-truth ball errors ||muhat - mu0||^2
+    (seed, "mu0", k, r)        prior-drawn truths of the ball coverage
+    (seed, "cov", k, r)        the noise vectors paired with them
+    (seed, "interval", k)      one normal per interval replication
+    (seed, "risk", k, b)       Monte Carlo errors of the risk curve
+    (seed, "obs", s)           observations of panel data stream s
+    (seed, "panel", s, "draw", j)  posterior draw j of that panel
 """
 
 from __future__ import annotations
@@ -14,7 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import norm
 
-from .credible import QuadraticForm, quadratic_form_quantile, frequentist_radius
+from .credible import (
+    QuadraticForm,
+    _form_draws,
+    frequentist_radius,
+    quadratic_form_quantile,
+)
 from .functionals import (
     FunctionalKind,
     LinearFunctional,
@@ -132,24 +148,19 @@ class ExperimentReport:
         return self.columns, self.rows
 
 
-def _draw_mu0_matrix(lam: np.ndarray, seed: int, n_idx: int,
-                     reps: int) -> np.ndarray:
-    return np.sqrt(lam) * normal_matrix(seed, ("mu0", n_idx), reps, lam.size)
-
-
-def _noise_matrix(seed: int, n_idx: int, reps: int, nn: int) -> np.ndarray:
-    return normal_matrix(seed, ("cov", n_idx), reps, nn)
-
-
 def run_ball_coverage(cfg: ExperimentConfig) -> ExperimentReport:
-    """Empirical frequentist coverage of the credible ball along the n grid.
+    """Frequentist coverage of the credible ball along the n grid.
 
-    Per n: the data-free radius once, then per replication a fresh data set,
-    its posterior mean, and the indicator ||muhat - mu0|| <= radius.  For a
-    fixed truth the honest frequentist radius and the radius ratio are
-    reported as well; for prior-draw truths they are left NaN (the honest
-    radius would need a separate Monte Carlo per replication).
+    Per n: the data-free radius once, then per replication the squared
+    error ||muhat - mu0||^2 and the indicator that it is at most radius^2.
+    At a fixed truth the squared error is drawn from its exact law,
+    sum_i (b_i + sqrt(t_i) Z_i)^2 with b = -(1 - g) mu0, and the honest
+    frequentist radius and the radius ratio are reported as well.  Prior-
+    drawn truths take the end-to-end path (truth, data set and posterior
+    mean per replication) and leave those two columns NaN.
     """
+    if cfg.replications < 2:
+        raise ValueError("replications must be at least 2 for risk_mc_se")
     columns = ("n", "coverage", "coverage_se", "radius", "radius_freq",
                "radius_ratio", "risk_mc", "risk_mc_se")
     rows = []
@@ -159,29 +170,29 @@ def run_ball_coverage(cfg: ExperimentConfig) -> ExperimentReport:
         kappa = heat_eigenvalues(cfg.time_horizon, nn)
         w = posterior_weights(prior_n, kappa, n)
         form = QuadraticForm.from_weights(CoefficientSequence(w.variance, nn))
+        seed = int(substream(cfg.seed, "radius", idx).integers(1 << 63))
         radius = math.sqrt(quadratic_form_quantile(
-            form, 1.0 - cfg.gamma, cfg.mc_draws, _mix(cfg.seed, "radius", idx)).value)
+            form, 1.0 - cfg.gamma, cfg.mc_draws, seed).value)
         if cfg.mu0.is_random:
-            mu = _draw_mu0_matrix(w.lam, cfg.seed, idx, cfg.replications)
+            mu = np.sqrt(w.lam) * normal_matrix(cfg.seed, ("mu0", idx),
+                                                cfg.replications, nn)
+            z = normal_matrix(cfg.seed, ("cov", idx), cfg.replications, nn)
+            y = mu * kappa.values + z / math.sqrt(n)
+            sq_err = ((y * w.mean_weight - mu) ** 2).sum(axis=1)
             r_freq = math.nan
         else:
-            mu = np.broadcast_to(cfg.mu0.realize(nn).values,
-                                 (cfg.replications, nn))
-            r_freq = frequentist_radius(
-                prior_n, kappa, n, cfg.mu0.realize(nn), cfg.gamma,
-                cfg.mc_draws, _mix(cfg.seed, "freq", idx)).value
-        z = _noise_matrix(cfg.seed, idx, cfg.replications, nn)
-        y = mu * kappa.values + z / math.sqrt(n)
-        muhat = y * w.mean_weight
-        sq_err = ((muhat - mu) ** 2).sum(axis=1)
-        covered = np.sqrt(sq_err) <= radius
-        cov = float(covered.mean())
+            mu0 = cfg.mu0.realize(nn)
+            seed = int(substream(cfg.seed, "freq", idx).integers(1 << 63))
+            r_freq = frequentist_radius(prior_n, kappa, n, mu0, cfg.gamma,
+                                        cfg.mc_draws, seed).value
+            sq_err = _form_draws(w.shrink_var, -mu0.values * w.one_minus_gain,
+                                 cfg.replications, cfg.seed, ("ball", idx))
+        cov = float(np.mean(np.sqrt(sq_err) <= radius))
         se = math.sqrt(cov * (1.0 - cov) / cfg.replications)
-        risk = float(sq_err.mean())
-        risk_se = float(sq_err.std(ddof=1) / math.sqrt(cfg.replications))
         rows.append((n, cov, se, radius, r_freq,
                      radius / r_freq if r_freq == r_freq else math.nan,
-                     risk, risk_se))
+                     float(sq_err.mean()),
+                     float(sq_err.std(ddof=1) / math.sqrt(cfg.replications))))
     return ExperimentReport("ball-coverage", columns, rows, cfg)
 
 
@@ -202,11 +213,11 @@ def _resolve_representer(L: LinearFunctional, nn: int) -> LinearFunctional:
 
 def run_interval_coverage(cfg: ExperimentConfig,
                           L: LinearFunctional) -> ExperimentReport:
-    """Empirical coverage of the credible interval for L mu along the n grid.
+    """Frequentist coverage of the credible interval for L mu along the n grid.
 
-    Replications are streamed (one noise vector at a time), so rough priors
-    whose admissible truncation runs into millions of coordinates stay
-    within O(truncation) memory.
+    The error Lhat - L mu has an exact law: N(b, t_n^2) at a fixed truth,
+    with b = -sum_i l_i (1 - g_i) mu0_i, and N(0, s_n^2) for a truth drawn
+    from the prior.  Each replication draws one normal from it.
     """
     columns = ("n", "coverage", "coverage_se", "halfwidth", "spread", "mean_sd")
     z_half = -norm.ppf(cfg.gamma / 2.0)
@@ -222,25 +233,13 @@ def run_interval_coverage(cfg: ExperimentConfig,
         lsq = l * l
         s_n = math.sqrt(float((lsq * w.variance).sum()))
         t_n = math.sqrt(float((lsq * w.shrink_var).sum()))
-        proj = l * w.mean_weight
-        proj_kappa = proj * kappa.values
-        root_lam = np.sqrt(w.lam)
-        if not cfg.mu0.is_random:
-            mu0 = cfg.mu0.realize(nn).values
-            base_hat = float(proj_kappa @ mu0)
-            base_true = float(l @ mu0)
-        hits = 0
-        inv_sqrt_n = 1.0 / math.sqrt(n)
-        for r in range(cfg.replications):
-            if cfg.mu0.is_random:
-                z0 = substream(cfg.seed, "mu0", idx, r).standard_normal(nn)
-                mu_r = root_lam * z0
-                base_hat = float(proj_kappa @ mu_r)
-                base_true = float(l @ mu_r)
-            z = substream(cfg.seed, "cov", idx, r).standard_normal(nn)
-            L_hat = base_hat + float(proj @ z) * inv_sqrt_n
-            hits += abs(L_hat - base_true) <= z_half * s_n
-        cov = hits / cfg.replications
+        z = substream(cfg.seed, "interval", idx).standard_normal(cfg.replications)
+        if cfg.mu0.is_random:
+            err = s_n * z
+        else:
+            b = -float((l * w.one_minus_gain) @ cfg.mu0.realize(nn).values)
+            err = b + t_n * z
+        cov = np.count_nonzero(np.abs(err) <= z_half * s_n) / cfg.replications
         se = math.sqrt(cov * (1.0 - cov) / cfg.replications)
         rows.append((n, cov, se, z_half * s_n, s_n, t_n))
     return ExperimentReport("interval-coverage", columns, rows, cfg)
@@ -250,11 +249,13 @@ def run_risk_curve(cfg: ExperimentConfig) -> ExperimentReport:
     """Posterior risk E||muhat - mu0||^2 + sum s_i along the n grid.
 
     The exact decomposition (bias/variance/spread) comes from the closed
-    forms; a Monte Carlo estimate of the mean-square error over the
-    configured replications is reported alongside for validation.
+    forms; a Monte Carlo estimate of the mean-square error, drawn from its
+    exact law over the configured replications, is reported alongside.
     """
     if cfg.mu0.is_random:
         raise ValueError("risk curves need a fixed truth")
+    if cfg.replications < 2:
+        raise ValueError("replications must be at least 2 for risk_mc_se")
     columns = ("n", "sq_bias", "est_var", "spread", "risk_exact",
                "risk_total", "risk_mc", "risk_mc_se")
     rows = []
@@ -265,15 +266,13 @@ def run_risk_curve(cfg: ExperimentConfig) -> ExperimentReport:
         mu0 = cfg.mu0.realize(nn)
         dec = risk_decomposition(prior_n, kappa, n, mu0)
         w = posterior_weights(prior_n, kappa, n)
-        z = _noise_matrix(cfg.seed, idx, cfg.replications, nn)
-        y = mu0.values * kappa.values + z / math.sqrt(n)
-        sq_err = ((y * w.mean_weight - mu0.values) ** 2).sum(axis=1)
-        risk_mc = float(sq_err.mean())
-        risk_mc_se = float(sq_err.std(ddof=1) / math.sqrt(cfg.replications))
+        sq_err = _form_draws(w.shrink_var, -mu0.values * w.one_minus_gain,
+                             cfg.replications, cfg.seed, ("risk", idx))
         rows.append((n, dec.sq_bias, dec.estimator_variance,
                      dec.posterior_spread,
                      dec.sq_bias + dec.estimator_variance,
-                     dec.total, risk_mc, risk_mc_se))
+                     dec.total, float(sq_err.mean()),
+                     float(sq_err.std(ddof=1) / math.sqrt(cfg.replications))))
     return ExperimentReport("risk-curve", columns, rows, cfg)
 
 
@@ -401,9 +400,3 @@ FIGURE_PROTOCOLS = {
     "fig4": figure_four_panels,
 }
 
-
-def _mix(seed: int, tag: str, idx: int) -> int:
-    """Distinct 63-bit subseed for radius/frequentist quantile streams."""
-    h = np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF,
-                                sum(map(ord, tag)), idx]).generate_state(1)[0]
-    return int(h)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import replicate_errors
 
 from heatbayes import (
     ExperimentConfig,
@@ -17,10 +18,12 @@ from heatbayes import (
     figure_two_panels,
     figure_three_panels,
     figure_four_panels,
+    heat_eigenvalues,
     render_panel,
     run_ball_coverage,
     run_interval_coverage,
     run_risk_curve,
+    true_signal_coefficients,
 )
 from heatbayes.priors import PriorFamily
 
@@ -83,6 +86,66 @@ class TestBallCoverage:
         exact = run_risk_curve(risk_cfg).column("risk_exact")[0]
         mc, se = report.column("risk_mc")[0], report.column("risk_mc_se")[0]
         assert abs(mc - exact) <= 3.5 * se
+
+
+class TestSufficientStatistics:
+    """Coverage and risk drawn from the exact laws of ||muhat - mu0||^2 and
+    Lhat - L mu against brute-force end-to-end replications."""
+
+    def test_agrees_with_end_to_end_replications(self):
+        """Polynomial alpha = 1, n = 1e4, cubic truth, N = 3826 (the
+        admissible truncation), x = 0.3.  Exact coverages here lie well
+        inside (0.05, 0.95), so a wrong law would show: 0.254 for the ball
+        at the radius this seed draws (Imhof inversion) and 0.502 for the
+        interval (normal law); the exact risk is 0.607."""
+        prior, n, nn, reps = PriorSpec.polynomial(1.0), 1e4, 3826, 2000
+        cfg = ExperimentConfig(prior=prior, n_grid=(n,), replications=reps,
+                               seed=5, trunc=nn, mc_draws=20_000)
+        L = LinearFunctional.point_evaluation(0.3, nn)
+        ball = run_ball_coverage(cfg)
+        interval = run_interval_coverage(cfg, L)
+        sq_err, lin_err = replicate_errors(
+            prior.variance_values(nn), heat_eigenvalues(cfg.time_horizon, nn).values,
+            true_signal_coefficients(nn).values, L.l.values, n, reps, seed=99)
+
+        def agree(name, est, se, ref, ref_se):
+            assert abs(est - ref) <= 4.0 * math.hypot(se, ref_se), (
+                name, est, se, ref, ref_se)
+
+        def binomial_se(p):
+            return math.sqrt(p * (1.0 - p) / reps)
+
+        radius = ball.column("radius")[0]
+        ref = float(np.mean(sq_err <= radius**2))
+        assert 0.05 < ref < 0.95
+        agree("ball", ball.column("coverage")[0], ball.column("coverage_se")[0],
+              ref, binomial_se(ref))
+        agree("risk", ball.column("risk_mc")[0], ball.column("risk_mc_se")[0],
+              float(sq_err.mean()), float(sq_err.std(ddof=1)) / math.sqrt(reps))
+        ref = float(np.mean(np.abs(lin_err) <= interval.column("halfwidth")[0]))
+        assert 0.05 < ref < 0.95
+        agree("interval", interval.column("coverage")[0],
+              interval.column("coverage_se")[0], ref, binomial_se(ref))
+
+    def test_repeated_n_uses_distinct_streams(self):
+        for mu0 in (Mu0Source.test_cubic(), Mu0Source.prior_draw()):
+            cfg = ExperimentConfig(prior=PriorSpec.polynomial(1.0),
+                                   n_grid=(1e4, 1e4), replications=200, seed=3,
+                                   mu0=mu0, mc_draws=20_000)
+            a, b = run_ball_coverage(cfg).rows
+            assert a[0] == b[0]
+            assert a[3] != b[3] and a[6] != b[6]  # radius, risk_mc
+        cfg = ExperimentConfig(prior=PriorSpec.polynomial(1.0),
+                               n_grid=(1e4, 1e4), replications=200, seed=3)
+        a, b = run_risk_curve(cfg).rows
+        assert a[:6] == b[:6] and a[6] != b[6]
+
+    def test_single_replication_rejected(self):
+        cfg = ExperimentConfig(prior=PriorSpec.exponential(1.0), n_grid=(1e3,),
+                               replications=1, seed=1, mc_draws=1000)
+        for run in (run_ball_coverage, run_risk_curve):
+            with pytest.raises(ValueError, match="at least 2"):
+                run(cfg)
 
 
 class TestIntervalCoverage:

@@ -196,10 +196,25 @@ class TestCli:
         cfg.write_text(json.dumps({"nonsense_field": 1}))
         assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
 
-    def test_bad_flag_value_is_config_error(self):
-        assert main(["coverage", "--prior", "exp", "--alpha", "-2",
-                     "--n", "1e3", "--reps", "5"]) == EXIT_CONFIG
-        assert main(["simulate", "--n", "0"]) == EXIT_CONFIG
+    def test_bad_flag_value_is_config_error(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for argv in (
+            ["coverage", "--prior", "exp", "--alpha", "-2", "--n", "1e3",
+             "--reps", "5"],
+            ["simulate", "--n", "0"],
+            # zero flags must reach validation, not fall back to defaults
+            ["coverage", "--n", "1e3", "--reps", "5", "--draws", "0"],
+            ["coverage", "--kind", "interval", "--n", "1e3", "--reps", "5",
+             "--trunc", "0"],
+            ["simulate", "--trunc", "0"],
+            ["posterior", "--grid", "0"],
+            ["bands", "--grid", "0"],
+            # risk_mc_se needs two replications
+            ["coverage", "--n", "1e3", "--reps", "1", "--draws", "2000"],
+            ["risk", "--n", "1e3", "--reps", "1"],
+        ):
+            assert main(argv) == EXIT_CONFIG, argv
+        assert os.listdir(tmp_path) == []
 
     def test_io_error_exit_code(self, tmp_path):
         target = str(tmp_path / "missing_dir" / "x.csv")
