@@ -117,8 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--mu0-beta", type=float, dest="mu0_beta")
             sub.add_argument("--x", type=float,
                              help="point-evaluation location for intervals")
-            sub.add_argument("--draws", type=int,
-                             help="Monte Carlo draws per radius")
         if name == "risk":
             sub.add_argument("--mu0", choices=["cubic", "power"])
             sub.add_argument("--mu0-beta", type=float, dest="mu0_beta")
@@ -178,7 +176,6 @@ _DEFAULTS = {
     "mu0": "cubic",
     "mu0_beta": 2.0,
     "x": 0.5,
-    "draws": 200_000,
     "fig": "all",
 }
 
@@ -272,7 +269,6 @@ def _experiment_config(opt: _Options, mu0: Mu0Source) -> ExperimentConfig:
         mu0=mu0,
         seed=int(opt.get("seed")),
         trunc=_int_flag(opt, "trunc", 1),
-        mc_draws=int(opt.get("draws")),
     )
 
 
@@ -331,7 +327,7 @@ def _cmd_coverage(opt: _Options) -> int:
     if out:
         manifest = _manifest(opt, ["n", "prior", "alpha", "tau", "scaling",
                                    "beta", "gamma", "reps", "seed", "trunc",
-                                   "kind", "mu0", "x", "draws"])
+                                   "kind", "mu0", "x"])
         manifest.record(out, write_dataset((columns, rows), out))
         manifest.write(_manifest_path(out))
     return EXIT_OK
@@ -376,31 +372,31 @@ def _cmd_lemmas(opt: _Options) -> int:
 def _cmd_figures(opt: _Options) -> int:
     import os
 
-    out_dir = opt.get("out") or "figures_out"
-    os.makedirs(out_dir, exist_ok=True)
+    # build every configuration, and so validate every flag, before any
+    # file is written
+    trunc = _int_flag(opt, "trunc", 1)
+    grid = _int_flag(opt, "grid", 2, 201)
     which = opt.get("fig")
     names = sorted(FIGURE_PROTOCOLS) if which == "all" else [which]
-    manifest = _manifest(opt, ["fig", "gamma", "seed", "grid", "trunc"])
-    for name in names:
-        panels = FIGURE_PROTOCOLS[name]()
-        for spec in panels:
-            cfg = ExperimentConfig(
+    jobs = [(name, spec, ExperimentConfig(
                 prior=spec.prior, n_grid=(spec.n,),
                 gamma=float(opt.get("gamma")), replications=1,
-                seed=int(opt.get("seed")),
-                trunc=_int_flag(opt, "trunc", 1),
-                x_grid_points=_int_flag(opt, "grid", 2, 201),
-            )
-            panel = render_panel(cfg, spec)
-            columns, rows = panel.to_table()
-            _ensure_finite(columns, rows)
-            stem = os.path.join(out_dir, f"{name}_{panel.label}")
-            manifest.record(stem + ".csv",
-                            write_dataset((columns, rows), stem + ".csv"))
-            manifest.record(stem + ".svg",
-                            render_static_plot(panel, stem + ".svg"))
-            print(f"{name} {panel.label}: band covers "
-                  f"{panel.coverage_fraction():.3f} of the grid")
+                seed=int(opt.get("seed")), trunc=trunc, x_grid_points=grid))
+            for name in names for spec in FIGURE_PROTOCOLS[name]()]
+    out_dir = opt.get("out") or "figures_out"
+    os.makedirs(out_dir, exist_ok=True)
+    manifest = _manifest(opt, ["fig", "gamma", "seed", "grid", "trunc"])
+    for name, spec, cfg in jobs:
+        panel = render_panel(cfg, spec)
+        columns, rows = panel.to_table()
+        _ensure_finite(columns, rows)
+        stem = os.path.join(out_dir, f"{name}_{panel.label}")
+        manifest.record(stem + ".csv",
+                        write_dataset((columns, rows), stem + ".csv"))
+        manifest.record(stem + ".svg",
+                        render_static_plot(panel, stem + ".svg"))
+        print(f"{name} {panel.label}: band covers "
+              f"{panel.coverage_fraction():.3f} of the grid")
     manifest.write(os.path.join(out_dir, "manifest.json"))
     return EXIT_OK
 

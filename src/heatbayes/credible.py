@@ -5,11 +5,33 @@ Under the posterior, ||mu - muhat||^2 is distributed as U = sum s_i Z_i^2,
 a nonnegative-weighted chi-square mixture; the credible radius solves
 P(U < r^2) = 1 - gamma.  The honest frequentist radius solves the same
 equation for the sampling distribution ||W + bias||^2 with coordinate
-variances t_i.  Both quantiles are estimated by Monte Carlo: weight
-sequences spanning hundreds of orders of magnitude make characteristic-
-function inversion fragile, while the Monte Carlo error is quantifiable
-and reported alongside each radius.  The same sampler draws the squared
-errors of the fixed-truth coverage and risk experiments.
+variances t_i.  Both quantiles come from numerical inversion of the exact
+law of the form, found by safeguarded Newton steps on its density:
+
+* central forms, sum w_i Z_i^2 (the credible radius): the Laplace
+  transform L(s)/s of the distribution function, with
+  L(s) = prod (1 + 2 w_i s)^(-1/2), is inverted by the Fourier series of
+  Abate & Whitt (1995) with Euler summation.  The discretisation error is
+  at most e^-A / (1 - e^-A); the Euler sum's own error is estimated by
+  the change from one more term, and twice their sum is reported.
+* forms with a bias, sum (b_i + sqrt(v_i) Z_i)^2 (the frequentist
+  radius): the Gil-Pelaez integral of the characteristic function of the
+  form, centred at its mean and scaled to unit sd, is summed at midpoints
+  (Davies 1980).  The step keeps the aliased mass below Chernoff bounds on
+  both tails; a Gaussian convergence factor with a second-order
+  correction ends the sum at a bounded tail, and leaves an error of about
+  (sigma^4 / 8) f'''(x), which is estimated from the same sum.  The
+  characteristic function is evaluated once per form.
+
+The Laplace-Euler series fails on forms with a large noncentrality, whose
+terms keep oscillating, and the midpoint sum needs many nodes on central
+forms with few dominant weights; hence the split.  Coordinates whose
+variance is below eps * max variance enter as the fixed mass b_i^2 (zero
+for central forms), as in the Monte Carlo sampler `_form_draws`, which
+draws the squared errors of the fixed-truth coverage and risk experiments.
+Each quantile carries a bound on its absolute numerical error: the
+inversion's probability error divided by the density, plus the distance
+of the last iterate from the root.
 """
 
 from __future__ import annotations
@@ -18,12 +40,29 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import exp1, gammaincinv
 
 from .numeric import compensated_sum
 from .posterior import PosteriorSummary, posterior_weights
 from .priors import PriorSpec
 from .rng import BLOCK, substream
 from .sequence import CoefficientSequence
+
+_EPS = np.finfo(float).eps
+# elements per evaluation block of the transforms (nodes x coordinates)
+_CELLS = 1 << 20
+# Abate-Whitt: discretisation parameter A, then Euler means of _EULER_M + 1
+# partial sums from term _EULER_N on
+_EULER_A = 25.0
+_EULER_N = 38
+_EULER_M = 11
+_EULER_MEAN = np.array([math.comb(_EULER_M, j) for j in range(_EULER_M + 1)],
+                       dtype=float) / 2.0**_EULER_M
+# Davies: tail mass allowed beyond each end of the aliasing period and in
+# the truncated sum; sd of the convergence factor in units of the form's sd
+_TAIL = 1e-12
+_SMOOTH = 2e-3
+_NEWTON_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -48,11 +87,10 @@ class QuadraticForm:
 
 @dataclass(frozen=True)
 class QuantileEstimate:
-    """Monte Carlo quantile with its standard error."""
+    """Quantile with a bound on its absolute numerical error."""
 
     value: float
     stderr: float
-    draws: int
 
     def __float__(self) -> float:
         return self.value
@@ -77,17 +115,24 @@ class CredibleBall:
         return float(np.linalg.norm(mu.values - self.center.values)) <= self.radius
 
 
+def _split(var: np.ndarray, bias: np.ndarray | None) -> tuple[np.ndarray, float]:
+    """Mask of the coordinates with v_i >= eps * max v, and the fixed mass
+    sum b_i^2 of the others: their noise cannot affect double-precision
+    sums.  ``bias=None`` is the central form."""
+    active = var >= _EPS * var.max()
+    mass = 0.0 if bias is None else compensated_sum(bias[~active] ** 2)
+    return active, mass
+
+
 def _form_draws(var: np.ndarray, bias: np.ndarray | None, mc_draws: int,
                 seed: int, path: tuple) -> np.ndarray:
     """mc_draws samples of sum_i (b_i + sqrt(v_i) Z_i)^2, block-streamed.
 
-    Only coordinates with v_i >= eps * max v are sampled: the others cannot
-    affect double-precision sums through their noise, and each adds b_i^2
-    as a fixed mass.  ``bias=None`` is the central form sum v_i Z_i^2.
-    Blocks of fixed size are keyed (seed, *path, block); results do not
-    depend on how blocks are assigned to workers.
+    Only the coordinates `_split` keeps active are sampled.  Blocks of
+    fixed size are keyed (seed, *path, block); results do not depend on
+    how blocks are assigned to workers.
     """
-    active = var >= np.finfo(float).eps * var.max()
+    active, mass = _split(var, bias)
     w = var[active]
     shift = None if bias is None else bias[active]
     root = np.sqrt(w)
@@ -100,43 +145,179 @@ def _form_draws(var: np.ndarray, bias: np.ndarray | None, mc_draws: int,
         else:
             out.append(np.square(root * z + shift).sum(axis=1))
     draws = np.concatenate(out)
-    if bias is None:
-        return draws
-    return draws + compensated_sum(bias[~active] ** 2)
+    return draws if bias is None else draws + mass
 
 
-def _empirical_quantile(draws: np.ndarray, p: float) -> QuantileEstimate:
-    """Type-7 empirical quantile of sorted draws plus an order-statistic
-    standard error (spacing of the +-1 sd order statistics)."""
-    draws = np.sort(draws)
-    m = draws.size
-    value = float(np.quantile(draws, p, method="linear"))
-    half = math.sqrt(m * p * (1.0 - p))
-    k = p * (m - 1)
-    k_lo = max(int(math.floor(k - half)), 0)
-    k_hi = min(int(math.ceil(k + half)), m - 1)
-    stderr = float(draws[k_hi] - draws[k_lo]) / 2.0
-    return QuantileEstimate(value=value, stderr=stderr, draws=m)
+def _coordinate_sum(term, nodes: np.ndarray, *coords: np.ndarray) -> np.ndarray:
+    """sum_i term(nodes[:, None], coords_i[None, :]) in bounded blocks."""
+    cols = min(coords[0].size, _CELLS)
+    rows = max(1, _CELLS // cols)
+    out = None
+    for r in range(0, nodes.size, rows):
+        node = nodes[r:r + rows, None]
+        part = sum(term(node, *(c[k:k + cols] for c in coords)).sum(axis=1)
+                   for k in range(0, coords[0].size, cols))
+        out = part if out is None else np.concatenate((out, part))
+    return out
 
 
-def quadratic_form_quantile(q: QuadraticForm, p: float, mc_draws: int = 200_000,
-                            seed: int = 0) -> QuantileEstimate:
-    """x with P(sum w_i Z_i^2 <= x) = p, by Monte Carlo.
+def _euler_law(w: np.ndarray):
+    """x -> (F(x), f(x), bound on |error of F|) for sum w_i Z_i^2.
 
-    Deterministic given (weights, p, mc_draws, seed).
+    F and the density f are the Laplace inverses of L(s)/s and L(s), by
+    Abate & Whitt's Fourier series at s_k = (A + 2 pi i k) / (2x).
     """
+    k = np.arange(_EULER_N + _EULER_M + 2)
+    sign = np.where(k % 2 == 0, 1.0, -1.0)
+    sign[0] = 0.5
+    stop = _EULER_N + _EULER_M + 1
+    discrete = math.exp(-_EULER_A) / -math.expm1(-_EULER_A)
+
+    def euler(terms):
+        partial = np.cumsum(terms)
+        now = _EULER_MEAN @ partial[_EULER_N:stop]
+        later = _EULER_MEAN @ partial[_EULER_N + 1:stop + 1]
+        rounding = _EPS * float(np.abs(terms).sum())
+        return later, abs(later - now) + rounding
+
+    def law(x):
+        s = (_EULER_A + 2j * math.pi * k) / (2.0 * x)
+        lt = np.exp(-0.5 * _coordinate_sum(lambda s, w: np.log1p(2.0 * s * w),
+                                           s, w))
+        scale = sign * math.exp(0.5 * _EULER_A) / x
+        cdf, cdf_err = euler(scale * (lt / s).real)
+        pdf, _ = euler(scale * lt.real)
+        # twice the sum: the Euler term is an estimate, not a bound
+        return cdf, pdf, 2.0 * (cdf_err + discrete)
+
+    return law
+
+
+def _davies_law(v: np.ndarray, b2: np.ndarray):
+    """(law, mean, lo, hi) for the form sum (b_i + sqrt(v_i) Z_i)^2, with
+    b2 the squared biases: law(x) = (F(x), f(x), bound on |error of F|),
+    and outside [lo, hi] each tail of the form holds at most _TAIL.
+
+    On the form centred and scaled to unit sd,
+    F(x) = 1/2 - (1/pi) int_0^inf Im[phi(u) e^{-iux}] / u du is summed at
+    the midpoints u_k = (k + 1/2) delta, with the period 2 pi / delta just
+    above hi - lo so that the aliased mass lies in the tails.
+    """
+    centre = compensated_sum(v) + compensated_sum(b2)
+    sd = math.sqrt(2.0 * compensated_sum(v * v) + 4.0 * compensated_sum(v * b2))
+    v, b2, mean = v / sd, b2 / sd, centre / sd
+
+    def cumulant(s, v, b2):  # log E exp(s (b + sqrt(v) Z)^2), s < 1/(2v)
+        return -0.5 * np.log1p(-2.0 * v * s) + b2 * s / (1.0 - 2.0 * v * s)
+
+    # Chernoff: P(Q <= y) and P(Q >= y) are at most exp(K(s) - s y)
+    top = 0.5 / v.max()
+    s = np.concatenate((top * np.geomspace(1e-4, 0.5, 32),
+                        top * -np.expm1(np.linspace(math.log(0.5), -20.0, 32)),
+                        -np.geomspace(1e-3, 1e6, 64)))
+    bound = (_coordinate_sum(cumulant, s, v, b2) - math.log(_TAIL)) / s - mean
+    hi = float(bound[s > 0].min())
+    lo = max(float(bound[s < 0].max()), -mean)
+    # the convergence factor spreads the law by a few multiples of _SMOOTH
+    delta = 2.0 * math.pi / (hi - lo + 20.0 * _SMOOTH)
+
+    def log_phi(u, v, b2):  # log phi(u) + i u mean, split into modulus, phase
+        z = 2.0 * v * u
+        q = 1.0 + z * z
+        return (-0.25 * np.log1p(z * z) - u * b2 * z / q
+                + 1j * (0.5 * (np.arctan(z) - z) - u * b2 * z * z / q))
+
+    # sum blocks of nodes until the tail beyond them is within _TAIL: |phi|
+    # is nonincreasing, and the factor c(u) = e^-y (1 + y), y = (sigma u)^2/2,
+    # integrates against du/u to (E1(Y) + e^-Y) / 2 beyond Y
+    parts = []
+    block = max(1, min(4096, _CELLS // v.size))
+    first = 0
+    while True:
+        u = (np.arange(first, first + block) + 0.5) * delta
+        parts.append((u, _coordinate_sum(log_phi, u, v, b2)))
+        y = 0.5 * (_SMOOTH * u[-1]) ** 2
+        tail = math.exp(parts[-1][1][-1].real) * (exp1(y) + math.exp(-y))
+        if tail <= 2.0 * math.pi * _TAIL:
+            break
+        first += block
+    u = np.concatenate([p[0] for p in parts])
+    lp = np.concatenate([p[1] for p in parts])
+    y = 0.5 * (_SMOOTH * u) ** 2
+    amp = np.exp(lp.real - y) * (1.0 + y)
+    phase = lp.imag
+
+    def law(x):
+        shift = (x - centre) / sd
+        arg = phase - u * shift
+        im, re = amp * np.sin(arg), amp * np.cos(arg)
+        cdf = 0.5 - float(np.sum(im / (u / delta))) / math.pi
+        pdf = delta * float(np.sum(re)) / math.pi
+        d4 = delta * float(np.sum(u**3 * im)) / math.pi  # -f'''(x)
+        # rounding: each term carries the error of its phase
+        rounding = _EPS * float(np.sum(amp / (u / delta) * (
+            1.0 + np.abs(phase) + u * abs(shift))))
+        err = 2.0 * _SMOOTH**4 / 8.0 * abs(d4) + 3.0 * _TAIL + rounding
+        return cdf, pdf / sd, err
+
+    return law, centre, centre + lo * sd, centre + hi * sd
+
+
+def _invert(law, p: float, x: float, lo: float, hi: float) -> QuantileEstimate:
+    """Root of law(x)[0] = p in (lo, hi): Newton steps on the density,
+    bisection whenever a step leaves the bracket; hi may be inf."""
+    for _ in range(_NEWTON_STEPS):
+        cdf, pdf, err = law(x)
+        if cdf < p:
+            lo = x
+        else:
+            hi = x
+        if abs(cdf - p) <= 0.1 * err or hi - lo <= 4.0 * _EPS * x:
+            break
+        step = x - (cdf - p) / pdf if pdf > 0 else math.nan
+        if lo < step < hi:
+            x = step
+        else:
+            x = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * x
+    else:
+        raise ArithmeticError("quadratic-form quantile did not converge")
+    if not pdf > 0:
+        raise ArithmeticError("quadratic-form density not positive at quantile")
+    return QuantileEstimate(value=x,
+                            stderr=(err + abs(cdf - p)) / pdf + 2.0 * _EPS * x)
+
+
+def _form_quantile(var: np.ndarray, bias: np.ndarray | None,
+                   p: float) -> QuantileEstimate:
+    """x with P(sum (b_i + sqrt(v_i) Z_i)^2 <= x) = p."""
+    active, mass = _split(var, bias)
+    v = var[active]
+    if bias is not None and np.any(bias[active]):
+        b2 = bias[active] ** 2
+        law, mean, lo, hi = _davies_law(v, b2)
+        est = _invert(law, p, min(max(mean, lo), hi), lo, hi)
+        return QuantileEstimate(mass + est.value, est.stderr)
+    # central: invert at unit scale, so that c w gives c times the quantile
+    scale = v.max()
+    w = v / scale
+    # start from the two-moment gamma approximation (Satterthwaite)
+    m1, m2 = compensated_sum(w), compensated_sum(w * w)
+    start = 2.0 * m2 / m1 * gammaincinv(0.5 * m1 * m1 / m2, p)
+    est = _invert(_euler_law(w), p, start, 0.0, math.inf)
+    return QuantileEstimate(mass + scale * est.value, scale * est.stderr)
+
+
+def quadratic_form_quantile(q: QuadraticForm, p: float) -> QuantileEstimate:
+    """x with P(sum w_i Z_i^2 <= x) = p, by inversion of the exact law."""
     if not 0.0 < p < 1.0:
         raise ValueError("quantile level p must lie in (0, 1)")
-    if mc_draws < 2:
-        raise ValueError("mc_draws must be at least 2")
     w = q.weights.values
     if w.size == 0 or w.max() <= 0.0:
         raise ValueError("quadratic form needs at least one positive weight")
-    return _empirical_quantile(_form_draws(w, None, mc_draws, seed, ("qf",)), p)
+    return _form_quantile(w, None, p)
 
 
-def credible_ball(summary: PosteriorSummary, gamma: float,
-                  mc_draws: int = 200_000, seed: int = 0) -> CredibleBall:
+def credible_ball(summary: PosteriorSummary, gamma: float) -> CredibleBall:
     """Credible ball of mass 1 - gamma centered at the posterior mean.
 
     The radius depends only on (prior, kappa, n) through the posterior
@@ -145,7 +326,7 @@ def credible_ball(summary: PosteriorSummary, gamma: float,
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
     form = QuadraticForm.from_weights(summary.variance)
-    est = quadratic_form_quantile(form, 1.0 - gamma, mc_draws, seed)
+    est = quadratic_form_quantile(form, 1.0 - gamma)
     radius = math.sqrt(est.value)
     return CredibleBall(
         center=summary.mean,
@@ -156,13 +337,12 @@ def credible_ball(summary: PosteriorSummary, gamma: float,
 
 
 def frequentist_radius(prior: PriorSpec, kappa: CoefficientSequence, n: float,
-                       mu0: CoefficientSequence, gamma: float,
-                       mc_draws: int = 200_000, seed: int = 0) -> QuantileEstimate:
+                       mu0: CoefficientSequence, gamma: float) -> QuantileEstimate:
     """Radius giving the ball centered at muhat exact coverage 1 - gamma.
 
     Solves P(||W + E muhat - mu0|| <= r) = 1 - gamma where W has
     coordinate variances t_i; an oracle quantity (it needs mu0).
-    Returns the radius with its rescaled Monte Carlo standard error.
+    Returns the radius with its error bound.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
@@ -175,12 +355,10 @@ def frequentist_radius(prior: PriorSpec, kappa: CoefficientSequence, n: float,
         if not np.any(bias):
             raise ValueError("degenerate sampling distribution: no variance, no bias")
         return QuantileEstimate(value=math.sqrt(compensated_sum(bias**2)),
-                                stderr=0.0, draws=0)
-    est = _empirical_quantile(_form_draws(t, bias, mc_draws, seed, ("freq",)),
-                              1.0 - gamma)
+                                stderr=0.0)
+    est = _form_quantile(t, bias, 1.0 - gamma)
     radius = math.sqrt(est.value)
     return QuantileEstimate(
         value=radius,
         stderr=est.stderr / (2.0 * radius) if radius > 0 else 0.0,
-        draws=est.draws,
     )

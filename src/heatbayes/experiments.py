@@ -5,8 +5,6 @@ independent of execution order and worker count; reports aggregate rows
 in grid order.  With k the index of n in the grid, r a replication and b a
 draw block, the paths are:
 
-    (seed, "radius", k)        seed of the credible-radius quantile
-    (seed, "freq", k)          seed of the frequentist-radius quantile
     (seed, "ball", k, b)       fixed-truth ball errors ||muhat - mu0||^2
     (seed, "mu0", k, r)        prior-drawn truths of the ball coverage
     (seed, "cov", k, r)        the noise vectors paired with them
@@ -113,6 +111,8 @@ class ExperimentConfig:
     mu0: Mu0Source = field(default_factory=Mu0Source.test_cubic)
     seed: int = 0
     trunc: int | None = None
+    # read by no library code since the radii became exact; bench/checks.py
+    # still sizes its radius tolerance from it
     mc_draws: int = 200_000
     x_grid_points: int = 201
     time_horizon: float = DEFAULT_TIME_HORIZON
@@ -151,8 +151,9 @@ class ExperimentReport:
 def run_ball_coverage(cfg: ExperimentConfig) -> ExperimentReport:
     """Frequentist coverage of the credible ball along the n grid.
 
-    Per n: the data-free radius once, then per replication the squared
-    error ||muhat - mu0||^2 and the indicator that it is at most radius^2.
+    Per n: the data-free radius once, by inversion of its exact law, then
+    per replication the squared error ||muhat - mu0||^2 and the indicator
+    that it is at most radius^2.
     At a fixed truth the squared error is drawn from its exact law,
     sum_i (b_i + sqrt(t_i) Z_i)^2 with b = -(1 - g) mu0, and the honest
     frequentist radius and the radius ratio are reported as well.  Prior-
@@ -170,9 +171,7 @@ def run_ball_coverage(cfg: ExperimentConfig) -> ExperimentReport:
         kappa = heat_eigenvalues(cfg.time_horizon, nn)
         w = posterior_weights(prior_n, kappa, n)
         form = QuadraticForm.from_weights(CoefficientSequence(w.variance, nn))
-        seed = int(substream(cfg.seed, "radius", idx).integers(1 << 63))
-        radius = math.sqrt(quadratic_form_quantile(
-            form, 1.0 - cfg.gamma, cfg.mc_draws, seed).value)
+        radius = math.sqrt(quadratic_form_quantile(form, 1.0 - cfg.gamma).value)
         if cfg.mu0.is_random:
             mu = np.sqrt(w.lam) * normal_matrix(cfg.seed, ("mu0", idx),
                                                 cfg.replications, nn)
@@ -182,9 +181,7 @@ def run_ball_coverage(cfg: ExperimentConfig) -> ExperimentReport:
             r_freq = math.nan
         else:
             mu0 = cfg.mu0.realize(nn)
-            seed = int(substream(cfg.seed, "freq", idx).integers(1 << 63))
-            r_freq = frequentist_radius(prior_n, kappa, n, mu0, cfg.gamma,
-                                        cfg.mc_draws, seed).value
+            r_freq = frequentist_radius(prior_n, kappa, n, mu0, cfg.gamma).value
             sq_err = _form_draws(w.shrink_var, -mu0.values * w.one_minus_gain,
                                  cfg.replications, cfg.seed, ("ball", idx))
         cov = float(np.mean(np.sqrt(sq_err) <= radius))

@@ -98,3 +98,96 @@ def replicate_errors(lam, kappa, mu0, l, n, reps, seed, chunk=250):
         sq_err.append(np.einsum("ij,ij->i", err, err))
         lin_err.append(err @ l)
     return np.concatenate(sq_err), np.concatenate(lin_err)
+
+
+def imhof_cdf(x, var, bias=None, skew=1e-20):
+    """P(sum_i (b_i + sqrt(v_i) Z_i)^2 <= x) by Imhof's (1961) inversion.
+
+    With lam = v / sd and d = b^2 / v on the form scaled to unit sd,
+    F(x) = 1/2 - (1/pi) int_0^inf sin(theta(u)) / (u rho(u)) du.  Terms
+    with v = 0 add b^2 to the form.  The terms with the smallest third
+    cumulants 8 lam^3 (1 + 3 d), adding up to at most `skew`, enter as one
+    normal with their mean and variance: in practice the terms of tiny
+    variance and large bias, whose characteristic function is normal over
+    any range of u that matters.  The mean of the form is taken
+    out of theta analytically, so that a large bias leaves no large phase
+    to cancel.  The integral is taken directly while the envelope
+    1 / (u rho) dies within a few hundred cycles of theta; otherwise its
+    tail beyond the first twenty cycles is split into
+    sin(A(u)) cos(w u) - cos(A(u)) sin(w u), with w = (x - normal mean) / 2
+    and A slowly varying, and integrated with Fourier weights (QUADPACK's
+    QAWF).
+    """
+    from scipy.integrate import quad
+
+    var = np.asarray(var, dtype=float)
+    b2 = np.zeros_like(var) if bias is None else np.asarray(bias, dtype=float) ** 2
+    x = x - math.fsum(b2[var == 0.0])
+    b2, var = b2[var > 0.0], var[var > 0.0]
+    if x <= 0.0:
+        return 0.0
+    sd = math.sqrt(math.fsum(2.0 * var * var + 4.0 * var * b2))
+    # lam d = b^2 / sd stays finite where d = b^2 / v overflows
+    lam, lam_d, x = var / sd, b2 / sd, x / sd
+    cubic = 8.0 * lam**3 + 24.0 * lam * lam * lam_d
+    order = np.argsort(cubic)
+    normal = np.zeros(lam.size, dtype=bool)
+    normal[order] = np.cumsum(cubic[order]) <= skew
+    m_normal = math.fsum(lam[normal] + lam_d[normal])
+    v_normal = math.fsum(2.0 * lam[normal] ** 2 + 4.0 * lam[normal] * lam_d[normal])
+    lam, lam_d = lam[~normal], lam_d[~normal]
+    shift = x - m_normal - math.fsum(lam + lam_d)  # x minus the mean
+
+    def parts(u):  # (theta(u), 1 / (u rho(u)))
+        lu = lam * u
+        with np.errstate(divide="ignore"):
+            theta = (0.5 * np.sum(np.arctan(lu) - lu
+                                  - u * lam_d / (1.0 + 1.0 / (lu * lu)))
+                     - 0.5 * shift * u)
+            log_rho = (0.25 * np.sum(np.log1p(lu * lu))
+                       + 0.5 * u * np.sum(lam_d / (lu + 1.0 / lu))
+                       + 0.5 * v_normal * u * u)
+        return float(theta), math.exp(-log_rho) / u
+
+    def integrand(u):
+        if u == 0.0:
+            return -0.5 * shift
+        theta, env = parts(u)
+        return math.sin(theta) * env
+
+    top = 1.0
+    while parts(top)[1] * top > 1e-14 and top < 2.0**24:
+        top *= 2.0
+    if top < 2.0**24 and abs(parts(top)[0]) < 400.0 * math.pi:
+        val = quad(integrand, 0.0, top, limit=2000, epsabs=1e-14,
+                   epsrel=1e-13)[0]
+    else:
+        omega = 0.5 * (x - m_normal)
+        if not omega > 0.0:
+            raise ValueError("no Fourier-weighted tail below the normal part")
+
+        def tail(u, trig):  # trig(A(u)) / (u rho(u)), A = theta + omega u
+            lu = lam * u
+            a = 0.5 * np.sum(np.arctan(lu) + u * lam_d / (1.0 + lu * lu))
+            return trig(float(a)) * parts(u)[1]
+
+        u0 = 40.0 * math.pi / omega  # twenty cycles
+        val = quad(integrand, 0.0, u0, limit=4000, epsabs=1e-14, epsrel=1e-13)[0]
+        val += quad(tail, u0, np.inf, args=(math.sin,), weight="cos",
+                    wvar=omega, limlst=500, epsabs=1e-13)[0]
+        val -= quad(tail, u0, np.inf, args=(math.cos,), weight="sin",
+                    wvar=omega, limlst=500, epsabs=1e-13)[0]
+    return min(max(0.5 - val / math.pi, 0.0), 1.0)
+
+
+def empirical_quantile(draws, p):
+    """Type-7 empirical quantile and its order-statistic standard error
+    (half the spacing of the order statistics one binomial sd away)."""
+    draws = np.sort(draws)
+    m = draws.size
+    k = p * (m - 1)
+    half = math.sqrt(m * p * (1.0 - p))
+    lo = max(int(math.floor(k - half)), 0)
+    hi = min(int(math.ceil(k + half)), m - 1)
+    return (float(np.quantile(draws, p, method="linear")),
+            float(draws[hi] - draws[lo]) / 2.0)

@@ -1,11 +1,12 @@
-"""Quadratic-form quantiles against the chi-square oracle; credible and
-frequentist radii."""
+"""Quadratic-form quantiles against the chi-square, noncentral chi-square,
+Imhof and Monte Carlo oracles; credible and frequentist radii."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
+from oracles import empirical_quantile, imhof_cdf
+from scipy.stats import chi2, ncx2
 
 from heatbayes import (
     CoefficientSequence,
@@ -15,6 +16,7 @@ from heatbayes import (
     credible_ball,
     frequentist_radius,
     heat_eigenvalues,
+    posterior_weights,
     quadratic_form_quantile,
     simulate_observations,
     true_signal_coefficients,
@@ -41,49 +43,48 @@ class TestQuadraticForm:
 class TestQuadraticFormQuantile:
     def test_chi2_single_weight(self):
         """chi-square_1 0.95 quantile; oracle via gamma inversion (scipy)."""
-        est = quadratic_form_quantile(form([1.0]), 0.95, 200_000, seed=3)
+        est = quadratic_form_quantile(form([1.0]), 0.95)
         assert abs(est.value - chi2.ppf(0.95, 1)) <= 3 * est.stderr
 
     def test_chi2_three_median(self):
         """Frozen oracle: chi-square_3 median 2.365973884375338."""
-        est = quadratic_form_quantile(form([1.0, 1.0, 1.0]), 0.5,
-                                      200_000, seed=4)
+        est = quadratic_form_quantile(form([1.0, 1.0, 1.0]), 0.5)
         oracle = chi2.ppf(0.5, 3)
         assert oracle == pytest.approx(2.365973884375338, rel=1e-12)
         assert abs(est.value - oracle) <= 3 * est.stderr
 
     def test_scaling_exact(self):
-        """Weights [c] give exactly c times the [1] quantile (same draws)."""
-        a = quadratic_form_quantile(form([1.0]), 0.9, 50_000, seed=5)
-        b = quadratic_form_quantile(form([2.5]), 0.9, 50_000, seed=5)
+        """Weights [c] give exactly c times the [1] quantile (the law is
+        inverted at unit scale)."""
+        a = quadratic_form_quantile(form([1.0]), 0.9)
+        b = quadratic_form_quantile(form([2.5]), 0.9)
         assert b.value == pytest.approx(2.5 * a.value, rel=1e-15)
 
     def test_oracle_consistency_grid(self):
         """Equal weights on k coordinates vs scaled chi-square_k."""
         for k in (1, 3, 10):
             for p in (0.5, 0.95, 0.99):
-                est = quadratic_form_quantile(form([0.7] * k), p,
-                                              200_000, seed=100 + k)
+                est = quadratic_form_quantile(form([0.7] * k), p)
                 target = 0.7 * chi2.ppf(p, k)
                 assert abs(est.value - target) <= 3 * est.stderr, (k, p)
 
     def test_determinism(self):
-        a = quadratic_form_quantile(form([1.0, 0.5]), 0.9, 30_000, seed=9)
-        b = quadratic_form_quantile(form([1.0, 0.5]), 0.9, 30_000, seed=9)
+        a = quadratic_form_quantile(form([1.0, 0.5]), 0.9)
+        b = quadratic_form_quantile(form([1.0, 0.5]), 0.9)
         assert a.value == b.value
 
     def test_rejects_degenerate_inputs(self):
         with pytest.raises(ValueError):
-            quadratic_form_quantile(form([0.0, 0.0]), 0.5, 1000, 0)
+            quadratic_form_quantile(form([0.0, 0.0]), 0.5)
         with pytest.raises(ValueError):
-            quadratic_form_quantile(form([1.0]), 1.0, 1000, 0)
+            quadratic_form_quantile(form([1.0]), 1.0)
         with pytest.raises(ValueError):
-            quadratic_form_quantile(form([1.0]), 0.0, 1000, 0)
+            quadratic_form_quantile(form([1.0]), 0.0)
 
     def test_negligible_weights_do_not_matter(self):
         w = [1.0] + [1e-18] * 50
-        a = quadratic_form_quantile(form(w), 0.95, 50_000, seed=11)
-        b = quadratic_form_quantile(form([1.0]), 0.95, 50_000, seed=11)
+        a = quadratic_form_quantile(form(w), 0.95)
+        b = quadratic_form_quantile(form([1.0]), 0.95)
         assert a.value == b.value
 
 
@@ -101,20 +102,20 @@ class TestCredibleBall:
         from heatbayes import ObservationSet
         obs = ObservationSet(CoefficientSequence(np.array([2.0]), 1), 100.0, 0)
         summ = compute_posterior(prior, kap, 100.0, obs)
-        ball = credible_ball(summ, 0.05, mc_draws=200_000, seed=6)
+        ball = credible_ball(summ, 0.05)
         target = math.sqrt(chi2.ppf(0.95, 1) / 26.0)
         assert abs(ball.radius - target) <= 3 * ball.radius_stderr
         assert abs(ball.radius**2 - 0.1477484161805432) < 4e-3
 
     def test_radius_decreasing_in_gamma(self):
         summ = self._summary()
-        radii = [credible_ball(summ, g, 100_000, seed=8).radius
+        radii = [credible_ball(summ, g).radius
                  for g in (0.01, 0.05, 0.2)]
         assert radii[0] > radii[1] > radii[2]
 
     def test_extreme_level_still_positive(self):
         summ = self._summary()
-        ball = credible_ball(summ, 0.999, 100_000, seed=8)
+        ball = credible_ball(summ, 0.999)
         assert ball.radius > 0
 
     def test_radius_data_free(self):
@@ -126,13 +127,13 @@ class TestCredibleBall:
         for seed in (1, 2):
             obs = simulate_observations(mu0, kap, 1e4, seed)
             summ = compute_posterior(prior, kap, 1e4, obs)
-            radii.append(credible_ball(summ, 0.05, 50_000, seed=77).radius)
+            radii.append(credible_ball(summ, 0.05).radius)
         assert radii[0] == radii[1]
 
     def test_posterior_mass_matches_level(self):
         """Draws from the posterior land inside the ball with mass 1-gamma."""
         summ = self._summary(nn=60)
-        ball = credible_ball(summ, 0.05, 200_000, seed=13)
+        ball = credible_ball(summ, 0.05)
         from heatbayes import posterior_draw
         hits = 0
         reps = 3000
@@ -151,8 +152,7 @@ class TestFrequentistRadius:
         kap = CoefficientSequence(np.array([1.0]), 1)
         # n chosen so t_1 = n lam^2 kap^2/(1+n lam kap^2)^2 ... use mu0 = 0
         mu0 = CoefficientSequence(np.array([0.0]), 1)
-        est = frequentist_radius(prior, kap, 1e-8, mu0, 0.05,
-                                 200_000, seed=21)
+        est = frequentist_radius(prior, kap, 1e-8, mu0, 0.05)
         # t_1 = n/(1+n)^2 ~ 1e-8; radius ~ sqrt(t_1 chi2(0.95))
         t1 = 1e-8 / (1 + 1e-8) ** 2
         target = math.sqrt(t1 * chi2.ppf(0.95, 1))
@@ -164,7 +164,7 @@ class TestFrequentistRadius:
         kap = CoefficientSequence(np.full(3, 1e-10), 3)
         mu0 = CoefficientSequence(np.array([3.0, 0.0, 4.0]), 3)
         with pytest.warns(UserWarning):
-            est = frequentist_radius(prior, kap, 1.0, mu0, 0.05, 10_000, 0)
+            est = frequentist_radius(prior, kap, 1.0, mu0, 0.05)
         assert est.value == pytest.approx(5.0, rel=1e-9)
 
     def test_conservative_ratio_above_one(self):
@@ -176,8 +176,8 @@ class TestFrequentistRadius:
         mu0 = true_signal_coefficients(nn)
         obs = simulate_observations(mu0, kap, n, 5)
         summ = compute_posterior(prior, kap, n, obs)
-        r = credible_ball(summ, 0.05, 200_000, seed=31).radius
-        rt = frequentist_radius(prior, kap, n, mu0, 0.05, 200_000, seed=32)
+        r = credible_ball(summ, 0.05).radius
+        rt = frequentist_radius(prior, kap, n, mu0, 0.05)
         assert r / rt.value > 1.0
 
     def test_coverage_calibration(self):
@@ -186,8 +186,7 @@ class TestFrequentistRadius:
         nn, n, gamma = 60, 1e4, 0.1
         kap = heat_eigenvalues(0.1, nn)
         mu0 = true_signal_coefficients(nn)
-        rt = frequentist_radius(prior, kap, n, mu0, gamma, 400_000, seed=41)
-        from heatbayes import posterior_weights
+        rt = frequentist_radius(prior, kap, n, mu0, gamma)
         w = posterior_weights(prior, kap, n)
         reps, hits = 4000, 0
         for r in range(reps):
@@ -196,3 +195,111 @@ class TestFrequentistRadius:
             hits += np.linalg.norm(muhat - mu0.values) <= rt.value
         p_hat = hits / reps
         assert abs(p_hat - (1 - gamma)) <= 3 * math.sqrt(gamma * (1 - gamma) / reps) + 0.005
+
+
+# the grid of forms behind the radii: both prior families, three noise
+# levels, the default truncation and the point-evaluation one
+GRID = [(fam, alpha, n, nn)
+        for fam, alpha in (("poly", 0.5), ("poly", 1.0), ("poly", 3.0),
+                           ("exp", 1.0), ("exp", 5.0))
+        for n in (1e2, 1e4, 1e8) for nn in (100, 3826)]
+LEVELS = (0.5, 0.95, 0.99)
+
+
+def _grid_form(fam, alpha, n, nn):
+    """(prior, kappa, mu0, posterior weights) of one grid point."""
+    prior = (PriorSpec.polynomial(alpha) if fam == "poly"
+             else PriorSpec.exponential(alpha))
+    kap = heat_eigenvalues(0.1, nn)
+    return prior, kap, true_signal_coefficients(nn), posterior_weights(prior, kap, n)
+
+
+def _assert_bracketed(cdf, value, stderr, p, square):
+    """|value - exact quantile| <= stderr, by monotonicity of the oracle's
+    distribution function, and |F(value) - p| <= 1e-8."""
+    lo, hi = value - stderr, value + stderr
+    f_lo = cdf(lo * lo if square else lo)
+    f_hi = cdf(hi * hi if square else hi)
+    assert f_lo <= p <= f_hi, (f_lo, p, f_hi, value, stderr)
+    assert f_hi - f_lo <= 1e-8, (f_lo, f_hi)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+class TestExactQuantiles:
+    """Inverted quantiles against Imhof's (1961) distribution function,
+    computed in tests/oracles.py by quadrature."""
+
+    @pytest.mark.parametrize("fam,alpha,n,nn", GRID)
+    def test_central_credible_form(self, fam, alpha, n, nn):
+        *_, w = _grid_form(fam, alpha, n, nn)
+        q = QuadraticForm.from_weights(CoefficientSequence(w.variance, nn))
+        for p in LEVELS:
+            est = quadratic_form_quantile(q, p)
+            _assert_bracketed(lambda x: imhof_cdf(x, w.variance), est.value,
+                              est.stderr, p, square=False)
+
+    @pytest.mark.parametrize("fam,alpha,n,nn", GRID)
+    def test_noncentral_frequentist_form(self, fam, alpha, n, nn):
+        prior, kap, mu0, w = _grid_form(fam, alpha, n, nn)
+        bias = -w.one_minus_gain * mu0.values
+        for p in LEVELS:
+            est = frequentist_radius(prior, kap, n, mu0, 1.0 - p)
+            _assert_bracketed(lambda x: imhof_cdf(x, w.shrink_var, bias),
+                              est.value, est.stderr, p, square=True)
+
+    def test_oracle_against_scipy(self):
+        """The Imhof oracle itself: chi-square and noncentral chi-square."""
+        for x in (0.1, 1.0, 5.0, 20.0):
+            for k in (1, 3, 10):
+                assert imhof_cdf(x, np.ones(k)) == pytest.approx(
+                    chi2.cdf(x, k), abs=1e-13)
+        for d2 in (0.1, 5.0, 100.0, 1e4):
+            for x in (0.5, 1.0, 2.0):
+                assert imhof_cdf(x * (1 + d2), np.ones(1), [math.sqrt(d2)]) == \
+                    pytest.approx(ncx2.cdf(x * (1 + d2), 1, d2), abs=1e-13)
+
+    def test_monte_carlo_agrees(self):
+        """The second oracle: 200,000 draws of the form from its defining
+        sum agree with the exact quantile within 3 order-statistic SE."""
+        from heatbayes.credible import _form_draws
+        cases = []
+        for fam, alpha, n in (("poly", 1.0, 1e4), ("exp", 1.0, 1e2),
+                              ("exp", 5.0, 1e4)):
+            prior, kap, mu0, w = _grid_form(fam, alpha, n, 100)
+            q = QuadraticForm.from_weights(CoefficientSequence(w.variance, 100))
+            cases.append((w.variance, None, quadratic_form_quantile(q, 0.95).value))
+            radius = frequentist_radius(prior, kap, n, mu0, 0.05).value
+            cases.append((w.shrink_var, -w.one_minus_gain * mu0.values,
+                          radius * radius))
+        for k, (var, bias, exact) in enumerate(cases):
+            draws = _form_draws(var, bias, 200_000, 2024, ("oracle", k))
+            value, se = empirical_quantile(draws, 0.95)
+            assert abs(value - exact) <= 3.0 * se, (k, value, exact, se)
+
+    def test_frequentist_zero_bias_is_the_central_form(self):
+        """mu0 = 0: the honest radius is the credible-type quantile of
+        sum t_i Z_i^2, found by the same inversion."""
+        prior, kap, _, w = _grid_form("poly", 1.0, 1e4, 100)
+        zero = CoefficientSequence(np.zeros(100), 100)
+        est = frequentist_radius(prior, kap, 1e4, zero, 0.05)
+        q = quadratic_form_quantile(
+            QuadraticForm.from_weights(CoefficientSequence(w.shrink_var, 100)), 0.95)
+        assert est.value == math.sqrt(q.value)
+        _assert_bracketed(lambda x: imhof_cdf(x, w.shrink_var), est.value,
+                          est.stderr, 0.95, square=True)
+
+    def test_frequentist_single_coordinate_laws(self):
+        """N = 1, lambda = 1, kappa = 1/2, n = 4: a = g / (1 - g) = 1, so
+        t = 1/4 and b = -mu0 / 2, and the radius squared is t times a
+        (noncentral) chi-square_1 quantile, from zero bias to a bias that
+        dominates the noise (d = 1e6)."""
+        prior = PriorSpec.polynomial(1.0)
+        kap = CoefficientSequence(np.array([0.5]), 1)
+        for mu, gamma in ((0.0, 0.05), (0.4, 0.5), (1000.0, 0.05), (1000.0, 0.5)):
+            est = frequentist_radius(prior, kap, 4.0,
+                                     CoefficientSequence(np.array([mu]), 1), gamma)
+            d2 = (0.5 * mu) ** 2 / 0.25
+            exact = math.sqrt(0.25 * (ncx2.ppf(1 - gamma, 1, d2) if d2
+                                      else chi2.ppf(1 - gamma, 1)))
+            assert est.value == pytest.approx(exact, rel=1e-9), (mu, gamma)
+            assert abs(est.value - exact) <= est.stderr + 1e-12 * exact, (mu, gamma)

@@ -149,8 +149,7 @@ class TestCli:
     def test_coverage_runs_small(self, tmp_path, capsys):
         out = str(tmp_path / "cov.csv")
         code = main(["coverage", "--prior", "exp", "--alpha", "1", "--n",
-                     "1e3", "--reps", "40", "--seed", "1", "--draws", "20000",
-                     "--out", out])
+                     "1e3", "--reps", "40", "--seed", "1", "--out", out])
         assert code == EXIT_OK
         assert "coverage" in capsys.readouterr().out
         cols, rows = read_dataset(out)
@@ -203,14 +202,16 @@ class TestCli:
              "--reps", "5"],
             ["simulate", "--n", "0"],
             # zero flags must reach validation, not fall back to defaults
-            ["coverage", "--n", "1e3", "--reps", "5", "--draws", "0"],
             ["coverage", "--kind", "interval", "--n", "1e3", "--reps", "5",
              "--trunc", "0"],
             ["simulate", "--trunc", "0"],
             ["posterior", "--grid", "0"],
             ["bands", "--grid", "0"],
+            # figures validates before it creates the output directory
+            ["figures", "--trunc", "0", "--out", "D"],
+            ["figures", "--grid", "1", "--out", "D"],
             # risk_mc_se needs two replications
-            ["coverage", "--n", "1e3", "--reps", "1", "--draws", "2000"],
+            ["coverage", "--n", "1e3", "--reps", "1"],
             ["risk", "--n", "1e3", "--reps", "1"],
         ):
             assert main(argv) == EXIT_CONFIG, argv
