@@ -1,7 +1,13 @@
 """Command-line interface.
 
 Subcommands: simulate, posterior, bands, coverage, risk, lemmas, figures.
-Options come from an optional JSON config file plus flags; flags win.
+Each is declared once in COMMANDS: its help, its handler and the options
+it reads, with their defaults.  The parser, the option lookup and the run
+manifest are built from that declaration, so a subcommand accepts exactly
+the flags it reads and its manifest records the value of each.
+Options come from an optional JSON config file plus flags; flags win.  A
+config file may hold any option that some subcommand declares, so one file
+can serve a whole study; each subcommand reads only its own.
 Exit codes: 0 success, 2 configuration error, 3 numeric failure
 (non-finite value produced), 4 I/O failure.
 """
@@ -11,11 +17,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .asymptotics import standard_lemma_suite
+from .asymptotics import DEFAULT_N_GRID, standard_lemma_suite
 from .experiments import (
     FIGURE_PROTOCOLS,
     ExperimentConfig,
@@ -26,7 +34,7 @@ from .experiments import (
     run_interval_coverage,
     run_risk_curve,
 )
-from .functionals import LinearFunctional, admissible_truncation
+from .functionals import LinearFunctional
 from .io import RunManifest, write_dataset
 from .posterior import compute_posterior, posterior_mean_function
 from .priors import PriorSpec, ScalingRule
@@ -49,7 +57,11 @@ class NumericFailure(ArithmeticError):
     """A computed output contained a non-finite value."""
 
 
-_NAN_OK = {"radius_freq", "radius_ratio", "residual"}
+# columns that may hold NaN or inf: the honest radius of prior-drawn truths,
+# and the lemma suite's residuals and its exact and predicted magnitudes,
+# which overflow (e^(zeta K^2) at K = 30) where their ratio, formed with
+# that factor taken out, does not
+_NAN_OK = {"radius_freq", "radius_ratio", "residual", "exact", "predicted"}
 
 
 def _ensure_finite(columns, rows) -> None:
@@ -75,109 +87,85 @@ def _parse_n_list(text: str) -> tuple:
     return vals
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file; flags override it")
-    sub.add_argument("--n", help="signal-to-noise n (comma list where a grid applies)")
-    sub.add_argument("--prior", choices=["poly", "exp"])
-    sub.add_argument("--alpha", type=float)
-    sub.add_argument("--tau", type=float)
-    sub.add_argument("--scaling", choices=["fixed", "matched"])
-    sub.add_argument("--beta", type=float,
-                     help="target smoothness for matched scaling")
-    sub.add_argument("--gamma", type=float)
-    sub.add_argument("--reps", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--grid",
-                     help="x-grid point count, or comma list of N for lemmas")
-    sub.add_argument("--trunc", type=int)
-    sub.add_argument("--out")
+class Option(NamedTuple):
+    """The flag --name (underscores as dashes): its default and the
+    keywords of its add_argument call."""
+
+    name: str
+    default: object
+    kwargs: dict
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="heatbayes",
-        description="Bayesian recovery experiments for the backward heat "
-                    "problem in the Gaussian sequence model",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-    for name, descr in [
-        ("simulate", "draw one observation set"),
-        ("posterior", "posterior summary and function-space mean"),
-        ("bands", "pointwise credible bands for one data realization"),
-        ("coverage", "credible ball / interval coverage experiments"),
-        ("risk", "posterior risk curves along an n grid"),
-        ("lemmas", "series-asymptotics verification suite"),
-        ("figures", "assemble figure panel datasets and vector plots"),
-    ]:
-        sub = subs.add_parser(name, help=descr)
-        _add_common(sub)
-        if name == "coverage":
-            sub.add_argument("--kind", choices=["ball", "interval"])
-            sub.add_argument("--mu0", choices=["cubic", "prior", "power"])
-            sub.add_argument("--mu0-beta", type=float, dest="mu0_beta")
-            sub.add_argument("--x", type=float,
-                             help="point-evaluation location for intervals")
-        if name == "risk":
-            sub.add_argument("--mu0", choices=["cubic", "power"])
-            sub.add_argument("--mu0-beta", type=float, dest="mu0_beta")
-        if name == "figures":
-            sub.add_argument("--fig",
-                             choices=sorted(FIGURE_PROTOCOLS) + ["all"])
-    return parser
+def _opt(name: str, default=None, **kwargs) -> Option:
+    return Option(name, default, kwargs)
+
+
+class Command(NamedTuple):
+    help: str
+    handler: Callable
+    options: tuple
 
 
 class _Options:
-    """Flag values over config-file values over defaults; flags win."""
+    """Resolved options of one run, flags over config file over defaults,
+    and its manifest, opened as soon as they resolve so that its
+    wall_clock_s covers the work."""
 
-    def __init__(self, args: argparse.Namespace, defaults: dict):
-        self.flags = vars(args)
-        self.defaults = defaults
-        self.file = {}
-        cfg_path = self.flags.get("config")
-        if cfg_path:
-            try:
-                with open(cfg_path, "r", encoding="utf-8") as fh:
-                    self.file = json.load(fh)
-            except OSError as exc:
-                raise OSError(f"cannot read config {cfg_path}: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"config {cfg_path} line {exc.lineno}: {exc.msg}") from exc
-            if not isinstance(self.file, dict):
-                raise ValueError(f"config {cfg_path} must hold a JSON object")
-            unknown = set(self.file) - set(defaults) - set(self.flags)
-            if unknown:
-                raise ValueError(
-                    f"config {cfg_path}: unknown fields {sorted(unknown)}")
+    def __init__(self, command: Command, args: argparse.Namespace):
+        path = args.config
+        file = _read_config(path) if path else {}
+        self.values = {}
+        for o in command.options:
+            value = getattr(args, o.name)
+            if value is None and file.get(o.name) is not None:
+                value = file[o.name]
+                if value not in o.kwargs.get("choices", (value,)):
+                    raise ValueError(f"config {path}: {o.name} must be one "
+                                     f"of {o.kwargs['choices']}")
+            self.values[o.name] = o.default if value is None else value
+        seed = self.values.get("seed")
+        self.manifest = RunManifest(
+            config={k: v for k, v in self.values.items() if k != "out"},
+            seed=None if seed is None else int(seed))
 
     def get(self, key: str):
-        flag = self.flags.get(key)
-        if flag is not None:
-            return flag
-        if key in self.file and self.file[key] is not None:
-            return self.file[key]
-        return self.defaults.get(key)
+        return self.values[key]
+
+    def emit(self, outputs, manifest_path: str | None = None) -> None:
+        """Check every (path, table) for non-finite values, then write each
+        and record its checksum, then write the manifest, next to the first
+        output unless manifest_path is given.  A .svg path plots its panel."""
+        for path, table in outputs:
+            if not path.endswith(".svg"):
+                _ensure_finite(*(table.to_table() if hasattr(table, "to_table")
+                                 else table))
+        for path, table in outputs:
+            write = (render_static_plot if path.endswith(".svg")
+                     else write_dataset)
+            self.manifest.record(path, write(table, path))
+        self.manifest.write(manifest_path
+                            or _stem(outputs[0][0]) + ".manifest.json")
 
 
-_DEFAULTS = {
-    "n": "1e4",
-    "prior": "poly",
-    "alpha": 1.0,
-    "tau": 1.0,
-    "scaling": "fixed",
-    "beta": 2.0,
-    "gamma": 0.05,
-    "reps": 1000,
-    "seed": 0,
-    "grid": None,
-    "trunc": None,
-    "out": None,
-    "kind": "ball",
-    "mu0": "cubic",
-    "mu0_beta": 2.0,
-    "x": 0.5,
-    "fig": "all",
-}
+def _read_config(path: str) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            file = json.load(fh)
+    except OSError as exc:
+        raise OSError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(
+            f"config {path} line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(file, dict):
+        raise ValueError(f"config {path} must hold a JSON object")
+    unknown = set(file) - {o.name for c in COMMANDS.values() for o in c.options}
+    if unknown:
+        raise ValueError(f"config {path}: unknown fields {sorted(unknown)}")
+    return file
+
+
+def _stem(out: str) -> str:
+    return out[:-4] if out.endswith(".csv") else out
 
 
 def _prior_from(opt: _Options) -> PriorSpec:
@@ -192,6 +180,14 @@ def _scaling_from(opt: _Options) -> ScalingRule:
     return ScalingRule.fixed()
 
 
+def _mu0_from(opt: _Options) -> Mu0Source:
+    if opt.get("mu0") == "prior":
+        return Mu0Source.prior_draw()
+    if opt.get("mu0") == "power":
+        return Mu0Source.power_law(float(opt.get("mu0_beta")))
+    return Mu0Source.test_cubic()
+
+
 def _int_flag(opt: _Options, key: str, least: int, default=None):
     """Integer option of at least `least`; `default` when it is unset."""
     value = opt.get(key)
@@ -200,9 +196,30 @@ def _int_flag(opt: _Options, key: str, least: int, default=None):
     return default if value is None else int(value)
 
 
-def _manifest(opt: _Options, keys) -> RunManifest:
-    cfg = {k: opt.get(k) for k in keys}
-    return RunManifest(config=cfg, seed=int(opt.get("seed")))
+def _experiment_config(opt: _Options, **fields) -> ExperimentConfig:
+    """The configuration of bands, coverage and risk; `fields` sets the
+    ones that differ between them."""
+    return ExperimentConfig(
+        prior=_prior_from(opt),
+        n_grid=_parse_n_list(opt.get("n")),
+        scaling=_scaling_from(opt),
+        gamma=float(opt.get("gamma")),
+        seed=int(opt.get("seed")),
+        trunc=_int_flag(opt, "trunc", 1),
+        **fields,
+    )
+
+
+def _report(opt: _Options, report) -> None:
+    """Print a report's table, and write it when --out is set."""
+    columns, rows = report.to_table()
+    _ensure_finite(columns, rows)
+    print("  ".join(columns))
+    for row in rows:
+        print("  ".join(
+            v if isinstance(v, str) else format(float(v), ".6g") for v in row))
+    if opt.get("out"):
+        opt.emit([(opt.get("out"), report)])
 
 
 def _cmd_simulate(opt: _Options) -> int:
@@ -212,170 +229,79 @@ def _cmd_simulate(opt: _Options) -> int:
     kappa = heat_eigenvalues(DEFAULT_TIME_HORIZON, nn)
     mu0 = true_signal_coefficients(nn)
     obs = simulate_observations(mu0, kappa, n, seed)
-    columns = ("i", "kappa", "mu0", "y")
     rows = [(int(i + 1), kappa.values[i], mu0.values[i], obs.y.values[i])
             for i in range(nn)]
-    _ensure_finite(columns, rows)
-    out = opt.get("out") or "observations.csv"
-    manifest = _manifest(opt, ["n", "seed", "trunc"])
-    manifest.record(out, write_dataset((columns, rows), out))
-    manifest.write(_manifest_path(out))
+    out = opt.get("out")
+    opt.emit([(out, (("i", "kappa", "mu0", "y"), rows))])
     print(f"wrote {out} ({nn} coordinates, n={n:g}, seed={seed})")
     return EXIT_OK
 
 
-def _manifest_path(out: str) -> str:
-    base = out[:-4] if out.endswith(".csv") else out
-    return base + ".manifest.json"
-
-
 def _cmd_posterior(opt: _Options) -> int:
     n = _parse_n_list(opt.get("n"))[0]
-    seed = int(opt.get("seed"))
-    prior = _prior_from(opt)
-    prior = _scaling_from(opt).resolve(prior, n)
+    prior = _scaling_from(opt).resolve(_prior_from(opt), n)
     nn = _int_flag(opt, "trunc", 1, default_truncation(n, prior.tau))
     kappa = heat_eigenvalues(DEFAULT_TIME_HORIZON, nn)
-    mu0 = true_signal_coefficients(nn)
-    obs = simulate_observations(mu0, kappa, n, seed)
+    obs = simulate_observations(true_signal_coefficients(nn), kappa, n,
+                                int(opt.get("seed")))
     summary = compute_posterior(prior, kappa, n, obs)
-    x = np.linspace(0.0, 1.0, _int_flag(opt, "grid", 2, 201))
-    mean_fn = posterior_mean_function(summary, x)
-    out = opt.get("out") or "posterior.csv"
-    columns = ("i", "y", "mean", "variance", "shrink_var")
+    x = np.linspace(0.0, 1.0, _int_flag(opt, "grid", 2))
     rows = [(int(i + 1), obs.y.values[i], summary.mean.values[i],
              summary.variance.values[i], summary.shrink_var.values[i])
             for i in range(nn)]
-    _ensure_finite(columns, rows)
-    fn_cols = ("x", "post_mean")
-    fn_rows = list(zip(x, mean_fn))
-    _ensure_finite(fn_cols, fn_rows)
-    manifest = _manifest(opt, ["n", "prior", "alpha", "tau", "seed", "trunc"])
-    manifest.record(out, write_dataset((columns, rows), out))
-    fn_out = (out[:-4] if out.endswith(".csv") else out) + "_mean.csv"
-    manifest.record(fn_out, write_dataset((fn_cols, fn_rows), fn_out))
-    manifest.write(_manifest_path(out))
+    out = opt.get("out")
+    fn_out = _stem(out) + "_mean.csv"
+    opt.emit([(out, (("i", "y", "mean", "variance", "shrink_var"), rows)),
+              (fn_out, (("x", "post_mean"),
+                        list(zip(x, posterior_mean_function(summary, x)))))])
     print(f"wrote {out} and {fn_out}")
     return EXIT_OK
 
 
-def _experiment_config(opt: _Options, mu0: Mu0Source) -> ExperimentConfig:
-    return ExperimentConfig(
-        prior=_prior_from(opt),
-        n_grid=_parse_n_list(opt.get("n")),
-        scaling=_scaling_from(opt),
-        gamma=float(opt.get("gamma")),
-        replications=int(opt.get("reps")),
-        mu0=mu0,
-        seed=int(opt.get("seed")),
-        trunc=_int_flag(opt, "trunc", 1),
-    )
-
-
 def _cmd_bands(opt: _Options) -> int:
-    n = _parse_n_list(opt.get("n"))[0]
-    cfg = ExperimentConfig(
-        prior=_prior_from(opt),
-        n_grid=(n,),
-        scaling=_scaling_from(opt),
-        gamma=float(opt.get("gamma")),
-        replications=1,
-        seed=int(opt.get("seed")),
-        trunc=_int_flag(opt, "trunc", 1),
-        x_grid_points=_int_flag(opt, "grid", 2, 201),
-    )
-    panel = render_panel(cfg, PanelSpec(prior=cfg.prior, n=n, data_stream=0))
-    columns, rows = panel.to_table()
-    _ensure_finite(columns, rows)
-    out = opt.get("out") or "bands.csv"
-    manifest = _manifest(opt, ["n", "prior", "alpha", "tau", "gamma",
-                               "seed", "trunc", "grid"])
-    manifest.record(out, write_dataset((columns, rows), out))
-    manifest.write(_manifest_path(out))
+    cfg = _experiment_config(opt, replications=1,
+                             x_grid_points=_int_flag(opt, "grid", 2))
+    panel = render_panel(cfg, PanelSpec(prior=cfg.prior, n=cfg.n_grid[0],
+                                        data_stream=0))
+    out = opt.get("out")
+    opt.emit([(out, panel)])
     print(f"wrote {out} (band coverage fraction "
           f"{panel.coverage_fraction():.3f})")
     return EXIT_OK
 
 
-def _print_report(report) -> None:
-    columns, rows = report.to_table()
-    print("  ".join(columns))
-    for row in rows:
-        print("  ".join(
-            v if isinstance(v, str) else format(float(v), ".6g") for v in row))
-
-
 def _cmd_coverage(opt: _Options) -> int:
-    mu0_kind = opt.get("mu0")
-    if mu0_kind == "prior":
-        mu0 = Mu0Source.prior_draw()
-    elif mu0_kind == "power":
-        mu0 = Mu0Source.power_law(float(opt.get("mu0_beta")))
-    else:
-        mu0 = Mu0Source.test_cubic()
-    cfg = _experiment_config(opt, mu0)
+    cfg = _experiment_config(opt, replications=int(opt.get("reps")),
+                             mu0=_mu0_from(opt))
     if opt.get("kind") == "interval":
-        nn = max(cfg.trunc or 100, admissible_truncation(cfg.prior))
-        L = LinearFunctional.point_evaluation(float(opt.get("x")), nn)
-        report = run_interval_coverage(cfg, L)
+        # the experiment rebuilds the representer at its own truncation
+        L = LinearFunctional.point_evaluation(float(opt.get("x")), 100)
+        _report(opt, run_interval_coverage(cfg, L))
     else:
-        report = run_ball_coverage(cfg)
-    columns, rows = report.to_table()
-    _ensure_finite(columns, rows)
-    _print_report(report)
-    out = opt.get("out")
-    if out:
-        manifest = _manifest(opt, ["n", "prior", "alpha", "tau", "scaling",
-                                   "beta", "gamma", "reps", "seed", "trunc",
-                                   "kind", "mu0", "x"])
-        manifest.record(out, write_dataset((columns, rows), out))
-        manifest.write(_manifest_path(out))
+        _report(opt, run_ball_coverage(cfg))
     return EXIT_OK
 
 
 def _cmd_risk(opt: _Options) -> int:
-    mu0 = (Mu0Source.power_law(float(opt.get("mu0_beta")))
-           if opt.get("mu0") == "power" else Mu0Source.test_cubic())
-    cfg = _experiment_config(opt, mu0)
-    report = run_risk_curve(cfg)
-    columns, rows = report.to_table()
-    _ensure_finite(columns, rows)
-    _print_report(report)
-    out = opt.get("out")
-    if out:
-        manifest = _manifest(opt, ["n", "prior", "alpha", "tau", "gamma",
-                                   "reps", "seed", "trunc", "mu0"])
-        manifest.record(out, write_dataset((columns, rows), out))
-        manifest.write(_manifest_path(out))
+    _report(opt, run_risk_curve(_experiment_config(
+        opt, replications=int(opt.get("reps")), mu0=_mu0_from(opt))))
     return EXIT_OK
 
 
 def _cmd_lemmas(opt: _Options) -> int:
-    grid_text = opt.get("grid") or "1e4,1e8,1e12,1e16"
-    grid = _parse_n_list(grid_text)
-    report = standard_lemma_suite(grid)
-    columns, rows = report.to_table()
+    report = standard_lemma_suite(_parse_n_list(opt.get("grid")))
     print("note: envelope bands and monotonicity targets are calibration "
           "surrogates for asymptotic statements, not sharp bounds")
-    print("  ".join(columns))
-    for row in rows:
-        print("  ".join(
-            v if isinstance(v, str) else format(float(v), ".6g") for v in row))
-    out = opt.get("out") or "lemma_suite.csv"
-    manifest = _manifest(opt, ["grid", "seed"])
-    manifest.record(out, write_dataset((columns, rows), out))
-    manifest.write(_manifest_path(out))
-    print(f"wrote {out}")
+    _report(opt, report)
+    print(f"wrote {opt.get('out')}")
     return EXIT_OK
 
 
 def _cmd_figures(opt: _Options) -> int:
-    import os
-
-    # build every configuration, and so validate every flag, before any
-    # file is written
+    # build every configuration, and so validate every option, before any
+    # panel is rendered; nothing is written before every panel is checked
     trunc = _int_flag(opt, "trunc", 1)
-    grid = _int_flag(opt, "grid", 2, 201)
+    grid = _int_flag(opt, "grid", 2)
     which = opt.get("fig")
     names = sorted(FIGURE_PROTOCOLS) if which == "all" else [which]
     jobs = [(name, spec, ExperimentConfig(
@@ -383,33 +309,86 @@ def _cmd_figures(opt: _Options) -> int:
                 gamma=float(opt.get("gamma")), replications=1,
                 seed=int(opt.get("seed")), trunc=trunc, x_grid_points=grid))
             for name in names for spec in FIGURE_PROTOCOLS[name]()]
-    out_dir = opt.get("out") or "figures_out"
-    os.makedirs(out_dir, exist_ok=True)
-    manifest = _manifest(opt, ["fig", "gamma", "seed", "grid", "trunc"])
+    out_dir = opt.get("out")
+    outputs = []
     for name, spec, cfg in jobs:
         panel = render_panel(cfg, spec)
-        columns, rows = panel.to_table()
-        _ensure_finite(columns, rows)
         stem = os.path.join(out_dir, f"{name}_{panel.label}")
-        manifest.record(stem + ".csv",
-                        write_dataset((columns, rows), stem + ".csv"))
-        manifest.record(stem + ".svg",
-                        render_static_plot(panel, stem + ".svg"))
+        outputs += [(stem + ".csv", panel), (stem + ".svg", panel)]
         print(f"{name} {panel.label}: band covers "
               f"{panel.coverage_fraction():.3f} of the grid")
-    manifest.write(os.path.join(out_dir, "manifest.json"))
+    os.makedirs(out_dir, exist_ok=True)
+    opt.emit(outputs, os.path.join(out_dir, "manifest.json"))
     return EXIT_OK
 
 
-_HANDLERS = {
-    "simulate": _cmd_simulate,
-    "posterior": _cmd_posterior,
-    "bands": _cmd_bands,
-    "coverage": _cmd_coverage,
-    "risk": _cmd_risk,
-    "lemmas": _cmd_lemmas,
-    "figures": _cmd_figures,
+_N = _opt("n", "1e4",
+          help="signal-to-noise n (comma list where a grid applies)")
+_PRIOR = (
+    _opt("prior", "poly", choices=["poly", "exp"]),
+    _opt("alpha", 1.0, type=float),
+    _opt("tau", 1.0, type=float),
+    _opt("scaling", "fixed", choices=["fixed", "matched"]),
+    _opt("beta", 2.0, type=float,
+         help="target smoothness for matched scaling"),
+)
+_GAMMA = _opt("gamma", 0.05, type=float)
+_REPS = _opt("reps", 1000, type=int)
+_SEED = _opt("seed", 0, type=int)
+_TRUNC = _opt("trunc", type=int)
+_GRID = _opt("grid", 201, help="x-grid point count")
+_MU0_BETA = _opt("mu0_beta", 2.0, type=float)
+
+COMMANDS = {
+    "simulate": Command(
+        "draw one observation set", _cmd_simulate,
+        (_N, _SEED, _TRUNC, _opt("out", "observations.csv"))),
+    "posterior": Command(
+        "posterior summary and function-space mean", _cmd_posterior,
+        (_N, *_PRIOR, _SEED, _TRUNC, _GRID, _opt("out", "posterior.csv"))),
+    "bands": Command(
+        "pointwise credible bands for one data realization", _cmd_bands,
+        (_N, *_PRIOR, _GAMMA, _SEED, _TRUNC, _GRID,
+         _opt("out", "bands.csv"))),
+    "coverage": Command(
+        "credible ball / interval coverage experiments", _cmd_coverage,
+        (_N, *_PRIOR, _GAMMA, _REPS, _SEED, _TRUNC,
+         _opt("kind", "ball", choices=["ball", "interval"]),
+         _opt("mu0", "cubic", choices=["cubic", "prior", "power"]), _MU0_BETA,
+         _opt("x", 0.5, type=float,
+              help="point-evaluation location for intervals"),
+         _opt("out"))),
+    "risk": Command(
+        "posterior risk curves along an n grid", _cmd_risk,
+        (_N, *_PRIOR, _GAMMA, _REPS, _SEED, _TRUNC,
+         _opt("mu0", "cubic", choices=["cubic", "power"]), _MU0_BETA,
+         _opt("out"))),
+    "lemmas": Command(
+        "series-asymptotics verification suite", _cmd_lemmas,
+        (_opt("grid", ",".join(f"{v:g}" for v in DEFAULT_N_GRID),
+              help="comma list of truncation levels N"),
+         _opt("out", "lemma_suite.csv"))),
+    "figures": Command(
+        "assemble figure panel datasets and vector plots", _cmd_figures,
+        (_opt("fig", "all", choices=sorted(FIGURE_PROTOCOLS) + ["all"]),
+         _GAMMA, _SEED, _GRID, _TRUNC, _opt("out", "figures_out"))),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="heatbayes",
+        description="Bayesian recovery experiments for the backward heat "
+                    "problem in the Gaussian sequence model",
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help)
+        sub.add_argument("--config", help="JSON config file; flags override it")
+        for o in command.options:
+            sub.add_argument("--" + o.name.replace("_", "-"), dest=o.name,
+                             **o.kwargs)
+    return parser
 
 
 def main(argv=None) -> int:
@@ -418,9 +397,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
+    command = COMMANDS[args.command]
     try:
-        opt = _Options(args, _DEFAULTS)
-        return _HANDLERS[args.command](opt)
+        return command.handler(_Options(command, args))
     except NumericFailure as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -30,7 +30,6 @@ from .credible import (
     quadratic_form_quantile,
 )
 from .functionals import (
-    FunctionalKind,
     LinearFunctional,
     admissible_truncation,
     check_admissible,
@@ -44,6 +43,7 @@ from .sequence import (
     DEFAULT_TIME_HORIZON,
     default_truncation,
     heat_eigenvalues,
+    simulate_observations,
     true_signal_coefficients,
 )
 
@@ -194,18 +194,16 @@ def run_ball_coverage(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def _resolve_representer(L: LinearFunctional, nn: int) -> LinearFunctional:
-    """Re-materialize analytic representers at a new truncation; pad custom
+    """Rebuild a point evaluation at a new truncation; pad custom
     coefficient lists with zeros (which leaves the functional unchanged)."""
     if L.l.truncation_level == nn:
         return L
-    if L.kind is FunctionalKind.POINT_EVALUATION:
+    if L.x is not None:
         return LinearFunctional.point_evaluation(L.x, nn)
-    if L.kind is FunctionalKind.SOBOLEV_REPRESENTER:
-        raise ValueError("rebuild sobolev representers explicitly per truncation")
     vals = np.zeros(nn)
     m = min(L.l.truncation_level, nn)
     vals[:m] = L.l.values[:m]
-    return LinearFunctional(CoefficientSequence(vals, nn), L.kind, L.q_decay, L.x)
+    return LinearFunctional(CoefficientSequence(vals, nn))
 
 
 def run_interval_coverage(cfg: ExperimentConfig,
@@ -318,8 +316,8 @@ def render_panel(cfg: ExperimentConfig, spec: PanelSpec) -> PanelData:
     nn = max(cfg.truncation_for(spec.n, prior_n), admissible_truncation(prior_n))
     kappa = heat_eigenvalues(cfg.time_horizon, nn)
     mu0 = cfg.mu0.realize(nn)
-    z = substream(cfg.seed, "obs", spec.data_stream).standard_normal(nn)
-    y = kappa.values * mu0.values + z / math.sqrt(spec.n)
+    y = simulate_observations(mu0, kappa, spec.n, cfg.seed,
+                              spec.data_stream).y.values
     w = posterior_weights(prior_n, kappa, spec.n)
     x = np.linspace(0.0, 1.0, cfg.x_grid_points)
     streams = [substream(cfg.seed, "panel", spec.data_stream, "draw", j)

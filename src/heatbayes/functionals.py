@@ -15,7 +15,6 @@ it.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -27,24 +26,17 @@ from .numeric import compensated_sum
 from .posterior import PosteriorWeights, posterior_weights
 from .priors import PriorFamily, PriorSpec
 from .sequence import (
-    AliasingFold,
     CoefficientSequence,
+    GridSynthesis,
     ObservationSet,
-    basis_columns,
     basis_matrix,
 )
 
 # Maximum allowed relative mass of the last decade of l_i^2 lambda_i.
 ADMISSIBLE_TAIL = 1e-8
 
-# basis columns per block of the direct (non-uniform grid) synthesis
-_CHUNK = 8192
-
-
-class FunctionalKind(enum.Enum):
-    POINT_EVALUATION = "point_evaluation"
-    SOBOLEV_REPRESENTER = "sobolev_representer"
-    CUSTOM = "custom"
+# Least truncation level admissible_truncation returns.
+TRUNCATION_FLOOR = 100
 
 
 class InadmissibleFunctionalError(ValueError):
@@ -55,37 +47,17 @@ class InadmissibleFunctionalError(ValueError):
 class LinearFunctional:
     """Representer-based functional L mu = sum l_i mu_i.
 
-    q_decay, when declared, records the exponent q with |l_i| ~ i^(-q-1/2);
-    point evaluation has q = -1/2.
+    x is set for the point evaluation at x, whose representer can be
+    rebuilt at any truncation level.
     """
 
     l: CoefficientSequence
-    kind: FunctionalKind = FunctionalKind.CUSTOM
-    q_decay: float | None = None
     x: float | None = None
 
     @staticmethod
     def point_evaluation(x: float, truncation_level: int) -> "LinearFunctional":
         vals = basis_matrix([x], truncation_level)[0]
-        return LinearFunctional(
-            l=CoefficientSequence(vals, truncation_level),
-            kind=FunctionalKind.POINT_EVALUATION,
-            q_decay=-0.5,
-            x=x,
-        )
-
-    @staticmethod
-    def sobolev_representer(x: float, beta: float,
-                            truncation_level: int) -> "LinearFunctional":
-        """Riesz representer of point evaluation in the S^beta inner product."""
-        i = np.arange(1, truncation_level + 1, dtype=float)
-        vals = basis_matrix([x], truncation_level)[0] * i ** (-2.0 * beta)
-        return LinearFunctional(
-            l=CoefficientSequence(vals, truncation_level),
-            kind=FunctionalKind.SOBOLEV_REPRESENTER,
-            q_decay=2.0 * beta - 0.5,
-            x=x,
-        )
+        return LinearFunctional(CoefficientSequence(vals, truncation_level), x)
 
     @staticmethod
     def coordinate(index: int, truncation_level: int) -> "LinearFunctional":
@@ -94,11 +66,9 @@ class LinearFunctional:
         return LinearFunctional(l=CoefficientSequence(vals, truncation_level))
 
     @staticmethod
-    def from_coefficients(values, q_decay: float | None = None) -> "LinearFunctional":
+    def from_coefficients(values) -> "LinearFunctional":
         vals = np.asarray(values, dtype=float)
-        return LinearFunctional(
-            l=CoefficientSequence(vals, vals.size), q_decay=q_decay
-        )
+        return LinearFunctional(l=CoefficientSequence(vals, vals.size))
 
 
 @dataclass(frozen=True)
@@ -123,12 +93,11 @@ class FunctionalPosterior:
         return math.sqrt(self.spread_sq)
 
 
-def check_admissible(L: LinearFunctional, prior: PriorSpec,
-                     threshold: float = ADMISSIBLE_TAIL) -> float:
+def check_admissible(L: LinearFunctional, prior: PriorSpec) -> float:
     """Validate sum l_i^2 lambda_i against the last-decade tail criterion.
 
     Returns the total of the series; raises InadmissibleFunctionalError when
-    coordinates beyond 0.9 N still hold a relative mass >= threshold.
+    coordinates beyond 0.9 N still hold a relative mass >= ADMISSIBLE_TAIL.
     A zero series (zero functional) is trivially admissible.
     """
     nn = L.l.truncation_level
@@ -138,31 +107,30 @@ def check_admissible(L: LinearFunctional, prior: PriorSpec,
         return 0.0
     cut = int(math.floor(0.9 * nn))
     decade = compensated_sum(weighted[cut:])
-    if not decade < threshold * total:
+    if not decade < ADMISSIBLE_TAIL * total:
         raise InadmissibleFunctionalError(
             f"last-decade mass {decade / total:.3e} of sum l_i^2 lambda_i "
-            f"exceeds {threshold:.1e}; raise the truncation level "
+            f"exceeds {ADMISSIBLE_TAIL:.1e}; raise the truncation level "
             f"(currently {nn}) or smooth the representer"
         )
     return total
 
 
-def admissible_truncation(prior: PriorSpec, threshold: float = ADMISSIBLE_TAIL,
-                          floor: int = 100) -> int:
+def admissible_truncation(prior: PriorSpec) -> int:
     """Truncation level at which bounded representers (|l_i| <~ 1, q = -1/2)
     pass the admissibility check under the given prior.
 
     For the polynomial family the last-decade fraction of sum i^(-1-2a)
     behaves like N^(-2a) (0.9^(-2a) - 1) / (2a zeta(1+2a)); a safety factor
     absorbs the oscillation of actual sin^2 weights.  The exponential
-    family passes at the floor.
+    family passes at TRUNCATION_FLOOR.
     """
     if prior.kind is PriorFamily.EXPONENTIAL:
-        return floor
+        return TRUNCATION_FLOOR
     a = prior.alpha
     frac = (0.9 ** (-2.0 * a) - 1.0) * 1.5 / (2.0 * a * zeta(1.0 + 2.0 * a))
-    need = (frac / threshold) ** (1.0 / (2.0 * a))
-    return max(floor, int(math.ceil(need)))
+    need = (frac / ADMISSIBLE_TAIL) ** (1.0 / (2.0 * a))
+    return max(TRUNCATION_FLOOR, int(math.ceil(need)))
 
 
 def functional_posterior(L: LinearFunctional, prior: PriorSpec,
@@ -201,60 +169,44 @@ def functional_bias(L: LinearFunctional, prior: PriorSpec,
 
 
 def point_evaluation_curves(weights: PosteriorWeights, y_values: np.ndarray,
-                            x_grid, threshold: float = ADMISSIBLE_TAIL,
-                            extra_coefficients: np.ndarray | None = None,
+                            x_grid, extra_coefficients: np.ndarray | None = None,
                             draw_streams=()):
     """Fused per-x marginal posterior over a grid, over all N coordinates.
 
     Returns (mean_x, sd_x, extra_x, draws_x): the point-evaluation posterior
     N(mean(x), sd(x)^2) at every grid point, optional extra coefficient
     columns (the true curve) and one posterior draw per generator in
-    draw_streams, all synthesized against the same basis.  On the grid
-    linspace(0, 1, M + 1) the coefficients fold exactly onto 2M residue bins
-    (AliasingFold); a draw takes one normal per bin, the bin sum being
+    draw_streams, all synthesized against the same basis (GridSynthesis).
+    On the grid linspace(0, 1, M + 1) the coefficients fold exactly onto 2M
+    residue bins; a draw takes one normal per bin, the bin sum being
     N(sum of means, sum of variances), so it is exact in law.  Other grids
     are synthesized directly, with one normal per coordinate.
 
     Admissibility of the whole family is checked against its envelope: the
     last-decade mass of sum 2 lambda_i (which dominates l(x)_i^2 lambda_i
-    uniformly in x) must stay below threshold.  A per-x relative check would
-    require unbounded truncations near x = 0 and 1 where the totals vanish
-    like x^2 while the tail does not.
+    uniformly in x) must stay below ADMISSIBLE_TAIL.  A per-x relative check
+    would require unbounded truncations near x = 0 and 1 where the totals
+    vanish like x^2 while the tail does not.
     """
-    x = np.asarray(x_grid, dtype=float)
-    if np.any((x < 0.0) | (x > 1.0)):
-        raise ValueError("grid points must lie in [0, 1]")
+    syn = GridSynthesis(x_grid)
     nn = weights.lam.size
     cut = int(math.floor(0.9 * nn))
     total_env = compensated_sum(weights.lam)
     decade_env = compensated_sum(weights.lam[cut:])
-    if total_env > 0.0 and not decade_env < threshold * total_env:
+    if total_env > 0.0 and not decade_env < ADMISSIBLE_TAIL * total_env:
         raise InadmissibleFunctionalError(
             f"point-evaluation family inadmissible: last-decade prior mass "
-            f"{decade_env / total_env:.3e} exceeds {threshold:.1e}; raise "
-            f"the truncation level (currently {nn})"
+            f"{decade_env / total_env:.3e} exceeds {ADMISSIBLE_TAIL:.1e}; "
+            f"raise the truncation level (currently {nn})"
         )
     extra = [] if extra_coefficients is None else list(extra_coefficients.T)
-    m = x.size - 1
-    fold = (AliasingFold(m) if m > 0
-            and np.array_equal(x, np.linspace(0.0, 1.0, m + 1)) else None)
-    bins = np.asarray if fold is None else fold.bins
-    mean_b = bins(weights.mean_weight * y_values)
-    var_b = bins(weights.variance)
+    mean_b = syn.bins(weights.mean_weight * y_values)
+    var_b = syn.bins(weights.variance)
     columns = np.column_stack(
-        [mean_b] + [bins(c) for c in extra]
+        [mean_b] + [syn.bins(c) for c in extra]
         + [mean_b + np.sqrt(var_b) * g.standard_normal(var_b.size)
            for g in draw_streams])
-    if fold is not None:
-        curves = fold.table @ columns
-        s2_x = (fold.table * fold.table) @ var_b
-    else:
-        curves = np.zeros((x.size, columns.shape[1]))
-        s2_x = np.zeros(x.size)
-        for start in range(0, nn, _CHUNK):
-            E = basis_columns(x, start, min(start + _CHUNK, nn))
-            curves += E @ columns[start:start + _CHUNK]
-            s2_x += (E * E) @ var_b[start:start + _CHUNK]
+    curves, s2_x = syn.curves(columns, var_b)
     return (curves[:, 0], np.sqrt(s2_x), curves[:, 1:1 + len(extra)],
             curves[:, 1 + len(extra):].T)
 

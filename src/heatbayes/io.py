@@ -73,7 +73,7 @@ class RunManifest:
     """Provenance record tying every emitted dataset to its producing run."""
 
     config: dict
-    seed: int
+    seed: int | None  # None for runs that draw nothing
     artifact_version: str = __version__
     outputs: list = field(default_factory=list)
     wall_clock_s: float = 0.0

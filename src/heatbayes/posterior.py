@@ -21,7 +21,7 @@ import numpy as np
 from .numeric import compensated_sum, log1pexp, shrinkage_factors
 from .priors import PriorSpec, check_snr, prior_variances
 from .rng import substream
-from .sequence import CoefficientSequence, ObservationSet, basis_matrix
+from .sequence import CoefficientSequence, GridSynthesis, ObservationSet
 
 
 @dataclass(frozen=True)
@@ -172,5 +172,4 @@ def prior_tail_bound(prior: PriorSpec, truncation_level: int) -> float:
 
 def posterior_mean_function(summary: PosteriorSummary, x_grid) -> np.ndarray:
     """Synthesis sum_i mean_i e_i(x) of the posterior mean on a grid."""
-    E = basis_matrix(x_grid, summary.mean.truncation_level)
-    return E @ summary.mean.values
+    return GridSynthesis(x_grid).series(summary.mean.values)

@@ -19,6 +19,9 @@ from .rng import substream
 
 DEFAULT_TIME_HORIZON = 0.1
 
+# basis columns per block of the direct (non-uniform grid) synthesis
+_CHUNK = 8192
+
 
 @dataclass(frozen=True)
 class CoefficientSequence:
@@ -147,12 +150,16 @@ def sine_basis_eval(i: int, x: float) -> float:
     return math.sqrt(2.0) * float(sinpi(i * x))
 
 
-def basis_matrix(x_grid, truncation_level: int) -> np.ndarray:
-    """Matrix E with E[k, i-1] = e_i(x_k); grid values must lie in [0, 1]."""
+def _grid(x_grid) -> np.ndarray:
     x = np.asarray(x_grid, dtype=float)
     if np.any((x < 0.0) | (x > 1.0)):
         raise ValueError("grid points must lie in [0, 1]")
-    return basis_columns(x, 0, truncation_level)
+    return x
+
+
+def basis_matrix(x_grid, truncation_level: int) -> np.ndarray:
+    """Matrix E with E[k, i-1] = e_i(x_k); grid values must lie in [0, 1]."""
+    return basis_columns(_grid(x_grid), 0, truncation_level)
 
 
 def basis_columns(x: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -204,6 +211,49 @@ class AliasingFold:
         return np.roll(out, 1)
 
 
+class GridSynthesis:
+    """Sine series sum_i c_i e_i(x) on a grid in [0, 1], for any number N of
+    coefficients, without a grid x N basis matrix.
+
+    On the grid linspace(0, 1, M + 1) the coefficients fold exactly onto 2M
+    residue bins (AliasingFold) and a series is the sine table times its
+    bins; on other grids `bins` is the identity and the series is summed
+    over blocks of _CHUNK basis columns.
+    """
+
+    def __init__(self, x_grid):
+        self.x = _grid(x_grid)
+        m = self.x.size - 1
+        self.fold = (AliasingFold(m) if m > 0 and np.array_equal(
+            self.x, np.linspace(0.0, 1.0, m + 1)) else None)
+
+    def bins(self, coefficients) -> np.ndarray:
+        c = np.asarray(coefficients, dtype=float)
+        return c if self.fold is None else self.fold.bins(c)
+
+    def curves(self, columns: np.ndarray, variances: np.ndarray | None = None):
+        """(E @ columns, (E * E) @ variances) from binned columns and binned
+        variances, E the basis on the grid; the second is None without
+        variances."""
+        if self.fold is not None:
+            t = self.fold.table
+            return t @ columns, (None if variances is None
+                                 else (t * t) @ variances)
+        nn = columns.shape[0]
+        out = np.zeros((self.x.size, columns.shape[1]))
+        s2 = None if variances is None else np.zeros(self.x.size)
+        for start in range(0, nn, _CHUNK):
+            E = basis_columns(self.x, start, min(start + _CHUNK, nn))
+            out += E @ columns[start:start + _CHUNK]
+            if s2 is not None:
+                s2 += (E * E) @ variances[start:start + _CHUNK]
+        return out, s2
+
+    def series(self, coefficients) -> np.ndarray:
+        """sum_i c_i e_i(x) at every grid point."""
+        return self.curves(self.bins(coefficients)[:, None])[0][:, 0]
+
+
 def true_signal_coefficients(truncation_level: int) -> CoefficientSequence:
     """Coefficients of the cubic test signal 4x(x-1)(8x-5).
 
@@ -235,10 +285,9 @@ def forward_solution(mu: CoefficientSequence, t: float, x_grid) -> np.ndarray:
     """
     if t < 0:
         raise ValueError("time t must be nonnegative")
-    E = basis_matrix(x_grid, mu.truncation_level)
     i = np.arange(1, mu.truncation_level + 1, dtype=float)
-    damped = mu.values * np.exp(-(i**2) * math.pi**2 * t)
-    return E @ damped
+    return GridSynthesis(x_grid).series(
+        mu.values * np.exp(-(i**2) * math.pi**2 * t))
 
 
 def simulate_observations(mu0: CoefficientSequence, kappa: CoefficientSequence,

@@ -19,6 +19,7 @@ from heatbayes import (
     figure_three_panels,
     figure_four_panels,
     heat_eigenvalues,
+    posterior_weights,
     render_panel,
     run_ball_coverage,
     run_interval_coverage,
@@ -175,6 +176,24 @@ class TestIntervalCoverage:
                                replications=20, seed=2)
         report = run_interval_coverage(cfg, LinearFunctional.point_evaluation(0.5, 100))
         assert report.column("coverage")[0] >= 0.0  # runs with resolved tau
+
+
+    def test_custom_coefficients_are_padded(self):
+        """A custom representer shorter than the truncation is padded with
+        zeros: the same report as the full-length list, and the spread of
+        0.5 mu_1 - mu_3 from the posterior variances directly."""
+        prior = PriorSpec.exponential(1.0)
+        cfg = ExperimentConfig(prior=prior, n_grid=(1e2, 1e4), trunc=150,
+                               replications=50, seed=3)
+        short = LinearFunctional.from_coefficients([0.5, 0.0, -1.0])
+        full = LinearFunctional.from_coefficients(
+            np.concatenate(([0.5, 0.0, -1.0], np.zeros(147))))
+        report = run_interval_coverage(cfg, short)
+        assert report.rows == run_interval_coverage(cfg, full).rows
+        for n, spread in zip(cfg.n_grid, report.column("spread")):
+            s = posterior_weights(prior, heat_eigenvalues(0.1, 150), n).variance
+            assert spread == pytest.approx(
+                math.sqrt(0.25 * s[0] + s[2]), rel=1e-14)
 
 
 class TestRiskCurve:

@@ -3,11 +3,19 @@
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
 
-from heatbayes.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from heatbayes.cli import (
+    COMMANDS,
+    EXIT_CONFIG,
+    EXIT_IO,
+    EXIT_OK,
+    build_parser,
+    main,
+)
 from heatbayes.io import RunManifest, read_dataset, write_dataset
 
 
@@ -213,6 +221,10 @@ class TestCli:
             # risk_mc_se needs two replications
             ["coverage", "--n", "1e3", "--reps", "1"],
             ["risk", "--n", "1e3", "--reps", "1"],
+            # flags a subcommand does not read are rejected, not ignored
+            ["simulate", "--prior", "exp"],
+            ["figures", "--n", "1e6", "--out", "D"],
+            ["lemmas", "--seed", "3"],
         ):
             assert main(argv) == EXIT_CONFIG, argv
         assert os.listdir(tmp_path) == []
@@ -233,6 +245,128 @@ class TestCli:
         assert "manifest.json" in files
         manifest = json.loads(open(os.path.join(out, "manifest.json")).read())
         assert len(manifest["outputs"]) == 20
+
+
+# subcommand -> the options it reads, besides --config
+OPTIONS = {
+    "simulate": {"n", "seed", "trunc", "out"},
+    "posterior": {"n", "prior", "alpha", "tau", "scaling", "beta", "seed",
+                  "trunc", "grid", "out"},
+    "bands": {"n", "prior", "alpha", "tau", "scaling", "beta", "gamma",
+              "seed", "trunc", "grid", "out"},
+    "coverage": {"n", "prior", "alpha", "tau", "scaling", "beta", "gamma",
+                 "reps", "seed", "trunc", "kind", "mu0", "mu0_beta", "x",
+                 "out"},
+    "risk": {"n", "prior", "alpha", "tau", "scaling", "beta", "gamma", "reps",
+             "seed", "trunc", "mu0", "mu0_beta", "out"},
+    "lemmas": {"grid", "out"},
+    "figures": {"fig", "gamma", "seed", "grid", "trunc", "out"},
+}
+
+# a value each flag accepts, so that only the flag itself can be refused
+VALUES = {"n": "1e3", "prior": "exp", "alpha": "2", "tau": "1",
+          "scaling": "matched", "beta": "2", "gamma": "0.1", "reps": "5",
+          "seed": "1", "trunc": "50", "grid": "11", "out": "o.csv",
+          "kind": "interval", "mu0": "power", "mu0_beta": "2", "x": "0.3",
+          "fig": "fig1"}
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+class TestCommandOptions:
+    def test_declarations_match(self):
+        assert {name: {o.name for o in c.options}
+                for name, c in COMMANDS.items()} == OPTIONS
+
+    def test_unread_flags_are_rejected(self):
+        parser = build_parser()
+        rejected = []
+        for command, names in OPTIONS.items():
+            argv = [command]
+            for name in sorted(names):
+                argv += [_flag(name), VALUES[name]]
+            parser.parse_args(argv)
+            for name in sorted(set(VALUES) - names):
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args([command, _flag(name), VALUES[name]])
+                assert exc.value.code == EXIT_CONFIG, (command, name)
+                rejected.append(name)
+        # 30 of them among the flags every subcommand used to accept
+        common = {"n", "prior", "alpha", "tau", "scaling", "beta", "gamma",
+                  "reps", "seed", "grid", "trunc", "out"}
+        assert len(rejected) == 58
+        assert len([name for name in rejected if name in common]) == 30
+
+    def test_manifest_records_every_option(self, tmp_path, capsys):
+        runs = {
+            "simulate": (["--n", "1e3"], "s.csv", "s.manifest.json"),
+            "posterior": (["--n", "1e3", "--grid", "11"], "p.csv",
+                          "p.manifest.json"),
+            "bands": (["--n", "1e3", "--grid", "11"], "b.csv",
+                      "b.manifest.json"),
+            "coverage": (["--n", "1e3", "--reps", "20"], "c.csv",
+                         "c.manifest.json"),
+            "risk": (["--n", "1e3", "--reps", "20"], "r.csv",
+                     "r.manifest.json"),
+            "lemmas": (["--grid", "1e4"], "l.csv", "l.manifest.json"),
+            "figures": (["--fig", "fig2", "--grid", "5"], "figs",
+                        os.path.join("figs", "manifest.json")),
+        }
+        assert set(runs) == set(OPTIONS)
+        for command, (argv, out, manifest) in runs.items():
+            code = main([command] + argv + ["--out", str(tmp_path / out)])
+            assert code == EXIT_OK, command
+            payload = json.loads((tmp_path / manifest).read_text())
+            assert set(payload["config"]) == OPTIONS[command] - {"out"}
+            # defaults are resolved; only --trunc defaults to "automatic"
+            assert all(value is not None for key, value
+                       in payload["config"].items() if key != "trunc")
+            assert (payload["seed"] is None) == ("seed" not in OPTIONS[command])
+        capsys.readouterr()
+
+    def test_risk_digest_tracks_scaling_and_beta(self, tmp_path, capsys):
+        digests = []
+        for extra in (["--scaling", "matched", "--beta", "1.5"],
+                      ["--beta", "2.5"]):
+            out = str(tmp_path / f"r{len(digests)}.csv")
+            assert main(["risk", "--prior", "poly", "--alpha", "1", "--n",
+                         "1e4,1e6", "--reps", "30", "--out", out]
+                        + extra) == EXIT_OK
+            manifest = out[:-4] + ".manifest.json"
+            digests.append(json.loads(open(manifest).read())["config_digest"])
+        assert digests[0] != digests[1]
+        capsys.readouterr()
+
+    def test_wall_clock_covers_the_work(self, tmp_path, capsys):
+        out = str(tmp_path / "cov.csv")
+        start = time.perf_counter()
+        assert main(["coverage", "--n", "1e4,1e6,1e8", "--trunc", "3826",
+                     "--reps", "200", "--out", out]) == EXIT_OK
+        elapsed = time.perf_counter() - start
+        payload = json.loads((tmp_path / "cov.manifest.json").read_text())
+        assert payload["wall_clock_s"] >= 0.5 * elapsed
+        capsys.readouterr()
+
+    def test_config_value_outside_choices_rejected(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"prior": "gauss"}))
+        assert main(["posterior", "--config", str(cfg)]) == EXIT_CONFIG
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+
+def test_readme_command_lines_parse():
+    readme = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          os.pardir, "README.md")
+    text = open(readme, encoding="utf-8").read()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    lines = [line.split() for line in block.splitlines()
+             if line.startswith("heatbayes ")]
+    assert {argv[1] for argv in lines} == set(COMMANDS)
+    parser = build_parser()
+    for argv in lines:
+        parser.parse_args(argv[1:])
 
 
 class TestEnsureFinite:

@@ -1,9 +1,11 @@
 """Sequence-space model: basis, forward operator, test signal, simulation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import sine_synthesis_reference
 
 from heatbayes import (
     CoefficientSequence,
@@ -16,6 +18,7 @@ from heatbayes import (
     true_signal_coefficients,
     true_signal_function,
 )
+from heatbayes.posterior import PosteriorSummary, posterior_mean_function
 from heatbayes.sequence import basis_matrix, default_truncation
 
 
@@ -262,3 +265,55 @@ class TestDefaultTruncation:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             default_truncation(0.0)
+
+
+class TestGridSynthesis:
+    """forward_solution and posterior_mean_function synthesize through the
+    same fold-or-column-block path as the credible bands."""
+
+    GRIDS = (np.linspace(0.0, 1.0, 41),
+             np.sort(np.r_[0.0, 1.0, np.random.default_rng(4).random(15)]))
+
+    @staticmethod
+    def _coefficients(nn):
+        i = np.arange(1, nn + 1, dtype=float)
+        return np.random.default_rng(nn).standard_normal(nn) * i**-1.2
+
+    @pytest.mark.parametrize("nn", [30, 20_000])
+    def test_forward_solution_matches_dense_basis(self, nn):
+        mu = CoefficientSequence(self._coefficients(nn), nn)
+        i = np.arange(1, nn + 1, dtype=float)
+        for t in (0.0, 1e-4):
+            damped = mu.values * np.exp(-(i**2) * math.pi**2 * t)
+            for x in self.GRIDS:
+                ref, _ = sine_synthesis_reference(x, damped[:, None],
+                                                  np.zeros(nn))
+                np.testing.assert_allclose(forward_solution(mu, t, x),
+                                           ref[:, 0], rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("nn", [30, 20_000])
+    def test_posterior_mean_matches_dense_basis(self, nn):
+        mean = CoefficientSequence(self._coefficients(nn), nn)
+        var = CoefficientSequence(np.ones(nn), nn)
+        summary = PosteriorSummary(mean=mean, variance=var, shrink_var=var)
+        for x in self.GRIDS:
+            ref, _ = sine_synthesis_reference(x, mean.values[:, None],
+                                              np.zeros(nn))
+            np.testing.assert_allclose(posterior_mean_function(summary, x),
+                                       ref[:, 0], rtol=0, atol=1e-13)
+
+    def test_posterior_mean_needs_no_dense_basis(self):
+        """N = 200,000 on 201 points: a dense basis would take 320 MB."""
+        nn = 200_000
+        mean = CoefficientSequence(self._coefficients(nn), nn)
+        var = CoefficientSequence(np.ones(nn), nn)
+        summary = PosteriorSummary(mean=mean, variance=var, shrink_var=var)
+        x = np.linspace(0.0, 1.0, 201)
+        tracemalloc.start()
+        try:
+            curve = posterior_mean_function(summary, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+        assert curve[0] == 0.0 and curve[-1] == 0.0
