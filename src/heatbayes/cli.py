@@ -77,9 +77,11 @@ def _ensure_finite(columns, rows) -> None:
                     f"non-finite value in column {name!r}: {v!r}")
 
 
-def _parse_n_list(text: str) -> tuple:
+def _parse_n_list(text) -> tuple:
+    """A comma list of positive numbers (or one number) as a tuple of
+    floats."""
     try:
-        vals = tuple(float(part) for part in text.split(","))
+        vals = tuple(float(part) for part in str(text).split(","))
     except ValueError as exc:
         raise ValueError(f"cannot parse n grid {text!r}") from exc
     if not vals or any(not v > 0 for v in vals):
@@ -88,16 +90,19 @@ def _parse_n_list(text: str) -> tuple:
 
 
 class Option(NamedTuple):
-    """The flag --name (underscores as dashes): its default and the
-    keywords of its add_argument call."""
+    """The flag --name (underscores as dashes): its default, the keywords
+    of its add_argument call, and the parser of its value (the `type`
+    keyword unless given), which flag, config file and default values all
+    pass through."""
 
     name: str
     default: object
     kwargs: dict
+    parse: Callable | None
 
 
-def _opt(name: str, default=None, **kwargs) -> Option:
-    return Option(name, default, kwargs)
+def _opt(name: str, default=None, parse=None, **kwargs) -> Option:
+    return Option(name, default, kwargs, parse or kwargs.get("type"))
 
 
 class Command(NamedTuple):
@@ -108,7 +113,8 @@ class Command(NamedTuple):
 
 class _Options:
     """Resolved options of one run, flags over config file over defaults,
-    and its manifest, opened as soon as they resolve so that its
+    each parsed (so that equal runs record equal values whatever their
+    source), and its manifest, opened as soon as they resolve so that its
     wall_clock_s covers the work."""
 
     def __init__(self, command: Command, args: argparse.Namespace):
@@ -122,7 +128,10 @@ class _Options:
                 if value not in o.kwargs.get("choices", (value,)):
                     raise ValueError(f"config {path}: {o.name} must be one "
                                      f"of {o.kwargs['choices']}")
-            self.values[o.name] = o.default if value is None else value
+            if value is None:
+                value = o.default
+            self.values[o.name] = (value if value is None or o.parse is None
+                                   else o.parse(value))
         seed = self.values.get("seed")
         self.manifest = RunManifest(
             config={k: v for k, v in self.values.items() if k != "out"},
@@ -201,13 +210,21 @@ def _experiment_config(opt: _Options, **fields) -> ExperimentConfig:
     ones that differ between them."""
     return ExperimentConfig(
         prior=_prior_from(opt),
-        n_grid=_parse_n_list(opt.get("n")),
+        n_grid=opt.get("n"),
         scaling=_scaling_from(opt),
         gamma=float(opt.get("gamma")),
         seed=int(opt.get("seed")),
         trunc=_int_flag(opt, "trunc", 1),
         **fields,
     )
+
+
+def _single_n(opt: _Options) -> float:
+    """The one n of simulate, posterior and bands."""
+    n = opt.get("n")
+    if len(n) != 1:
+        raise ValueError(f"--n takes a single value here, got {len(n)}")
+    return n[0]
 
 
 def _report(opt: _Options, report) -> None:
@@ -223,7 +240,7 @@ def _report(opt: _Options, report) -> None:
 
 
 def _cmd_simulate(opt: _Options) -> int:
-    n = _parse_n_list(opt.get("n"))[0]
+    n = _single_n(opt)
     seed = int(opt.get("seed"))
     nn = _int_flag(opt, "trunc", 1, default_truncation(n))
     kappa = heat_eigenvalues(DEFAULT_TIME_HORIZON, nn)
@@ -238,7 +255,7 @@ def _cmd_simulate(opt: _Options) -> int:
 
 
 def _cmd_posterior(opt: _Options) -> int:
-    n = _parse_n_list(opt.get("n"))[0]
+    n = _single_n(opt)
     prior = _scaling_from(opt).resolve(_prior_from(opt), n)
     nn = _int_flag(opt, "trunc", 1, default_truncation(n, prior.tau))
     kappa = heat_eigenvalues(DEFAULT_TIME_HORIZON, nn)
@@ -259,6 +276,7 @@ def _cmd_posterior(opt: _Options) -> int:
 
 
 def _cmd_bands(opt: _Options) -> int:
+    _single_n(opt)
     cfg = _experiment_config(opt, replications=1,
                              x_grid_points=_int_flag(opt, "grid", 2))
     panel = render_panel(cfg, PanelSpec(prior=cfg.prior, n=cfg.n_grid[0],
@@ -289,7 +307,7 @@ def _cmd_risk(opt: _Options) -> int:
 
 
 def _cmd_lemmas(opt: _Options) -> int:
-    report = standard_lemma_suite(_parse_n_list(opt.get("grid")))
+    report = standard_lemma_suite(opt.get("grid"))
     print("note: envelope bands and monotonicity targets are calibration "
           "surrogates for asymptotic statements, not sharp bounds")
     _report(opt, report)
@@ -322,7 +340,7 @@ def _cmd_figures(opt: _Options) -> int:
     return EXIT_OK
 
 
-_N = _opt("n", "1e4",
+_N = _opt("n", "1e4", parse=_parse_n_list,
           help="signal-to-noise n (comma list where a grid applies)")
 _PRIOR = (
     _opt("prior", "poly", choices=["poly", "exp"]),
@@ -336,7 +354,7 @@ _GAMMA = _opt("gamma", 0.05, type=float)
 _REPS = _opt("reps", 1000, type=int)
 _SEED = _opt("seed", 0, type=int)
 _TRUNC = _opt("trunc", type=int)
-_GRID = _opt("grid", 201, help="x-grid point count")
+_GRID = _opt("grid", 201, type=int, help="x-grid point count")
 _MU0_BETA = _opt("mu0_beta", 2.0, type=float)
 
 COMMANDS = {
@@ -366,7 +384,7 @@ COMMANDS = {
     "lemmas": Command(
         "series-asymptotics verification suite", _cmd_lemmas,
         (_opt("grid", ",".join(f"{v:g}" for v in DEFAULT_N_GRID),
-              help="comma list of truncation levels N"),
+              parse=_parse_n_list, help="comma list of truncation levels N"),
          _opt("out", "lemma_suite.csv"))),
     "figures": Command(
         "assemble figure panel datasets and vector plots", _cmd_figures,

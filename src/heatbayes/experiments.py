@@ -31,8 +31,9 @@ from .credible import (
 )
 from .functionals import (
     LinearFunctional,
+    PriorTail,
     admissible_truncation,
-    check_admissible,
+    functional_moments,
     point_evaluation_curves,
 )
 from .posterior import posterior_weights, risk_decomposition
@@ -41,10 +42,14 @@ from .rng import normal_matrix, substream
 from .sequence import (
     CoefficientSequence,
     DEFAULT_TIME_HORIZON,
+    active_head,
+    bin_range,
     default_truncation,
     heat_eigenvalues,
+    power_sums,
     simulate_observations,
     true_signal_coefficients,
+    true_signal_sums,
 )
 
 class Mu0Kind(enum.Enum):
@@ -99,6 +104,26 @@ class Mu0Source:
             return CoefficientSequence(vals, truncation_level, tail_tol=tail)
         raise ValueError("a prior-draw truth is realized per replication, "
                          "not deterministically")
+
+    def sums(self, first: int, last: int,
+             period: int | None = None) -> np.ndarray:
+        """mu0_first..mu0_last of a deterministic truth summed over the
+        residues of i mod period (one bin per index when period is None; see
+        sequence.bin_range), without an array longer than the period: the
+        cubic by parity and zeta(3, .), the power law by
+        zeta(1/2 + beta + eps, .), explicit coefficients from their
+        stored values."""
+        if self.kind is Mu0Kind.TEST_CUBIC:
+            return true_signal_sums(first, last, period)
+        if self.kind is Mu0Kind.POWER_LAW:
+            return power_sums(0.5 + self.beta + self.eps, first, last, period)
+        if self.kind is Mu0Kind.EXPLICIT:
+            vals = np.asarray(self.coefficients[first - 1:last], dtype=float)
+            if period is None:
+                vals = np.concatenate(
+                    [vals, np.zeros(last - first + 1 - vals.size)])
+            return bin_range(first, vals, period)
+        raise ValueError("a prior-draw truth has no deterministic sums")
 
 
 @dataclass(frozen=True)
@@ -193,26 +218,15 @@ def run_ball_coverage(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport("ball-coverage", columns, rows, cfg)
 
 
-def _resolve_representer(L: LinearFunctional, nn: int) -> LinearFunctional:
-    """Rebuild a point evaluation at a new truncation; pad custom
-    coefficient lists with zeros (which leaves the functional unchanged)."""
-    if L.l.truncation_level == nn:
-        return L
-    if L.x is not None:
-        return LinearFunctional.point_evaluation(L.x, nn)
-    vals = np.zeros(nn)
-    m = min(L.l.truncation_level, nn)
-    vals[:m] = L.l.values[:m]
-    return LinearFunctional(CoefficientSequence(vals, nn))
-
-
 def run_interval_coverage(cfg: ExperimentConfig,
                           L: LinearFunctional) -> ExperimentReport:
     """Frequentist coverage of the credible interval for L mu along the n grid.
 
     The error Lhat - L mu has an exact law: N(b, t_n^2) at a fixed truth,
     with b = -sum_i l_i (1 - g_i) mu0_i, and N(0, s_n^2) for a truth drawn
-    from the prior.  Each replication draws one normal from it.
+    from the prior.  Each replication draws one normal from it.  The sums
+    run over the N coordinates of the admissible truncation: arrays over
+    the active head, closed forms past it (functional_moments).
     """
     columns = ("n", "coverage", "coverage_se", "halfwidth", "spread", "mean_sd")
     z_half = -norm.ppf(cfg.gamma / 2.0)
@@ -220,20 +234,18 @@ def run_interval_coverage(cfg: ExperimentConfig,
     for idx, n in enumerate(cfg.n_grid):
         prior_n = cfg.scaling.resolve(cfg.prior, n, FunctionalMode.FUNCTIONAL)
         nn = max(cfg.truncation_for(n, prior_n), admissible_truncation(prior_n))
-        kappa = heat_eigenvalues(cfg.time_horizon, nn)
-        Ln = _resolve_representer(L, nn)
-        check_admissible(Ln, prior_n)
+        nh = active_head(cfg.time_horizon, nn)
+        kappa = heat_eigenvalues(cfg.time_horizon, nh)
         w = posterior_weights(prior_n, kappa, n)
-        l = Ln.l.values
-        lsq = l * l
-        s_n = math.sqrt(float((lsq * w.variance).sum()))
-        t_n = math.sqrt(float((lsq * w.shrink_var).sum()))
-        z = substream(cfg.seed, "interval", idx).standard_normal(cfg.replications)
         if cfg.mu0.is_random:
-            err = s_n * z
+            mu0, tail = None, PriorTail(prior_n, nn)
         else:
-            b = -float((l * w.one_minus_gain) @ cfg.mu0.realize(nn).values)
-            err = b + t_n * z
+            mu0 = cfg.mu0.realize(nh).values[:, None]
+            tail = PriorTail(prior_n, nn, (cfg.mu0.sums,))
+        s2, t2, cross = functional_moments(L, w, mu0, tail)
+        s_n, t_n = math.sqrt(s2), math.sqrt(t2)
+        z = substream(cfg.seed, "interval", idx).standard_normal(cfg.replications)
+        err = s_n * z if cfg.mu0.is_random else t_n * z - cross[0]
         cov = np.count_nonzero(np.abs(err) <= z_half * s_n) / cfg.replications
         se = math.sqrt(cov * (1.0 - cov) / cfg.replications)
         rows.append((n, cov, se, z_half * s_n, s_n, t_n))
@@ -314,8 +326,11 @@ def render_panel(cfg: ExperimentConfig, spec: PanelSpec) -> PanelData:
     band, and posterior draw curves on the x grid."""
     prior_n = cfg.scaling.resolve(spec.prior, spec.n, FunctionalMode.FUNCTIONAL)
     nn = max(cfg.truncation_for(spec.n, prior_n), admissible_truncation(prior_n))
-    kappa = heat_eigenvalues(cfg.time_horizon, nn)
-    mu0 = cfg.mu0.realize(nn)
+    # arrays for the active head only; the prior-only tail up to N is summed
+    # in closed form
+    nh = active_head(cfg.time_horizon, nn)
+    kappa = heat_eigenvalues(cfg.time_horizon, nh)
+    mu0 = cfg.mu0.realize(nh)
     y = simulate_observations(mu0, kappa, spec.n, cfg.seed,
                               spec.data_stream).y.values
     w = posterior_weights(prior_n, kappa, spec.n)
@@ -323,7 +338,8 @@ def render_panel(cfg: ExperimentConfig, spec: PanelSpec) -> PanelData:
     streams = [substream(cfg.seed, "panel", spec.data_stream, "draw", j)
                for j in range(spec.draws)]
     mean_x, sd_x, extra, curves = point_evaluation_curves(
-        w, y, x, extra_coefficients=mu0.values[:, None], draw_streams=streams)
+        w, y, x, extra_coefficients=mu0.values[:, None], draw_streams=streams,
+        tail=PriorTail(prior_n, nn, (cfg.mu0.sums,)))
     z_half = -norm.ppf(cfg.gamma / 2.0)
     return PanelData(
         label=spec.label or f"{prior_n.kind.value}-a{prior_n.alpha:g}-n{spec.n:g}",

@@ -1,11 +1,21 @@
 """Marginal posteriors and credible intervals for linear functionals.
 
 A functional L mu = sum l_i mu_i is admissible under a prior with
-variances lambda_i when sum l_i^2 lambda_i converges.  On a finite
-truncation that is checked quantitatively: the last decade of stored
-coordinates (i > 0.9 N) must contribute less than ADMISSIBLE_TAIL of the
-total of l_i^2 lambda_i.  Point evaluation at x has representer
+variances lambda_i when sum l_i^2 lambda_i converges.  On a truncation N
+that is checked quantitatively: the last decade of coordinates
+(0.9 N < i <= N) must contribute less than ADMISSIBLE_TAIL of the total of
+l_i^2 lambda_i.  Point evaluation at x has representer
 l_i = e_i(x) = sqrt(2) sin(i pi x), bounded, with decay exponent -1/2.
+
+Past the active head i <= N_h (sequence.active_head), kappa_i = 0 and the
+posterior of mu_i is its prior, so every sum over N_h < i <= N involves
+only lambda_i, the truth and l_i.  `point_evaluation_curves` on the grid
+x_k = k/M and `functional_moments` for a point evaluation at x = p/q take
+those sums, the admissibility totals and last decades among them, over
+the residues of i mod 2M or mod 2q, on which l_i depends, in closed form
+(PriorTail).  They cover the same N coordinates as an N-term sum and
+equal it up to rounding, at O(N_h + 2M) or O(N_h + 2q) cost.  Other grids
+and points keep one term per coordinate.
 
 In the infinite model the value L mu is defined prior-almost-surely (and
 set to 0 on the null set where the partial sums fail to converge); on a
@@ -17,18 +27,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import zeta
 from scipy.stats import norm
 
-from .numeric import compensated_sum
+from .numeric import compensated_sum, sinpi
 from .posterior import PosteriorWeights, posterior_weights
 from .priors import PriorFamily, PriorSpec
 from .sequence import (
     CoefficientSequence,
     GridSynthesis,
     ObservationSet,
+    basis_columns,
     basis_matrix,
 )
 
@@ -93,6 +105,38 @@ class FunctionalPosterior:
         return math.sqrt(self.spread_sq)
 
 
+@dataclass(frozen=True)
+class PriorTail:
+    """The coordinates N_h < i <= N past an active head of N_h posterior
+    weights, where kappa_i = 0 and the posterior is the prior: g = 0,
+    w = 0, s = lambda_i, t = 0.
+
+    `extra` holds, for each extra coefficient column given with the head
+    (a truth), the function (first, last, period) -> its sums over
+    first <= i <= last, binned as sequence.bin_range bins them.
+    """
+
+    prior: PriorSpec
+    truncation_level: int
+    extra: tuple = ()
+
+
+def _last_decade(mass, nn: int, what: str) -> float:
+    """The total mass(1) of a nonnegative series over i <= N, where
+    mass(first) sums it over first <= i <= N; raises
+    InadmissibleFunctionalError unless the last decade, i > 0.9 N, holds
+    less than ADMISSIBLE_TAIL of a nonzero total."""
+    total = mass(1)
+    decade = mass(int(math.floor(0.9 * nn)) + 1)
+    if total != 0.0 and not decade < ADMISSIBLE_TAIL * total:
+        raise InadmissibleFunctionalError(
+            f"{what}: last-decade mass {decade / total:.3e} exceeds "
+            f"{ADMISSIBLE_TAIL:.1e}; raise the truncation level "
+            f"(currently {nn}) or smooth the representer"
+        )
+    return total
+
+
 def check_admissible(L: LinearFunctional, prior: PriorSpec) -> float:
     """Validate sum l_i^2 lambda_i against the last-decade tail criterion.
 
@@ -102,18 +146,90 @@ def check_admissible(L: LinearFunctional, prior: PriorSpec) -> float:
     """
     nn = L.l.truncation_level
     weighted = L.l.values**2 * prior.variance_values(nn)
-    total = compensated_sum(weighted)
-    if total == 0.0:
-        return 0.0
-    cut = int(math.floor(0.9 * nn))
-    decade = compensated_sum(weighted[cut:])
-    if not decade < ADMISSIBLE_TAIL * total:
-        raise InadmissibleFunctionalError(
-            f"last-decade mass {decade / total:.3e} of sum l_i^2 lambda_i "
-            f"exceeds {ADMISSIBLE_TAIL:.1e}; raise the truncation level "
-            f"(currently {nn}) or smooth the representer"
-        )
-    return total
+    return _last_decade(lambda first: compensated_sum(weighted[first - 1:]),
+                        nn, "sum l_i^2 lambda_i")
+
+
+def _tail_level(tail: PriorTail, extra_coefficients) -> int:
+    """N, once the tail has one sum function per extra coefficient column."""
+    columns = 0 if extra_coefficients is None else extra_coefficients.shape[1]
+    if len(tail.extra) != columns:
+        raise ValueError(f"the tail sums {len(tail.extra)} extra columns, "
+                         f"the head has {columns}")
+    return tail.truncation_level
+
+
+def _point_fraction(L: LinearFunctional, tail_length: int) -> Fraction | None:
+    """x = p/q for a point evaluation whose x is exactly the double nearest
+    p/q with 2q <= tail_length (so that residue bins are no longer than the
+    tail they sum), else None."""
+    if L.x is None:
+        return None
+    f = Fraction(L.x).limit_denominator(max(1, tail_length // 2))
+    return f if float(f) == L.x else None
+
+
+def _representer(L: LinearFunctional, first: int, last: int,
+                 frac: Fraction | None = None) -> np.ndarray:
+    """l_first..l_last binned as sequence.bin_range bins them.  With frac =
+    p/q, l_i = sqrt(2) sin(pi i p/q) depends on i only through i mod 2q, and
+    the bins hold its 2q residue values; otherwise one value per index,
+    custom representers padded with zeros."""
+    if frac is not None:
+        period = 2 * frac.denominator
+        r = np.arange(period)
+        return math.sqrt(2.0) * sinpi(r * frac.numerator % period
+                                      / frac.denominator)
+    if L.x is None:
+        vals = L.l.values[first - 1:last]
+        return np.concatenate([vals, np.zeros(last - first + 1 - vals.size)])
+    return basis_columns(np.array([L.x]), first - 1, last)[0]
+
+
+def functional_moments(L: LinearFunctional, weights: PosteriorWeights,
+                       extra_coefficients: np.ndarray | None = None,
+                       tail: PriorTail | None = None):
+    """(s_n^2, t_n^2, cross) of L over all N coordinates, after checking its
+    admissibility (InadmissibleFunctionalError).
+
+    s_n^2 = sum l_i^2 s_i is the posterior variance, t_n^2 = sum l_i^2 t_i
+    the sampling variance of the posterior mean, and cross holds
+    sum l_i (1 - g_i) c_i for each extra coefficient column c (minus the
+    bias of L muhat at the truth c).  `weights` and the extra columns cover
+    the head i <= N_h; `tail` the coordinates up to N.  For a point
+    evaluation at x = p/q the tail sums run over the residues of i mod 2q;
+    a custom representer is zero past its stored values.
+    """
+    nh = weights.lam.size
+    nn = nh if tail is None else _tail_level(tail, extra_coefficients)
+    top = nn if L.x is not None else min(nn, L.l.truncation_level)
+    frac = _point_fraction(L, nn - nh)
+    period = None if frac is None else 2 * frac.denominator
+    l = _representer(L, 1, nh)
+    lsq = l * l
+    head_mass = lsq * weights.lam
+    lt = _representer(L, nh + 1, top, frac) if top > nh else np.zeros(0)
+
+    def mass(first):  # sum of l_i^2 lambda_i over first <= i <= N
+        out = compensated_sum(head_mass[first - 1:])
+        lo = max(first, nh + 1)
+        if top >= lo:
+            lb = lt if frac is not None else lt[lo - nh - 1:]
+            out += float((lb * lb * tail.prior.variance_sums(
+                lo, top, period)).sum())
+        return out
+
+    _last_decade(mass, nn, "sum l_i^2 lambda_i")
+    s2 = float((lsq * weights.variance).sum())
+    t2 = float((lsq * weights.shrink_var).sum())
+    cross = [] if extra_coefficients is None else [
+        float((l * weights.one_minus_gain) @ c) for c in extra_coefficients.T]
+    if top > nh:
+        s2 += float((lt * lt * tail.prior.variance_sums(
+            nh + 1, top, period)).sum())
+        cross = [c + float(lt @ sums(nh + 1, top, period))
+                 for c, sums in zip(cross, tail.extra)]
+    return s2, t2, cross
 
 
 def admissible_truncation(prior: PriorSpec) -> int:
@@ -170,40 +286,53 @@ def functional_bias(L: LinearFunctional, prior: PriorSpec,
 
 def point_evaluation_curves(weights: PosteriorWeights, y_values: np.ndarray,
                             x_grid, extra_coefficients: np.ndarray | None = None,
-                            draw_streams=()):
+                            draw_streams=(), tail: PriorTail | None = None):
     """Fused per-x marginal posterior over a grid, over all N coordinates.
 
     Returns (mean_x, sd_x, extra_x, draws_x): the point-evaluation posterior
     N(mean(x), sd(x)^2) at every grid point, optional extra coefficient
     columns (the true curve) and one posterior draw per generator in
     draw_streams, all synthesized against the same basis (GridSynthesis).
-    On the grid linspace(0, 1, M + 1) the coefficients fold exactly onto 2M
-    residue bins; a draw takes one normal per bin, the bin sum being
-    N(sum of means, sum of variances), so it is exact in law.  Other grids
-    are synthesized directly, with one normal per coordinate.
+    `weights`, `y_values` and the extra columns cover the head i <= N_h;
+    `tail` adds the coordinates N_h < i <= N, where w = 0 (the mean needs
+    only the head) and s = lambda.  On the grid linspace(0, 1, M + 1) the
+    coefficients fold exactly onto 2M residue bins, and the tail's bins of
+    lambda and of the extra columns are closed-form sums; a draw takes one
+    normal per bin, the bin sum being N(sum of means, sum of variances), so
+    it is exact in law.  Other grids are synthesized directly, with one
+    term and one normal per coordinate.
 
     Admissibility of the whole family is checked against its envelope: the
-    last-decade mass of sum 2 lambda_i (which dominates l(x)_i^2 lambda_i
-    uniformly in x) must stay below ADMISSIBLE_TAIL.  A per-x relative check
-    would require unbounded truncations near x = 0 and 1 where the totals
-    vanish like x^2 while the tail does not.
+    last-decade mass of sum 2 lambda_i over i <= N (which dominates
+    l(x)_i^2 lambda_i uniformly in x; the sums past N_h in closed form)
+    must stay below ADMISSIBLE_TAIL.  A per-x relative check would require
+    unbounded truncations near x = 0 and 1 where the totals vanish like x^2
+    while the tail does not.
     """
     syn = GridSynthesis(x_grid)
-    nn = weights.lam.size
-    cut = int(math.floor(0.9 * nn))
-    total_env = compensated_sum(weights.lam)
-    decade_env = compensated_sum(weights.lam[cut:])
-    if total_env > 0.0 and not decade_env < ADMISSIBLE_TAIL * total_env:
-        raise InadmissibleFunctionalError(
-            f"point-evaluation family inadmissible: last-decade prior mass "
-            f"{decade_env / total_env:.3e} exceeds {ADMISSIBLE_TAIL:.1e}; "
-            f"raise the truncation level (currently {nn})"
-        )
+    nh = weights.lam.size
+    nn = nh if tail is None else _tail_level(tail, extra_coefficients)
+
+    def prior_mass(first):  # sum of lambda_i over first <= i <= N
+        out = compensated_sum(weights.lam[first - 1:])
+        if nn > nh:
+            lo = max(first, nh + 1)
+            out += float(tail.prior.variance_sums(lo, nn, 1)[0])
+        return out
+
+    _last_decade(prior_mass, nn, "point-evaluation family, prior mass")
     extra = [] if extra_coefficients is None else list(extra_coefficients.T)
-    mean_b = syn.bins(weights.mean_weight * y_values)
-    var_b = syn.bins(weights.variance)
+    lam_t = mean_t = None
+    extra_t = [None] * len(extra)
+    if nn > nh:
+        lam_t = tail.prior.variance_sums(nh + 1, nn, syn.period)
+        extra_t = [sums(nh + 1, nn, syn.period) for sums in tail.extra]
+        if syn.period is None:  # one bin per index; w = 0 past the head
+            mean_t = np.zeros(nn - nh)
+    mean_b = syn.bins(weights.mean_weight * y_values, mean_t)
+    var_b = syn.bins(weights.variance, lam_t)
     columns = np.column_stack(
-        [mean_b] + [syn.bins(c) for c in extra]
+        [mean_b] + [syn.bins(c, t) for c, t in zip(extra, extra_t)]
         + [mean_b + np.sqrt(var_b) * g.standard_normal(var_b.size)
            for g in draw_streams])
     curves, s2_x = syn.curves(columns, var_b)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequence import CoefficientSequence
+from .sequence import CoefficientSequence, bin_range, power_sums
 
 
 class PriorFamily(enum.Enum):
@@ -70,6 +70,21 @@ class PriorSpec:
         if self.kind is PriorFamily.POLYNOMIAL:
             return (self.tau * self.tau) * i ** (-1.0 - 2.0 * self.alpha)
         return np.exp(-self.alpha * i**2)
+
+    def variance_sums(self, first: int, last: int,
+                      period: int | None = None) -> np.ndarray:
+        """lambda_first..lambda_last summed over the residues of i mod period
+        (one bin per index when period is None; see sequence.bin_range):
+        tau^2 times a Hurwitz-zeta power sum for the polynomial family, and
+        for the exponential family a direct sum that stops where
+        exp(-alpha i^2) underflows to 0."""
+        if self.kind is PriorFamily.POLYNOMIAL:
+            return (self.tau * self.tau) * power_sums(
+                1.0 + 2.0 * self.alpha, first, last, period)
+        cap = math.sqrt(746.0 / self.alpha)
+        stop = last if period is None or cap >= last else int(cap) + 1
+        i = np.arange(first, stop + 1, dtype=float)
+        return bin_range(first, np.exp(-self.alpha * i**2), period)
 
     def with_tau(self, tau: float) -> "PriorSpec":
         return PriorSpec(self.kind, self.alpha, tau)

@@ -5,6 +5,15 @@ The unknown is a function on [0,1] identified with its coefficients
 mu = (mu_i), i >= 1, in the orthonormal basis e_i(x) = sqrt(2) sin(i pi x).
 Observations are y_i = kappa_i mu_i + n^{-1/2} z_i with kappa_i the heat
 semigroup eigenvalues exp(-i^2 pi^2 T) and z_i independent standard normal.
+
+Head and tail.  kappa_i underflows to exactly 0 past a few dozen indices
+(i > 27 at T = 0.1), and past that the data carry nothing: the posterior
+of mu_i is its prior.  A truncation N therefore splits into the active
+head i <= N_h (`active_head`), the only coordinates that need arrays, and
+the tail N_h < i <= N, whose sums over the residues i mod P of a sine
+grid are finite Hurwitz-zeta differences (`power_sums`) or, for terms that
+underflow, short direct sums (`bin_range`).  Both are exact sums over the
+same N coordinates, equal to the N-term sums up to rounding.
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import zeta
 
 from .numeric import compensated_sum, sinpi
 from .rng import substream
@@ -141,6 +151,51 @@ def heat_eigenvalues(time_horizon: float, truncation_level: int) -> CoefficientS
     return CoefficientSequence(vals, truncation_level, tail_tol=tail)
 
 
+def active_head(time_horizon: float, truncation_level: int) -> int:
+    """N_h = min(N, number of kappa_i > 0), at least 1.
+
+    kappa_i decreases in i and is an exact zero once i^2 pi^2 T exceeds
+    about 745 (the log of the least subnormal), so only the first
+    sqrt(746 / (pi^2 T)) + 2 eigenvalues are evaluated, exactly as
+    heat_eigenvalues forms them.
+    """
+    op = HeatOperator(time_horizon, truncation_level)  # validates T and N
+    last = math.sqrt(746.0 / (math.pi**2 * time_horizon)) + 2.0
+    if last < truncation_level:
+        op = HeatOperator(time_horizon, int(last))
+    return max(1, int(np.count_nonzero(np.exp(op.log_eigenvalues()))))
+
+
+def bin_range(first: int, values, period: int | None = None) -> np.ndarray:
+    """Sums of values[k], the term of index i = first + k, over the residues
+    i mod period (entry r for residue r, as AliasingFold.bins); the values
+    themselves, one bin per index, when period is None."""
+    values = np.asarray(values, dtype=float)
+    if period is None:
+        return values
+    i = np.arange(first, first + values.size)
+    return np.bincount(i % period, weights=values, minlength=period)
+
+
+def power_sums(s: float, first: int, last: int,
+               period: int | None = None) -> np.ndarray:
+    """Sums of i^-s over first <= i <= last, binned as bin_range bins them.
+
+    The indices of residue r run i_r, i_r + P, ..., j_r, so their sum is
+    P^-s [zeta(s, i_r / P) - zeta(s, (j_r + P) / P)] with the Hurwitz zeta:
+    O(P) work for any range.  Ranges shorter than P, and period None, are
+    summed term by term.
+    """
+    if period is None or last - first + 1 < period:
+        i = np.arange(first, last + 1)
+        return bin_range(first, i.astype(float) ** -s, period)
+    r = np.arange(period)
+    lo = first + (r - first) % period
+    hi = last - (last - r) % period
+    return period ** -s * (zeta(s, lo / period)
+                           - zeta(s, (hi + period) / period))
+
+
 def sine_basis_eval(i: int, x: float) -> float:
     """e_i(x) = sqrt(2) sin(i pi x) for x in [0, 1]."""
     if i < 1:
@@ -226,10 +281,17 @@ class GridSynthesis:
         m = self.x.size - 1
         self.fold = (AliasingFold(m) if m > 0 and np.array_equal(
             self.x, np.linspace(0.0, 1.0, m + 1)) else None)
+        # the period of bin_range/power_sums bins that match these bins
+        self.period = None if self.fold is None else self.fold.period
 
-    def bins(self, coefficients) -> np.ndarray:
+    def bins(self, coefficients, tail=None) -> np.ndarray:
+        """Bins of c_1..c_h, plus `tail`, the bins (at self.period) of the
+        coefficients h < i <= N."""
         c = np.asarray(coefficients, dtype=float)
-        return c if self.fold is None else self.fold.bins(c)
+        if self.fold is None:
+            return c if tail is None else np.concatenate([c, tail])
+        b = self.fold.bins(c)
+        return b if tail is None else b + tail
 
     def curves(self, columns: np.ndarray, variances: np.ndarray | None = None):
         """(E @ columns, (E * E) @ variances) from binned columns and binned
@@ -262,13 +324,33 @@ def true_signal_coefficients(truncation_level: int) -> CoefficientSequence:
     """
     if truncation_level < 1:
         raise ValueError("truncation_level must be a positive integer")
-    i = np.arange(1, truncation_level + 1, dtype=float)
-    sign = np.where(np.arange(1, truncation_level + 1) % 2 == 0, 1.0, -1.0)
-    vals = 8.0 * math.sqrt(2.0) * (13.0 + 11.0 * sign) / (math.pi**3 * i**3)
+    vals = _cubic(np.arange(1, truncation_level + 1))
     # l^2 tail: mu_i^2 <= C^2 i^-6 with C = 192 sqrt(2)/pi^3
     c = 8.0 * math.sqrt(2.0) * 24.0 / math.pi**3
     tail = c * math.sqrt(1.0 / (5.0 * truncation_level**5))
     return CoefficientSequence(vals, truncation_level, tail_tol=tail)
+
+
+def _cubic(i: np.ndarray) -> np.ndarray:
+    sign = np.where(i % 2 == 0, 1.0, -1.0)
+    i = i.astype(float)
+    return 8.0 * math.sqrt(2.0) * (13.0 + 11.0 * sign) / (math.pi**3 * i**3)
+
+
+def true_signal_sums(first: int, last: int,
+                     period: int | None = None) -> np.ndarray:
+    """Sums of the cubic signal's coefficients mu_first..mu_last, binned as
+    bin_range bins them.  On an even period the parity, and so the factor
+    13 + 11 (-1)^i, is fixed within a residue, leaving a zeta(3, .) sum;
+    an odd period is summed at twice the period and folded."""
+    if period is None or last - first + 1 < period:
+        return bin_range(first, _cubic(np.arange(first, last + 1)), period)
+    if period % 2:
+        b = true_signal_sums(first, last, 2 * period)
+        return b[:period] + b[period:]
+    c = 8.0 * math.sqrt(2.0) / math.pi**3
+    parity = np.where(np.arange(period) % 2 == 0, 24.0 * c, 2.0 * c)
+    return parity * power_sums(3.0, first, last, period)
 
 
 def true_signal_function(x_grid) -> np.ndarray:
@@ -296,7 +378,9 @@ def simulate_observations(mu0: CoefficientSequence, kappa: CoefficientSequence,
     """Draw y_i = kappa_i mu0_i + n^{-1/2} z_i, reproducible from seed.
 
     Replications index independent streams keyed (seed, "obs", replication),
-    so parallel experiments regenerate any replication in isolation.
+    so parallel experiments regenerate any replication in isolation.  A
+    stream's first k normals do not depend on how many are drawn, so the
+    observations of an active head are the first N_h of those at N.
     """
     if mu0.truncation_level != kappa.truncation_level:
         raise ValueError(

@@ -191,3 +191,76 @@ def empirical_quantile(draws, p):
     hi = min(int(math.ceil(k + half)), m - 1)
     return (float(np.quantile(draws, p, method="linear")),
             float(draws[hi] - draws[lo]) / 2.0)
+
+
+def residue_bins_reference(values, period):
+    """Sums of values[i - 1] over the indices i = r (mod period), r = 0..P-1,
+    added pairwise within each residue (numpy's contiguous row sum)."""
+    c = np.concatenate([[0.0], np.asarray(values, dtype=float)])
+    c = np.concatenate([c, np.zeros(-c.size % period)])
+    return np.ascontiguousarray(c.reshape(-1, period).T).sum(axis=1)
+
+
+def model_factors_reference(prior, n, time_horizon, i):
+    """lambda, g, s, t and w at the indices i (floats) from the model's plain
+    formulas (no log space, no active-head split)."""
+    with np.errstate(under="ignore", over="ignore"):
+        if prior.kind.value == "polynomial":
+            lam = prior.tau**2 * i ** (-1.0 - 2.0 * prior.alpha)
+        else:
+            lam = np.exp(-prior.alpha * i * i)
+        kappa = np.exp(-i * i * math.pi**2 * time_horizon)
+        a = n * lam * kappa * kappa
+        s = lam / (1.0 + a)
+        g = a / (1.0 + a)
+        w = n * lam * kappa / (1.0 + a)
+    return {"lam": lam, "g": g, "s": s, "t": s * g, "w": w}
+
+
+def _sin_pi(z):
+    """sin(pi z) by np.sin after reduction mod 2, zero at integer z."""
+    return np.where(np.mod(z, 1.0) == 0.0, 0.0, np.sin(np.pi * np.mod(z, 2.0)))
+
+
+def grid_curves_reference(f, truth, m):
+    """sd(x_k) and the truth curve on x_k = k/m from N-term residue bins of
+    s_i and mu0_i, summed independently of the library's fold."""
+    p = 2 * m
+    table = math.sqrt(2.0) * _sin_pi(
+        (np.outer(np.arange(m + 1), np.arange(p)) % p) / m)
+    var_b = residue_bins_reference(f["s"], p)
+    truth_b = residue_bins_reference(truth, p)
+    return np.sqrt((table * table) @ var_b), table @ truth_b
+
+
+def point_sums_reference(prior, n, time_horizon, nn, xs, truths,
+                         chunk=1 << 20):
+    """Per x in xs: (s_n^2, t_n^2, [b per truth], last-decade fraction) of
+    the point evaluation at x over all N coordinates, with
+    l_i = sqrt(2) sin(pi (i x mod 2)) (0 where i x is an integer),
+    b = -sum l_i (1 - g_i) mu0_i for each truth (a function of the index
+    array), and the fraction of sum l_i^2 lambda_i held by i > 0.9 N;
+    accumulated over blocks of `chunk` coordinates."""
+    cut = math.floor(0.9 * nn)
+    acc = [{"s2": [], "t2": [], "mass": [], "decade": [],
+            "bias": [[] for _ in truths]} for _ in xs]
+    for start in range(1, nn + 1, chunk):
+        i = np.arange(start, min(start + chunk, nn + 1), dtype=float)
+        f = model_factors_reference(prior, n, time_horizon, i)
+        mu = [truth(i) for truth in truths]
+        for x, a in zip(xs, acc):
+            l = math.sqrt(2.0) * _sin_pi(i * x)
+            lsq = l * l
+            a["s2"].append(float(np.sum(lsq * f["s"])))
+            a["t2"].append(float(np.sum(lsq * f["t"])))
+            a["mass"].append(float(np.sum(lsq * f["lam"])))
+            a["decade"].append(float(np.sum((lsq * f["lam"])[i > cut])))
+            for b, m in zip(a["bias"], mu):
+                b.append(-float(np.sum(l * (1.0 - f["g"]) * m)))
+    out = []
+    for a in acc:
+        total = math.fsum(a["mass"])
+        out.append((math.fsum(a["s2"]), math.fsum(a["t2"]),
+                    [math.fsum(b) for b in a["bias"]],
+                    math.fsum(a["decade"]) / total if total else 0.0))
+    return out

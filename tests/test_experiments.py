@@ -49,6 +49,8 @@ class TestMu0Source:
     def test_prior_draw_has_no_deterministic_realization(self):
         with pytest.raises(ValueError):
             Mu0Source.prior_draw().realize(5)
+        with pytest.raises(ValueError):
+            Mu0Source.prior_draw().sums(28, 100, 40)
 
 
 class TestBallCoverage:

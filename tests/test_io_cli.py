@@ -229,6 +229,32 @@ class TestCli:
             assert main(argv) == EXIT_CONFIG, argv
         assert os.listdir(tmp_path) == []
 
+    def test_single_n_commands_reject_lists(self, tmp_path, monkeypatch,
+                                            capsys):
+        """simulate, posterior and bands take one n; a comma list exits 2
+        and names --n instead of using its first value."""
+        monkeypatch.chdir(tmp_path)
+        for command in ("simulate", "posterior", "bands"):
+            assert main([command, "--n", "1e4,1e6"]) == EXIT_CONFIG, command
+            assert "--n" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    def test_digest_records_parsed_values(self, tmp_path, capsys):
+        """The same run from flags and from a config file, with numbers
+        spelled differently, records one config digest."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": 1, "n": "10000"}))
+        outs = [str(tmp_path / "flags.csv"), str(tmp_path / "file.csv")]
+        assert main(["risk", "--alpha", "1", "--n", "1e4", "--reps", "5",
+                     "--out", outs[0]]) == EXIT_OK
+        assert main(["risk", "--config", str(cfg), "--reps", "5",
+                     "--out", outs[1]]) == EXIT_OK
+        assert open(outs[0], "rb").read() == open(outs[1], "rb").read()
+        digests = [json.loads(open(out[:-4] + ".manifest.json").read())[
+            "config_digest"] for out in outs]
+        assert digests[0] == digests[1]
+        capsys.readouterr()
+
     def test_io_error_exit_code(self, tmp_path):
         target = str(tmp_path / "missing_dir" / "x.csv")
         assert main(["simulate", "--n", "1e3", "--out", target]) == EXIT_IO
