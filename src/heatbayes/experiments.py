@@ -66,6 +66,11 @@ class Mu0Source:
     beta: float = 2.0
     eps: float = 0.01
 
+    def __post_init__(self):
+        if self.kind is Mu0Kind.POWER_LAW and not self.beta + self.eps > 0:
+            raise ValueError("a power-law truth needs beta + eps > 0, so that "
+                             "its coefficients are square summable")
+
     @staticmethod
     def test_cubic() -> "Mu0Source":
         return Mu0Source(Mu0Kind.TEST_CUBIC)
@@ -110,9 +115,9 @@ class Mu0Source:
         """mu0_first..mu0_last of a deterministic truth summed over the
         residues of i mod period (one bin per index when period is None; see
         sequence.bin_range), without an array longer than the period: the
-        cubic by parity and zeta(3, .), the power law by
-        zeta(1/2 + beta + eps, .), explicit coefficients from their
-        stored values."""
+        cubic by parity and zeta(3, .) (even periods only), the power law
+        by sequence.power_sums at 1/2 + beta + eps, explicit coefficients
+        from their stored values."""
         if self.kind is Mu0Kind.TEST_CUBIC:
             return true_signal_sums(first, last, period)
         if self.kind is Mu0Kind.POWER_LAW:
@@ -237,15 +242,12 @@ def run_interval_coverage(cfg: ExperimentConfig,
         nh = active_head(cfg.time_horizon, nn)
         kappa = heat_eigenvalues(cfg.time_horizon, nh)
         w = posterior_weights(prior_n, kappa, n)
-        if cfg.mu0.is_random:
-            mu0, tail = None, PriorTail(prior_n, nn)
-        else:
-            mu0 = cfg.mu0.realize(nh).values[:, None]
-            tail = PriorTail(prior_n, nn, (cfg.mu0.sums,))
-        s2, t2, cross = functional_moments(L, w, mu0, tail)
+        truth = () if cfg.mu0.is_random else (cfg.mu0.realize(nh).values,
+                                              cfg.mu0.sums)
+        s2, t2, bias = functional_moments(L, w, prior_n, nn, *truth)
         s_n, t_n = math.sqrt(s2), math.sqrt(t2)
         z = substream(cfg.seed, "interval", idx).standard_normal(cfg.replications)
-        err = s_n * z if cfg.mu0.is_random else t_n * z - cross[0]
+        err = s_n * z if cfg.mu0.is_random else t_n * z + bias
         cov = np.count_nonzero(np.abs(err) <= z_half * s_n) / cfg.replications
         se = math.sqrt(cov * (1.0 - cov) / cfg.replications)
         rows.append((n, cov, se, z_half * s_n, s_n, t_n))

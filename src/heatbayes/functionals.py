@@ -12,10 +12,10 @@ posterior of mu_i is its prior, so every sum over N_h < i <= N involves
 only lambda_i, the truth and l_i.  `point_evaluation_curves` on the grid
 x_k = k/M and `functional_moments` for a point evaluation at x = p/q take
 those sums, the admissibility totals and last decades among them, over
-the residues of i mod 2M or mod 2q, on which l_i depends, in closed form
-(PriorTail).  They cover the same N coordinates as an N-term sum and
-equal it up to rounding, at O(N_h + 2M) or O(N_h + 2q) cost.  Other grids
-and points keep one term per coordinate.
+the residues of i mod 2M or mod 2q, on which l_i depends, in closed form.
+They cover the same N coordinates as an N-term sum and equal it up to
+rounding, at O(N_h + 2M) or O(N_h + 2q) cost.  Other grids and points
+keep one term per coordinate.
 
 In the infinite model the value L mu is defined prior-almost-surely (and
 set to 0 on the null set where the partial sums fail to converge); on a
@@ -165,8 +165,9 @@ def _point_fraction(L: LinearFunctional, tail_length: int) -> Fraction | None:
     tail they sum), else None."""
     if L.x is None:
         return None
-    f = Fraction(L.x).limit_denominator(max(1, tail_length // 2))
-    return f if float(f) == L.x else None
+    x = float(L.x)
+    f = Fraction(x).limit_denominator(max(1, tail_length // 2))
+    return f if float(f) == x else None
 
 
 def _representer(L: LinearFunctional, first: int, last: int,
@@ -187,21 +188,23 @@ def _representer(L: LinearFunctional, first: int, last: int,
 
 
 def functional_moments(L: LinearFunctional, weights: PosteriorWeights,
-                       extra_coefficients: np.ndarray | None = None,
-                       tail: PriorTail | None = None):
-    """(s_n^2, t_n^2, cross) of L over all N coordinates, after checking its
-    admissibility (InadmissibleFunctionalError).
+                       prior: PriorSpec, truncation_level: int,
+                       truth: np.ndarray | None = None, truth_sums=None):
+    """(s_n^2, t_n^2, bias) of L over the coordinates i <= N =
+    truncation_level, after checking its admissibility
+    (InadmissibleFunctionalError).
 
     s_n^2 = sum l_i^2 s_i is the posterior variance, t_n^2 = sum l_i^2 t_i
-    the sampling variance of the posterior mean, and cross holds
-    sum l_i (1 - g_i) c_i for each extra coefficient column c (minus the
-    bias of L muhat at the truth c).  `weights` and the extra columns cover
-    the head i <= N_h; `tail` the coordinates up to N.  For a point
-    evaluation at x = p/q the tail sums run over the residues of i mod 2q;
-    a custom representer is zero past its stored values.
+    the sampling variance of the posterior mean, and bias
+    = -sum l_i (1 - g_i) mu0_i the bias of L muhat at a fixed truth mu0
+    (0 without one).  `weights` and `truth` hold the head i <= N_h; past it
+    the posterior is the prior (s = lambda, t = 0, g = 0) and
+    truth_sums(first, last, period) sums mu0 over first <= i <= last as
+    sequence.bin_range bins them.  For a point evaluation at x = p/q the
+    tail sums run over the residues of i mod 2q; a custom representer is
+    zero past its stored values.
     """
-    nh = weights.lam.size
-    nn = nh if tail is None else _tail_level(tail, extra_coefficients)
+    nh, nn = weights.lam.size, truncation_level
     top = nn if L.x is not None else min(nn, L.l.truncation_level)
     frac = _point_fraction(L, nn - nh)
     period = None if frac is None else 2 * frac.denominator
@@ -215,21 +218,19 @@ def functional_moments(L: LinearFunctional, weights: PosteriorWeights,
         lo = max(first, nh + 1)
         if top >= lo:
             lb = lt if frac is not None else lt[lo - nh - 1:]
-            out += float((lb * lb * tail.prior.variance_sums(
+            out += float((lb * lb * prior.variance_sums(
                 lo, top, period)).sum())
         return out
 
     _last_decade(mass, nn, "sum l_i^2 lambda_i")
     s2 = float((lsq * weights.variance).sum())
     t2 = float((lsq * weights.shrink_var).sum())
-    cross = [] if extra_coefficients is None else [
-        float((l * weights.one_minus_gain) @ c) for c in extra_coefficients.T]
+    bias = 0.0 if truth is None else -float((l * weights.one_minus_gain) @ truth)
     if top > nh:
-        s2 += float((lt * lt * tail.prior.variance_sums(
-            nh + 1, top, period)).sum())
-        cross = [c + float(lt @ sums(nh + 1, top, period))
-                 for c, sums in zip(cross, tail.extra)]
-    return s2, t2, cross
+        s2 += float((lt * lt * prior.variance_sums(nh + 1, top, period)).sum())
+        if truth is not None:
+            bias -= float(lt @ truth_sums(nh + 1, top, period))
+    return s2, t2, bias
 
 
 def admissible_truncation(prior: PriorSpec) -> int:

@@ -12,6 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 from oracles import (
     grid_curves_reference,
     model_factors_reference,
@@ -31,7 +32,9 @@ from heatbayes import (
     run_interval_coverage,
     simulate_observations,
 )
-from heatbayes.experiments import PanelSpec, figure_three_panels
+from heatbayes.cli import EXIT_CONFIG, EXIT_OK, main
+from heatbayes.io import read_dataset
+from heatbayes.experiments import Mu0Kind, PanelSpec, figure_three_panels
 from heatbayes.functionals import (
     ADMISSIBLE_TAIL,
     InadmissibleFunctionalError,
@@ -69,6 +72,13 @@ TRUTHS = (
     (Mu0Source.power_law(1.5), lambda i: i ** -2.01),
     (Mu0Source.explicit(EXPLICIT), _explicit),
 )
+# power laws with exponents s = 1/2 + beta + eps <= 1, at or below the
+# Hurwitz zeta's pole: their sums grow with N, so they are checked relative
+# to size
+ROUGH_TRUTHS = (
+    (Mu0Source.power_law(0.3), lambda i: i ** -(0.5 + 0.3 + 0.01)),
+    (Mu0Source.power_law(0.49), lambda i: i ** -1.0),
+)
 
 
 def _levels(time_horizon, *more):
@@ -101,7 +111,8 @@ def test_active_head_counts_nonzero_eigenvalues():
             active_head(bad, 10)
 
 
-@pytest.mark.parametrize("s", [1.1, 2.0, 3.0, 7.0])
+@pytest.mark.parametrize("s", [-0.5, 0.0, 0.5, 0.81, 1.0, 1.0 + 1e-9, 1.1,
+                               1.49, 1.5, 2.0, 3.0, 7.0])
 def test_power_sums_against_direct_bins(s):
     for first, last in ((1, 1), (5, 4), (3, 40), (28, 10_000),
                         (9_000, 10_000), (28, 200_003)):
@@ -114,18 +125,35 @@ def test_power_sums_against_direct_bins(s):
 
 
 def test_truth_sums_against_direct_bins():
-    """Every truth's sums, odd periods (folded from twice the period)
-    included."""
+    """Every truth's sums; the cubic's need an even period (the 2M of a grid
+    or the 2q of x = p/q), the others take any."""
     for first, last in ((1, 1), (28, 30), (28, 10_000), (87, 200_003)):
         i = np.arange(1, last + 1, dtype=float)
-        for source, coefficients in TRUTHS:
+        for source, coefficients in TRUTHS + ROUGH_TRUTHS:
+            rough = (source, coefficients) in ROUGH_TRUTHS
             terms = np.where(i >= first, coefficients(i), 0.0)
             assert np.abs(source.sums(first, last)
                           - terms[first - 1:]).max(initial=0.0) <= 1e-15
-            for period in (1, 2, 7, 40, 400):
+            odd = () if source.kind is Mu0Kind.TEST_CUBIC else (1, 7)
+            for period in odd + (2, 40, 400):
                 got = source.sums(first, last, period)
                 want = residue_bins_reference(terms, period)
-                assert np.abs(got - want).max() <= 1e-15
+                if rough:
+                    _assert_rel(got, want, 1e-12)
+                else:
+                    assert np.abs(got - want).max() <= 1e-15
+    for period in (1, 7):
+        with pytest.raises(ValueError):
+            Mu0Source.test_cubic().sums(28, 10_000, period)
+
+
+def test_power_law_truth_must_be_square_summable():
+    for beta, eps in ((-0.01, 0.01), (-1.0, 0.01), (0.0, 0.0)):
+        with pytest.raises(ValueError):
+            Mu0Source.power_law(beta, eps)
+    Mu0Source.power_law(0.0)  # beta + eps = 0.01
+    assert main(["coverage", "--kind", "interval", "--mu0", "power",
+                 "--mu0-beta", "-0.5", "--reps", "2"]) == EXIT_CONFIG
 
 
 @pytest.mark.parametrize("time_horizon", TIMES)
@@ -143,7 +171,7 @@ def test_grid_bins_and_curves(prior, time_horizon):
                              prior.variance_sums(nh + 1, nn, syn.period))
             _assert_rel(var_b, residue_bins_reference(f["s"], syn.period),
                         1e-12)
-            for source, coefficients in TRUTHS:
+            for source, coefficients in TRUTHS + ROUGH_TRUTHS:
                 truth = coefficients(i)
                 truth_b = syn.bins(source.realize(nh).values,
                                    source.sums(nh + 1, nn, syn.period))
@@ -158,23 +186,26 @@ def test_grid_bins_and_curves(prior, time_horizon):
 def _check_moments(prior, time_horizon, nn, xs):
     """s_n^2, t_n^2 and the bias of point evaluations, and their
     admissibility verdicts, against the N-term reference."""
-    sources = [source for source, _ in TRUTHS]
-    tail_sums = tuple(source.sums for source in sources)
+    truths = TRUTHS + ROUGH_TRUTHS
     nh, w = _head(prior, time_horizon, nn)
-    mu0 = np.column_stack([source.realize(nh).values for source in sources])
     refs = point_sums_reference(prior, SNR, time_horizon, nn, xs,
-                                [c for _, c in TRUTHS])
-    for x, (s2, t2, bias, decade) in zip(xs, refs):
+                                [c for _, c in truths])
+    for x, (s2, t2, biases, decade) in zip(xs, refs):
         L = LinearFunctional.point_evaluation(x, 100)
-        tail = PriorTail(prior, nn, tail_sums)
         if not decade < ADMISSIBLE_TAIL:
             with pytest.raises(InadmissibleFunctionalError):
-                functional_moments(L, w, mu0, tail)
+                functional_moments(L, w, prior, nn)
             continue
-        got_s2, got_t2, cross = functional_moments(L, w, mu0, tail)
+        got_s2, got_t2, got_bias = functional_moments(L, w, prior, nn)
         _assert_rel(got_s2, s2, 1e-12)
         _assert_rel(got_t2, t2, 1e-12)
-        assert np.abs(-np.array(cross) - bias).max() <= 1e-12, (nn, x)
+        assert got_bias == 0.0
+        for (source, _), bias in zip(truths, biases):
+            moments = functional_moments(L, w, prior, nn,
+                                         source.realize(nh).values,
+                                         source.sums)
+            assert moments[:2] == (got_s2, got_t2)
+            assert abs(moments[2] - bias) <= 1e-12, (nn, x, source)
 
 
 @pytest.mark.parametrize("time_horizon", TIMES)
@@ -194,6 +225,18 @@ def test_point_evaluation_moments_rough_truncation(tau, time_horizon):
     prior = PriorSpec.polynomial(0.5, tau)
     _check_moments(prior, time_horizon, admissible_truncation(prior),
                    (0.3, 1.0 / 3.0, 0.37, 0.5))
+
+
+def test_point_evaluation_at_a_numpy_float():
+    """x given as a numpy float32 takes the path of the same float64 x."""
+    prior = PriorSpec.polynomial(1.0)
+    nn = admissible_truncation(prior)
+    nh, w = _head(prior, 0.1, nn)
+    for x in (0.5, 0.3):
+        L = LinearFunctional.point_evaluation(np.float32(x), 100)
+        want = LinearFunctional.point_evaluation(float(np.float32(x)), 100)
+        assert (functional_moments(L, w, prior, nn)
+                == functional_moments(want, w, prior, nn))
 
 
 def test_tail_needs_one_sum_per_extra_column():
@@ -224,15 +267,17 @@ def test_non_uniform_grid_tail_is_per_index():
 
 
 class TestRenderPanel:
-    @pytest.mark.parametrize("prior", [PriorSpec.polynomial(1.0),
-                                       PriorSpec.exponential(0.5)],
-                             ids=["poly-a1", "exp-a0.5"])
-    def test_matches_full_length_path(self, prior):
+    @pytest.mark.parametrize("prior,mu0", [
+        (PriorSpec.polynomial(1.0), Mu0Source.test_cubic()),
+        (PriorSpec.exponential(0.5), Mu0Source.test_cubic()),
+        (PriorSpec.polynomial(1.0), Mu0Source.power_law(0.3)),
+    ], ids=["poly-a1", "exp-a0.5", "poly-a1-power0.3"])
+    def test_matches_full_length_path(self, prior, mu0):
         """Against the N-coordinate path: mean bitwise (2M = 40 > N_h),
         truth within 1e-14, half-widths within 1e-12 relative, draws by the
         rounding of their bin variances only."""
         cfg = ExperimentConfig(prior=prior, n_grid=(SNR,), replications=1,
-                               seed=7, x_grid_points=21)
+                               seed=7, x_grid_points=21, mu0=mu0)
         spec = PanelSpec(prior=prior, n=SNR, data_stream=3, draws=4)
         panel = render_panel(cfg, spec)
         nn = max(cfg.truncation_for(SNR, prior), admissible_truncation(prior))
@@ -261,6 +306,27 @@ class TestRenderPanel:
             full = simulate_observations(mu0.realize(nn),
                                          heat_eigenvalues(t, nn), SNR, 7, 2)
             assert np.array_equal(head.y.values, full.y.values[:nh])
+
+
+def test_rough_power_law_interval_through_cli(tmp_path):
+    """An interval at a power-law truth of exponent 0.81, where scipy's
+    Hurwitz zeta is NaN: the CLI reports the coverage of the N-term
+    computation, 0.17 (the value before the tail sums as well)."""
+    out = str(tmp_path / "cov.csv")
+    assert main(["coverage", "--kind", "interval", "--mu0", "power",
+                 "--mu0-beta", "0.3", "--n", "1e8", "--x", "0.37",
+                 "--reps", "400", "--seed", "5", "--out", out]) == EXIT_OK
+    cols, rows = read_dataset(out)
+    row = dict(zip(cols, rows[0]))
+    prior = PriorSpec.polynomial(1.0)
+    cfg = ExperimentConfig(prior=prior, n_grid=(1e8,))
+    nn = max(cfg.truncation_for(1e8, prior), admissible_truncation(prior))
+    [(s2, t2, [bias], _)] = point_sums_reference(
+        prior, 1e8, 0.1, nn, [0.37], [ROUGH_TRUTHS[0][1]])
+    z = substream(5, "interval", 0).standard_normal(400)
+    inside = np.abs(math.sqrt(t2) * z + bias) <= -norm.ppf(0.025) * math.sqrt(s2)
+    assert row["coverage"] == np.count_nonzero(inside) / 400 == 0.17
+    _assert_rel(row["spread"], math.sqrt(s2), 1e-12)
 
 
 def test_rough_panel_and_interval_stay_small():
