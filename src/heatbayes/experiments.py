@@ -30,8 +30,10 @@ from .credible import (
     quadratic_form_quantile,
 )
 from .functionals import (
+    InadmissibleFunctionalError,
     LinearFunctional,
     PriorTail,
+    _point_fraction,
     admissible_truncation,
     functional_moments,
     point_evaluation_curves,
@@ -95,20 +97,14 @@ class Mu0Source:
         """Materialize a deterministic truth at the given truncation."""
         if self.kind is Mu0Kind.TEST_CUBIC:
             return true_signal_coefficients(truncation_level)
-        if self.kind is Mu0Kind.EXPLICIT:
-            vals = np.zeros(truncation_level)
-            m = min(len(self.coefficients), truncation_level)
-            vals[:m] = self.coefficients[:m]
-            return CoefficientSequence(vals, truncation_level, tail_tol=0.0)
-        if self.kind is Mu0Kind.POWER_LAW:
-            i = np.arange(1, truncation_level + 1, dtype=float)
-            expo = 0.5 + self.beta + self.eps
-            vals = i**-expo
-            tail = truncation_level ** (-self.beta - self.eps) / math.sqrt(
-                2.0 * (self.beta + self.eps))
-            return CoefficientSequence(vals, truncation_level, tail_tol=tail)
-        raise ValueError("a prior-draw truth is realized per replication, "
-                         "not deterministically")
+        if self.kind is Mu0Kind.PRIOR_DRAW:
+            raise ValueError("a prior-draw truth is realized per replication, "
+                             "not deterministically")
+        tail = 0.0 if self.kind is Mu0Kind.EXPLICIT else (
+            truncation_level ** (-self.beta - self.eps)
+            / math.sqrt(2.0 * (self.beta + self.eps)))
+        return CoefficientSequence(self.sums(1, truncation_level),
+                                   truncation_level, tail_tol=tail)
 
     def sums(self, first: int, last: int,
              period: int | None = None) -> np.ndarray:
@@ -230,8 +226,9 @@ def run_interval_coverage(cfg: ExperimentConfig,
     The error Lhat - L mu has an exact law: N(b, t_n^2) at a fixed truth,
     with b = -sum_i l_i (1 - g_i) mu0_i, and N(0, s_n^2) for a truth drawn
     from the prior.  Each replication draws one normal from it.  The sums
-    run over the N coordinates of the admissible truncation: arrays over
-    the active head, closed forms past it (functional_moments).
+    run over the N coordinates of the admissible truncation, doubled where
+    x near 0 or 1 needs it: arrays over the active head, closed forms past
+    it (_interval_moments).
     """
     columns = ("n", "coverage", "coverage_se", "halfwidth", "spread", "mean_sd")
     z_half = -norm.ppf(cfg.gamma / 2.0)
@@ -239,12 +236,7 @@ def run_interval_coverage(cfg: ExperimentConfig,
     for idx, n in enumerate(cfg.n_grid):
         prior_n = cfg.scaling.resolve(cfg.prior, n, FunctionalMode.FUNCTIONAL)
         nn = max(cfg.truncation_for(n, prior_n), admissible_truncation(prior_n))
-        nh = active_head(cfg.time_horizon, nn)
-        kappa = heat_eigenvalues(cfg.time_horizon, nh)
-        w = posterior_weights(prior_n, kappa, n)
-        truth = () if cfg.mu0.is_random else (cfg.mu0.realize(nh).values,
-                                              cfg.mu0.sums)
-        s2, t2, bias = functional_moments(L, w, prior_n, nn, *truth)
+        s2, t2, bias = _interval_moments(cfg, L, prior_n, n, nn)
         s_n, t_n = math.sqrt(s2), math.sqrt(t2)
         z = substream(cfg.seed, "interval", idx).standard_normal(cfg.replications)
         err = s_n * z if cfg.mu0.is_random else t_n * z + bias
@@ -252,6 +244,36 @@ def run_interval_coverage(cfg: ExperimentConfig,
         se = math.sqrt(cov * (1.0 - cov) / cfg.replications)
         rows.append((n, cov, se, z_half * s_n, s_n, t_n))
     return ExperimentReport("interval-coverage", columns, rows, cfg)
+
+
+# the largest truncation an interval doubles to: the longest range
+# sequence.power_sums is verified for
+_MAX_INTERVAL_TRUNCATION = 10**9
+
+
+def _interval_moments(cfg: ExperimentConfig, L: LinearFunctional,
+                      prior_n: PriorSpec, n: float, nn: int):
+    """(s_n^2, t_n^2, bias) of L over N = nn coordinates (functional_moments
+    on the active head, closed forms past it).
+
+    Near x = 0 and 1 the per-x admissibility check can fail at the N the
+    prior's admissible_truncation picks, since sum l_i^2 lambda_i falls
+    like x^2 while the last decade does not.  A point x = p/q, whose tail
+    is summed over the residues mod 2q at O(N_h + q) cost, then doubles N
+    until the check passes, up to _MAX_INTERVAL_TRUNCATION; past that, and
+    for any other x, the check's error stands.
+    """
+    nh = active_head(cfg.time_horizon, nn)
+    w = posterior_weights(prior_n, heat_eigenvalues(cfg.time_horizon, nh), n)
+    truth = () if cfg.mu0.is_random else (cfg.mu0.realize(nh).values,
+                                          cfg.mu0.sums)
+    try:
+        return functional_moments(L, w, prior_n, nn, *truth)
+    except InadmissibleFunctionalError:
+        if (2 * nn > _MAX_INTERVAL_TRUNCATION
+                or _point_fraction(L, nn - nh) is None):
+            raise
+    return _interval_moments(cfg, L, prior_n, n, 2 * nn)
 
 
 def run_risk_curve(cfg: ExperimentConfig) -> ExperimentReport:
@@ -349,12 +371,6 @@ def render_panel(cfg: ExperimentConfig, spec: PanelSpec) -> PanelData:
         lower=mean_x - z_half * sd_x, upper=mean_x + z_half * sd_x,
         draw_curves=curves,
     )
-
-
-def emit_figure_data(cfg: ExperimentConfig, panels) -> list[PanelData]:
-    """Render every panel of a figure protocol, deterministically from the
-    config seed."""
-    return [render_panel(cfg, spec) for spec in panels]
 
 
 def _two_column_protocol(priors_left_right, n: float, reps: int) -> list[PanelSpec]:

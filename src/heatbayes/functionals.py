@@ -73,6 +73,9 @@ class LinearFunctional:
 
     @staticmethod
     def coordinate(index: int, truncation_level: int) -> "LinearFunctional":
+        if not 1 <= index <= truncation_level:
+            raise ValueError(f"coordinate index must lie in 1..{truncation_level}"
+                             f", got {index}")
         vals = np.zeros(truncation_level)
         vals[index - 1] = 1.0
         return LinearFunctional(l=CoefficientSequence(vals, truncation_level))
@@ -253,17 +256,17 @@ def admissible_truncation(prior: PriorSpec) -> int:
 def functional_posterior(L: LinearFunctional, prior: PriorSpec,
                          kappa: CoefficientSequence, n: float,
                          y: ObservationSet) -> FunctionalPosterior:
-    """Marginal posterior N(sum l_i w_i y_i, sum l_i^2 s_i) of L mu."""
+    """Marginal posterior N(sum l_i w_i y_i, sum l_i^2 s_i) of L mu; s_n^2,
+    t_n^2 and the admissibility check are functional_moments' over the
+    full-length weights."""
     if L.l.truncation_level != kappa.truncation_level:
         raise ValueError("truncation mismatch between representer and kappa")
-    check_admissible(L, prior)
     w = posterior_weights(prior, kappa, n)
-    lsq = L.l.values**2
+    spread_sq, mean_var, _ = functional_moments(L, w, prior,
+                                                kappa.truncation_level)
     return FunctionalPosterior(
         mean=compensated_sum(L.l.values * w.mean_weight * y.y.values),
-        spread_sq=compensated_sum(lsq * w.variance),
-        mean_var=compensated_sum(lsq * w.shrink_var),
-    )
+        spread_sq=spread_sq, mean_var=mean_var)
 
 
 def credible_interval(fp: FunctionalPosterior, gamma: float) -> tuple[float, float]:

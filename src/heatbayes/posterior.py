@@ -41,14 +41,6 @@ class PosteriorWeights:
     variance: np.ndarray
     shrink_var: np.ndarray
 
-    @property
-    def truncation_level(self) -> int:
-        return self.lam.size
-
-    @property
-    def spread(self) -> float:
-        return compensated_sum(self.variance)
-
 
 @dataclass(frozen=True)
 class PosteriorSummary:

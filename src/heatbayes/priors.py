@@ -64,12 +64,8 @@ class PriorSpec:
         return -self.alpha * i**2
 
     def variance_values(self, truncation_level: int) -> np.ndarray:
-        """lambda_i in linear space; the tau^2 scaling is exactly
-        multiplicative for the polynomial family."""
-        i = np.arange(1, truncation_level + 1, dtype=float)
-        if self.kind is PriorFamily.POLYNOMIAL:
-            return (self.tau * self.tau) * i ** (-1.0 - 2.0 * self.alpha)
-        return np.exp(-self.alpha * i**2)
+        """lambda_1..lambda_N in linear space, one value per index."""
+        return self.variance_sums(1, truncation_level)
 
     def variance_sums(self, first: int, last: int,
                       period: int | None = None) -> np.ndarray:

@@ -12,8 +12,9 @@ of mu_i is its prior.  A truncation N therefore splits into the active
 head i <= N_h (`active_head`), the only coordinates that need arrays, and
 the tail N_h < i <= N, whose sums over the residues i mod P of a sine
 grid are finite Hurwitz-zeta differences (`power_sums`) or, for terms that
-underflow, short direct sums (`bin_range`).  Both are exact sums over the
-same N coordinates, equal to the N-term sums up to rounding.
+underflow, short direct sums.  Both are exact sums over the same N
+coordinates, equal to the N-term sums up to rounding.  `bin_range` is the
+one residue binning of explicit terms, for the head and the tail alike.
 """
 
 from __future__ import annotations
@@ -65,10 +66,6 @@ class CoefficientSequence:
 
     def __len__(self) -> int:
         return self.truncation_level
-
-    @property
-    def indices(self) -> np.ndarray:
-        return np.arange(1, self.truncation_level + 1)
 
     def norm(self) -> float:
         return math.sqrt(compensated_sum(self.values**2))
@@ -167,13 +164,31 @@ def active_head(time_horizon: float, truncation_level: int) -> int:
 
 def bin_range(first: int, values, period: int | None = None) -> np.ndarray:
     """Sums of values[k], the term of index i = first + k, over the residues
-    i mod period (entry r for residue r, as AliasingFold.bins); the values
-    themselves, one bin per index, when period is None."""
+    i mod period: entry r sums the terms with i = r (mod period).  The
+    values themselves, one bin per index, when period is None.
+
+    The terms are laid out as rows of `period` columns, after first mod
+    period leading zeros so that column r holds residue r, and the rows
+    are added as a pairwise tree, halving their number at each step (an
+    empty range is one zero row).  Rounding then grows like log(rows), not
+    rows: the cubic's coefficients from i = 28 to 10,132,119 bin to within
+    1.3e-15 relative of their closed form at periods 4 to 400, where a
+    running sum per residue drifts to 3.4e-11 at period 4.
+    """
     values = np.asarray(values, dtype=float)
     if period is None:
         return values
-    i = np.arange(first, first + values.size)
-    return np.bincount(i % period, weights=values, minlength=period)
+    lead = first % period
+    a = np.zeros(max(1, -(-(lead + values.size) // period)) * period)
+    a[lead:lead + values.size] = values
+    a = a.reshape(-1, period)
+    while a.shape[0] > 1:
+        h = a.shape[0] // 2
+        s = a[:h] + a[h:2 * h]
+        if a.shape[0] % 2:
+            s[-1] += a[-1]
+        a = s
+    return a[0]
 
 
 def power_sums(s: float, first: int, last: int,
@@ -269,26 +284,14 @@ def basis_columns(x: np.ndarray, start: int, stop: int) -> np.ndarray:
     return math.sqrt(2.0) * sinpi(np.outer(x, i))
 
 
-def _tree_sum_rows(a: np.ndarray) -> np.ndarray:
-    """Row sum by repeated halving: a pairwise tree whose rounding grows like
-    log(rows), where numpy's leading-axis sum accumulates row by row."""
-    while a.shape[0] > 1:
-        h = a.shape[0] // 2
-        s = a[:h] + a[h:2 * h]
-        if a.shape[0] % 2:
-            s[-1] += a[-1]
-        a = s
-    return a[0]
-
-
 class AliasingFold:
-    """Exact synthesis of sine series on the uniform grid x_k = k/M.
+    """The sine table of the uniform grid x_k = k/M.
 
     sin(i pi k/M) depends on i only through i mod 2M, so for any number of
-    coefficients sum_i c_i e_i(x_k) = (table @ bins(c))[k]: bins(c)[r] sums
-    c_i over i = r (mod 2M), and table[k, r] = sqrt(2) sin(pi (r k mod 2M)/M)
-    is gathered from 2M sine values at exact integer residues, so its rows
-    at x = 0 and x = 1 are exact zeros.
+    coefficients sum_i c_i e_i(x_k) = (table @ bin_range(1, c, 2M))[k], with
+    table[k, r] = sqrt(2) sin(pi (r k mod 2M)/M) gathered from 2M sine values
+    at exact integer residues, so that its rows at x = 0 and x = 1 are exact
+    zeros.
     """
 
     def __init__(self, m: int):
@@ -297,29 +300,16 @@ class AliasingFold:
         values = math.sqrt(2.0) * sinpi(r / m)
         self.table = values[np.outer(np.arange(m + 1), r) % self.period]
 
-    def bins(self, coefficients) -> np.ndarray:
-        """Residue sums of c_1..c_N, added as a pairwise tree over blocks."""
-        c = np.asarray(coefficients, dtype=float)
-        p = self.period
-        rows = c.size // p
-        full = c[:rows * p].reshape(rows, p)
-        step = max(1, (1 << 16) // p)  # rows per block that stays in cache
-        out = _tree_sum_rows(np.array(
-            [np.zeros(p)] + [_tree_sum_rows(full[k:k + step])
-                             for k in range(0, rows, step)]))
-        out[:c.size - rows * p] += c[rows * p:]
-        # position q holds coefficient i = q + 1, i.e. residue (q + 1) mod 2M
-        return np.roll(out, 1)
-
 
 class GridSynthesis:
     """Sine series sum_i c_i e_i(x) on a grid in [0, 1], for any number N of
     coefficients, without a grid x N basis matrix.
 
-    On the grid linspace(0, 1, M + 1) the coefficients fold exactly onto 2M
-    residue bins (AliasingFold) and a series is the sine table times its
-    bins; on other grids `bins` is the identity and the series is summed
-    over blocks of _CHUNK basis columns.
+    On the grid linspace(0, 1, M + 1) the coefficients fold exactly onto
+    their 2M residue bins (bin_range) and a series is the sine table of
+    AliasingFold times its bins; on other grids the bins are the
+    coefficients themselves and the series is summed over blocks of _CHUNK
+    basis columns.
     """
 
     def __init__(self, x_grid):
@@ -327,17 +317,16 @@ class GridSynthesis:
         m = self.x.size - 1
         self.fold = (AliasingFold(m) if m > 0 and np.array_equal(
             self.x, np.linspace(0.0, 1.0, m + 1)) else None)
-        # the period of bin_range/power_sums bins that match these bins
+        # the period of the bins: 2M on the uniform grid, else None
         self.period = None if self.fold is None else self.fold.period
 
     def bins(self, coefficients, tail=None) -> np.ndarray:
         """Bins of c_1..c_h, plus `tail`, the bins (at self.period) of the
         coefficients h < i <= N."""
-        c = np.asarray(coefficients, dtype=float)
-        if self.fold is None:
-            return c if tail is None else np.concatenate([c, tail])
-        b = self.fold.bins(c)
-        return b if tail is None else b + tail
+        b = bin_range(1, coefficients, self.period)
+        if tail is None:
+            return b
+        return np.concatenate([b, tail]) if self.period is None else b + tail
 
     def curves(self, columns: np.ndarray, variances: np.ndarray | None = None):
         """(E @ columns, (E * E) @ variances) from binned columns and binned
@@ -370,7 +359,7 @@ def true_signal_coefficients(truncation_level: int) -> CoefficientSequence:
     """
     if truncation_level < 1:
         raise ValueError("truncation_level must be a positive integer")
-    vals = _cubic(np.arange(1, truncation_level + 1))
+    vals = true_signal_sums(1, truncation_level)
     # l^2 tail: mu_i^2 <= C^2 i^-6 with C = 192 sqrt(2)/pi^3
     c = 8.0 * math.sqrt(2.0) * 24.0 / math.pi**3
     tail = c * math.sqrt(1.0 / (5.0 * truncation_level**5))

@@ -31,7 +31,7 @@ from heatbayes.functionals import (
     point_evaluation_curves,
 )
 from heatbayes.posterior import PosteriorWeights
-from heatbayes.sequence import AliasingFold, basis_matrix
+from heatbayes.sequence import AliasingFold, basis_matrix, bin_range
 
 
 def zero_obs(nn, n):
@@ -66,6 +66,16 @@ class TestAdmissibility:
     def test_finite_support_always_admissible(self):
         L = LinearFunctional.coordinate(3, 1000)
         check_admissible(L, PriorSpec.polynomial(0.1))
+
+
+class TestCoordinate:
+    def test_index_range(self):
+        nn = 5
+        L = LinearFunctional.coordinate(nn, nn)
+        assert np.array_equal(L.l.values, np.eye(nn)[nn - 1])
+        for index in (0, -1, nn + 1):
+            with pytest.raises(ValueError):
+                LinearFunctional.coordinate(index, nn)
 
 
 class TestFunctionalPosterior:
@@ -283,7 +293,8 @@ class TestAliasingFold:
         nn = admissible_truncation(PriorSpec.polynomial(0.5))
         x = np.linspace(0.0, 1.0, m + 1)
         fold = AliasingFold(m)
-        truth = fold.table @ fold.bins(true_signal_coefficients(nn).values)
+        truth = fold.table @ bin_range(
+            1, true_signal_coefficients(nn).values, fold.period)
         assert np.abs(truth - true_signal_function(x)).max() <= 1e-14
 
     def test_non_uniform_grid_direct_path(self):
@@ -309,7 +320,7 @@ class TestAliasingFold:
         fold = AliasingFold(m)
         T = fold.table
         E = basis_matrix(x, nn)
-        folded = T @ np.diag(fold.bins(s)) @ T.T
+        folded = T @ np.diag(bin_range(1, s, fold.period)) @ T.T
         full = (E * s) @ E.T
         assert np.abs(folded - full).max() <= 1e-12 * np.abs(full).max()
 
@@ -321,7 +332,8 @@ class TestAliasingFold:
             w, np.ones(nn), x, draw_streams=[np.random.default_rng(4)])
         fold = AliasingFold(m)
         z = np.random.default_rng(4).standard_normal(2 * m)
-        expect = mean_x + fold.table @ (np.sqrt(fold.bins(w.variance)) * z)
+        expect = mean_x + fold.table @ (
+            np.sqrt(bin_range(1, w.variance, fold.period)) * z)
         assert np.abs(draws[0] - expect).max() <= 1e-12 * np.abs(expect).max()
 
 

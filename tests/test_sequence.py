@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import sine_synthesis_reference
+from oracles import residue_bins_reference, sine_synthesis_reference
 
 from heatbayes import (
     CoefficientSequence,
@@ -19,7 +19,13 @@ from heatbayes import (
     true_signal_function,
 )
 from heatbayes.posterior import PosteriorSummary, posterior_mean_function
-from heatbayes.sequence import basis_matrix, default_truncation
+from heatbayes.sequence import (
+    basis_matrix,
+    bin_range,
+    default_truncation,
+    power_sums,
+    true_signal_sums,
+)
 
 
 class TestHeatEigenvalues:
@@ -317,3 +323,36 @@ class TestGridSynthesis:
             tracemalloc.stop()
         assert peak < 50e6
         assert curve[0] == 0.0 and curve[-1] == 0.0
+
+
+class TestBinRange:
+    """bin_range, the one residue binning of head and tail terms."""
+
+    @pytest.mark.parametrize("period", [1, 2, 4, 40, 400])
+    @pytest.mark.parametrize("first", [1, 27, 28, 41])
+    def test_against_residue_reference(self, first, period):
+        rng = np.random.default_rng(first * 1000 + period)
+        for length in (0, 1, period - 1, period, period + 1, 7 * period + 3):
+            values = rng.standard_normal(length)
+            want = residue_bins_reference(
+                np.concatenate([np.zeros(first - 1), values]), period)
+            got = bin_range(first, values, period)
+            assert got.shape == (period,)
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
+
+    def test_long_ranges_stay_at_rounding_level(self):
+        """The cubic and i^-2 from i = 28 to the 10,132,119 coefficients of
+        the poly alpha = 0.5 panels, against their closed forms; a running
+        sum per residue drifts to 3.4e-11 relative at period 4."""
+        first, last = 28, 10_132_119
+        cubic = true_signal_coefficients(last).values[first - 1:]
+        for period in (4, 40, 400):
+            got = bin_range(first, cubic, period)
+            want = true_signal_sums(first, last, period)
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+        del cubic
+        inverse_squares = np.arange(first, last + 1, dtype=float) ** -2.0
+        for period in (4, 40, 400):
+            got = bin_range(first, inverse_squares, period)
+            want = power_sums(2.0, first, last, period)
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)

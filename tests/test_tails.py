@@ -329,6 +329,74 @@ def test_rough_power_law_interval_through_cli(tmp_path):
     _assert_rel(row["spread"], math.sqrt(s2), 1e-12)
 
 
+@pytest.mark.parametrize("x", [0.1, 0.9])
+def test_interval_near_the_ends_doubles_its_truncation(tmp_path, x):
+    """At poly alpha = 1 the per-x check fails at the prior's admissible N
+    for x = 0.1 and 0.9; N doubles until the N-term reference's last
+    decade holds less than ADMISSIBLE_TAIL, and the CLI reports that N's
+    moments."""
+    out = str(tmp_path / "cov.csv")
+    assert main(["coverage", "--kind", "interval", "--n", "1e4", "--x",
+                 str(x), "--reps", "50", "--out", out]) == EXIT_OK
+    cols, rows = read_dataset(out)
+    row = dict(zip(cols, rows[0]))
+    prior = PriorSpec.polynomial(1.0)
+    cfg = ExperimentConfig(prior=prior, n_grid=(1e4,))
+    nn = max(cfg.truncation_for(1e4, prior), admissible_truncation(prior))
+    while True:
+        [(s2, t2, [bias], decade)] = point_sums_reference(
+            prior, 1e4, 0.1, nn, [x], [_cubic])
+        if decade < ADMISSIBLE_TAIL:
+            break
+        nn *= 2
+    assert nn == 7652
+    assert point_sums_reference(prior, 1e4, 0.1, nn // 2, [x],
+                                [])[0][3] >= ADMISSIBLE_TAIL
+    _assert_rel(row["spread"], math.sqrt(s2), 1e-12)
+    _assert_rel(row["mean_sd"], math.sqrt(t2), 1e-12)
+    z = substream(0, "interval", 0).standard_normal(50)
+    inside = np.abs(math.sqrt(t2) * z + bias) <= -norm.ppf(0.025) * math.sqrt(s2)
+    assert row["coverage"] == np.count_nonzero(inside) / 50
+
+
+def test_interval_without_a_small_denominator_keeps_its_error():
+    """An x near 0 that is no p/q with a small q fails as before."""
+    x = 0.1000000001
+    prior = PriorSpec.polynomial(1.0)
+    assert point_sums_reference(prior, 1e4, 0.1, admissible_truncation(prior),
+                                [x], [])[0][3] >= ADMISSIBLE_TAIL
+    assert main(["coverage", "--kind", "interval", "--n", "1e4", "--x",
+                 str(x), "--reps", "50"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("x,doublings", [(0.3, 0), (0.5, 0), (0.01, 4)])
+def test_interval_truncation_is_the_first_admissible_doubling(x, doublings):
+    """poly alpha = 0.5: x = 0.3 and 1/2 keep N = 10,132,119; x = 0.01 takes
+    the moments at 16 N, the first doubling whose check passes."""
+    prior = PriorSpec.polynomial(0.5)
+    cfg = ExperimentConfig(prior=prior, n_grid=(SNR,), replications=2)
+    L = LinearFunctional.point_evaluation(x, 100)
+    nn = admissible_truncation(prior) * 2**doublings
+    nh, w = _head(prior, 0.1, nn)
+    truth = Mu0Source.test_cubic()
+    s2, t2, _ = functional_moments(L, w, prior, nn, truth.realize(nh).values,
+                                   truth.sums)
+    if doublings:
+        with pytest.raises(InadmissibleFunctionalError):
+            functional_moments(L, w, prior, nn // 2)
+    row = run_interval_coverage(cfg, L).rows[0]
+    assert row[4:] == (math.sqrt(s2), math.sqrt(t2))
+
+
+def test_interval_doubling_stops_at_a_billion():
+    """x = 0.001 under poly alpha = 0.5 would need N past 1e9, the longest
+    range the tail sums are verified for: the check's error stands."""
+    cfg = ExperimentConfig(prior=PriorSpec.polynomial(0.5), n_grid=(SNR,),
+                           replications=2)
+    with pytest.raises(InadmissibleFunctionalError, match="648455616"):
+        run_interval_coverage(cfg, LinearFunctional.point_evaluation(0.001, 100))
+
+
 def test_rough_panel_and_interval_stay_small():
     """The fig3 alpha = 0.5, n = 1e4 panel on 21 points and a 2-replication
     interval at x = 1/2 run at N = 10,132,119 but allocate only O(N_h + 2M)
