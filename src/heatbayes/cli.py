@@ -384,7 +384,7 @@ COMMANDS = {
     "lemmas": Command(
         "series-asymptotics verification suite", _cmd_lemmas,
         (_opt("grid", ",".join(f"{v:g}" for v in DEFAULT_N_GRID),
-              parse=_parse_n_list, help="comma list of truncation levels N"),
+              parse=_parse_n_list, help="comma list of N values, each > 1"),
          _opt("out", "lemma_suite.csv"))),
     "figures": Command(
         "assemble figure panel datasets and vector plots", _cmd_figures,

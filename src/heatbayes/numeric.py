@@ -70,30 +70,10 @@ def shrinkage_factors(log_a):
     return g, omg
 
 
-class BlockSum:
-    """Accumulates numpy blocks; total = fsum of pairwise block sums."""
-
-    def __init__(self):
-        self._parts: list[float] = []
-
-    def add(self, block) -> None:
-        if np.ndim(block) == 0:
-            self._parts.append(float(block))
-        else:
-            self._parts.append(float(np.sum(block)))
-
-    @property
-    def value(self) -> float:
-        return math.fsum(self._parts)
-
-
 def compensated_sum(values) -> float:
     """Sum of a 1-d array: numpy pairwise inside fsum-combined chunks."""
     values = np.asarray(values, dtype=float)
     if values.size <= 65536:
         return float(np.sum(values))
-    acc = BlockSum()
-    for start in range(0, values.size, 65536):
-        acc.add(values[start:start + 65536])
-    return acc.value
-
+    return math.fsum(float(np.sum(values[start:start + 65536]))
+                     for start in range(0, values.size, 65536))

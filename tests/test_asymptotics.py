@@ -1,11 +1,13 @@
 """Crossover indices, damped-series values, Sobolev suprema, weighted-sum
 traces, and the integral estimates, each against an independent oracle."""
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
-from scipy.special import exp1
+from scipy.special import exp1, zeta
 
 from heatbayes.asymptotics import (
     LemmaParams,
@@ -27,12 +29,15 @@ from heatbayes.sequence import CoefficientSequence
 
 
 def brute_series(t, r, u, p, v, N, M=2_000_000):
-    """Plain vectorized summation oracle in float128-free double, long range."""
+    """Plain vectorized summation oracle in float128-free double, long range;
+    for r = 0 the terms past M are i^-t to double precision and add
+    zeta(t, M + 1)."""
     i = np.arange(1, M + 1, dtype=float)
     x = math.log(N) - u * np.log(i) - p * i**2
     denom_log = v * np.where(x > 40, x, np.log1p(np.exp(np.minimum(x, 40))))
     lt = -t * np.log(i) - r * i**2 - denom_log
-    return float(np.exp(lt[lt > -745]).sum())
+    head = float(np.exp(lt[lt > -745]).sum())
+    return head + float(zeta(t, M + 1)) if r == 0 else head
 
 
 class TestCrossoverIndex:
@@ -79,6 +84,9 @@ class TestLemmaSeriesValue:
             (LemmaParams(t=2, r=1, u=1, p=2, v=2), 1e8),
             (LemmaParams(t=3, r=0, u=1, p=2, v=1), 1e4),
             (LemmaParams(t=1.5, r=0.5, u=0, p=1, v=1), 1e6),
+            (LemmaParams(t=1.01, r=0, u=1, p=2, v=1), 1e4),
+            (LemmaParams(t=1.5, r=0, u=3, p=0.5, v=2), 1e100),
+            (LemmaParams(t=3, r=0), 1e-12),
         ]:
             mine = lemma_series_value(params, N)
             oracle = brute_series(params.t, params.r, params.u, params.p,
@@ -90,6 +98,13 @@ class TestLemmaSeriesValue:
             lemma_series_value(LemmaParams(t=2, r=4.0, u=1, p=2, v=2), 1e4)
         with pytest.raises(ValueError):
             lemma_series_value(LemmaParams(t=0.5, r=0, u=1, p=2, v=1), 1e4)
+
+    def test_rejects_grid_values_at_most_one(self):
+        """The envelopes take powers of log N, which vanishes at N = 1."""
+        with pytest.raises(ValueError):
+            LemmaParams(N_grid=(1.0,))
+        with pytest.raises(ValueError):
+            LemmaParams(N_grid=(1e4, 0.5))
 
     def test_undamped_band_within_factor_four(self):
         trace = lemma_series_trace(LemmaParams(t=3, r=0, u=1, p=2, v=1))
@@ -131,6 +146,19 @@ class TestLemmaNormSup:
             xi /= math.sqrt(float((xi**2 * i**2.0).sum()))  # ||xi||_q = 1
             val = float((xi**2 * a).sum())
             assert val <= sup * (1 + 1e-12)
+
+    def test_damped_sup_against_long_coordinate_max(self):
+        """r > 0: the sup is found inside the damping head, whatever the
+        r-decay length."""
+        for params, N in [(LemmaParams(q=0.5, t=1.0, r=0.5, u=1, p=2, v=2), 1e8),
+                          (LemmaParams(q=0.0, t=0.0, r=1e-4, u=0, p=1, v=1), 1e12)]:
+            i = np.arange(1, 20_001, dtype=float)
+            x = math.log(N) - params.u * np.log(i) - params.p * i**2
+            denom = np.where(x > 40, x, np.log1p(np.exp(np.minimum(x, 40))))
+            lt = (-(params.t + 2 * params.q) * np.log(i) - params.r * i**2
+                  - params.v * denom)
+            assert lemma_norm_sup(params, N) == pytest.approx(
+                math.exp(float(lt.max())), rel=1e-14)
 
     def test_band_within_factor_four(self):
         trace = lemma_norm_trace(LemmaParams(q=1, t=0, r=0, u=1, p=2, v=2))
@@ -225,6 +253,8 @@ class TestIntegralBounds:
             integral_bound_check(1.0, 1.0, (0.5,))
         with pytest.raises(ValueError):
             integral_bound_check(-1.0, 1.0, (2.0,))
+        with pytest.raises(ValueError):
+            integral_bound_check(-1.0, 1.0, ())
 
 
 class TestStandardSuite:
@@ -237,3 +267,20 @@ class TestStandardSuite:
                 "norm-fixed-sequence", "weighted-sum",
                 "integral-growth", "integral-tail"} <= names
         assert any(str(row[0]).startswith("crossover") for row in rows)
+
+    def test_default_grid_matches_benchmark_reference(self):
+        """The benchmark's lemma job compares this table with its stored
+        reference at relative 1e-9; strings and infinities must be equal."""
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                            "reference", "lemma_suite.json")
+        with open(path, encoding="utf-8") as fh:
+            ref = json.load(fh)
+        columns, rows = standard_lemma_suite().to_table()
+        assert list(columns) == ref["columns"]
+        assert len(rows) == len(ref["rows"])
+        for got, want in zip(rows, ref["rows"]):
+            for g, w in zip(got, want):
+                if isinstance(w, str) or math.isinf(w):
+                    assert g == w, (got, want)
+                else:
+                    assert g == pytest.approx(w, rel=1e-9, abs=0.0), (got, want)

@@ -178,6 +178,12 @@ class TestCli:
         cols, rows = read_dataset(out)
         assert "ratio" in cols
 
+    @pytest.mark.parametrize("grid", ["1", "1e4,1"])
+    def test_lemmas_rejects_grid_at_one(self, tmp_path, grid):
+        out = tmp_path / "lemmas.csv"
+        assert main(["lemmas", "--grid", grid, "--out", str(out)]) == EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": "1e3", "seed": 4, "prior": "exp",
