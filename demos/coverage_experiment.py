@@ -1,10 +1,9 @@
 """Frequentist coverage of credible sets, two ways.
 
 First the self-consistency check: when the truth is itself drawn from the
-prior, credible sets must cover at exactly their nominal level -- the
-strongest end-to-end test of the whole pipeline.  Then the interesting
-regime: a fixed truth of finite smoothness, where coverage depends sharply
-on whether the prior under- or over-smooths it.
+prior, credible sets must cover at exactly their nominal level.  Then the
+interesting regime: a fixed truth of finite smoothness, where coverage
+depends sharply on whether the prior under- or over-smooths it.
 """
 
 import heatbayes as hb

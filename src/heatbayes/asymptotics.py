@@ -48,8 +48,8 @@ class LemmaParams:
     N_grid: tuple = DEFAULT_N_GRID
 
     def __post_init__(self):
-        if any(not N > 1 for N in self.N_grid):
-            raise ValueError("every N grid value must exceed 1")
+        if any(not 1 < N < math.inf for N in self.N_grid):
+            raise ValueError("every N grid value must be finite and exceed 1")
 
     def validate_series(self) -> None:
         if self.t < 0 or self.u < 0 or self.v < 0:

@@ -8,8 +8,9 @@ the flags it reads and its manifest records the value of each.
 Options come from an optional JSON config file plus flags; flags win.  A
 config file may hold any option that some subcommand declares, so one file
 can serve a whole study; each subcommand reads only its own.
-Exit codes: 0 success, 2 configuration error, 3 numeric failure
-(non-finite value produced), 4 I/O failure.
+Exit codes: 0 success, 2 configuration error, 3 numeric failure (a
+non-finite value produced, or any ArithmeticError of the computation),
+4 I/O failure.
 """
 
 from __future__ import annotations
@@ -78,14 +79,14 @@ def _ensure_finite(columns, rows) -> None:
 
 
 def _parse_n_list(text) -> tuple:
-    """A comma list of positive numbers (or one number) as a tuple of
-    floats."""
+    """A comma list of positive finite numbers (or one number) as a tuple
+    of floats."""
     try:
         vals = tuple(float(part) for part in str(text).split(","))
     except ValueError as exc:
-        raise ValueError(f"cannot parse n grid {text!r}") from exc
-    if not vals or any(not v > 0 for v in vals):
-        raise ValueError("all n values must be positive")
+        raise ValueError(f"cannot parse {text!r} as numbers") from exc
+    if not vals or any(not 0 < v < math.inf for v in vals):
+        raise ValueError(f"values must be positive and finite, got {text!r}")
     return vals
 
 
@@ -130,8 +131,11 @@ class _Options:
                                      f"of {o.kwargs['choices']}")
             if value is None:
                 value = o.default
-            self.values[o.name] = (value if value is None or o.parse is None
-                                   else o.parse(value))
+            try:
+                self.values[o.name] = (value if value is None
+                                       or o.parse is None else o.parse(value))
+            except ValueError as exc:  # name the option in the message
+                raise ValueError(f"--{o.name.replace('_', '-')}: {exc}") from exc
         seed = self.values.get("seed")
         self.manifest = RunManifest(
             config={k: v for k, v in self.values.items() if k != "out"},
@@ -418,7 +422,7 @@ def main(argv=None) -> int:
     command = COMMANDS[args.command]
     try:
         return command.handler(_Options(command, args))
-    except NumericFailure as exc:
+    except ArithmeticError as exc:  # NumericFailure among them
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, KeyError) as exc:

@@ -18,8 +18,10 @@ law of the form, found by safeguarded Newton steps on its density:
   radius): the Gil-Pelaez integral of the characteristic function of the
   form, centred at its mean and scaled to unit sd, is summed at midpoints
   (Davies 1980).  The step keeps the aliased mass below Chernoff bounds on
-  both tails; a Gaussian convergence factor with a second-order
-  correction ends the sum at a bounded tail, and leaves an error of about
+  both tails, formed from the cumulant generating function centred at the
+  form's mean, so that a mean far above the sd does not cancel them away;
+  a Gaussian convergence factor with a second-order correction ends the
+  sum at a bounded tail, and leaves an error of about
   (sigma^4 / 8) f'''(x), which is estimated from the same sum.  The
   characteristic function is evaluated once per form.
 
@@ -28,7 +30,7 @@ terms keep oscillating, and the midpoint sum needs many nodes on central
 forms with few dominant weights; hence the split.  Coordinates whose
 variance is below eps * max variance enter as the fixed mass b_i^2 (zero
 for central forms), as in the Monte Carlo sampler `_form_draws`, which
-draws the squared errors of the fixed-truth coverage and risk experiments.
+draws the squared errors of the ball coverage and risk experiments.
 Each quantile carries a bound on its absolute numerical error: the
 inversion's probability error divided by the density, plus the distance
 of the last iterate from the root.
@@ -207,15 +209,23 @@ def _davies_law(v: np.ndarray, b2: np.ndarray):
     sd = math.sqrt(2.0 * compensated_sum(v * v) + 4.0 * compensated_sum(v * b2))
     v, b2, mean = v / sd, b2 / sd, centre / sd
 
-    def cumulant(s, v, b2):  # log E exp(s (b + sqrt(v) Z)^2), s < 1/(2v)
-        return -0.5 * np.log1p(-2.0 * v * s) + b2 * s / (1.0 - 2.0 * v * s)
+    def centred_cumulant(s, v, b2):
+        # log E exp(s (b + sqrt(v) Z)^2) - s (v + b^2), s < 1/(2v), with the
+        # mean taken out analytically: subtracting s * mean from the
+        # cumulant would cancel where mean / sd exceeds 1 / eps
+        x = -2.0 * v * s
+        return -0.5 * (np.log1p(x) - x) + 2.0 * b2 * v * s * s / (1.0 + x)
 
-    # Chernoff: P(Q <= y) and P(Q >= y) are at most exp(K(s) - s y)
+    # Chernoff: P(Q <= y) and P(Q >= y) are at most exp(K(s) - s y); the
+    # absolute points reach the optimum s (about 7 at unit sd) wherever it
+    # lies below top
     top = 0.5 / v.max()
+    span = np.geomspace(1e-3, 1e6, 64)
     s = np.concatenate((top * np.geomspace(1e-4, 0.5, 32),
                         top * -np.expm1(np.linspace(math.log(0.5), -20.0, 32)),
-                        -np.geomspace(1e-3, 1e6, 64)))
-    bound = (_coordinate_sum(cumulant, s, v, b2) - math.log(_TAIL)) / s - mean
+                        span[span < top], -span))
+    bound = (_coordinate_sum(centred_cumulant, s, v, b2)
+             - math.log(_TAIL)) / s
     hi = float(bound[s > 0].min())
     lo = max(float(bound[s < 0].max()), -mean)
     # the convergence factor spreads the law by a few multiples of _SMOOTH

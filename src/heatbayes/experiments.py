@@ -5,9 +5,7 @@ independent of execution order and worker count; reports aggregate rows
 in grid order.  With k the index of n in the grid, r a replication and b a
 draw block, the paths are:
 
-    (seed, "ball", k, b)       fixed-truth ball errors ||muhat - mu0||^2
-    (seed, "mu0", k, r)        prior-drawn truths of the ball coverage
-    (seed, "cov", k, r)        the noise vectors paired with them
+    (seed, "ball", k, b)       ball coverage errors ||muhat - mu0||^2
     (seed, "interval", k)      one normal per interval replication
     (seed, "risk", k, b)       Monte Carlo errors of the risk curve
     (seed, "obs", s)           observations of panel data stream s
@@ -40,7 +38,7 @@ from .functionals import (
 )
 from .posterior import posterior_weights, risk_decomposition
 from .priors import FunctionalMode, PriorFamily, PriorSpec, ScalingRule
-from .rng import normal_matrix, substream
+from .rng import substream
 from .sequence import (
     CoefficientSequence,
     DEFAULT_TIME_HORIZON,
@@ -69,9 +67,10 @@ class Mu0Source:
     eps: float = 0.01
 
     def __post_init__(self):
-        if self.kind is Mu0Kind.POWER_LAW and not self.beta + self.eps > 0:
-            raise ValueError("a power-law truth needs beta + eps > 0, so that "
-                             "its coefficients are square summable")
+        if self.kind is Mu0Kind.POWER_LAW and not (
+                0 < self.beta + self.eps < math.inf):
+            raise ValueError("a power-law truth needs finite beta + eps > 0, "
+                             "so that its coefficients are square summable")
 
     @staticmethod
     def test_cubic() -> "Mu0Source":
@@ -146,8 +145,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
-        if any(not n > 0 for n in self.n_grid):
-            raise ValueError("all n in the grid must be positive")
+        if any(not 0 < n < math.inf for n in self.n_grid):
+            raise ValueError("all n in the grid must be positive and finite")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
 
@@ -174,48 +173,56 @@ class ExperimentReport:
         return self.columns, self.rows
 
 
+def _squared_errors(cfg: ExperimentConfig, idx: int, n: float, stream: str):
+    """(prior, kappa, weights, mu0, draws) at the idx-th n of the grid: mu0
+    is None for prior-drawn truths, and draws are cfg.replications samples
+    of ||muhat - mu0||^2 from its exact law, keyed (seed, stream, idx, b).
+    At a fixed truth that law is sum_i (b_i + sqrt(t_i) Z_i)^2 with
+    b = -(1 - g) mu0.  Under the prior, muhat - mu0 is independent of the
+    data and N(0, s_i) in each coordinate: the law is sum_i s_i Z_i^2.
+    """
+    if cfg.replications < 2:
+        raise ValueError("replications must be at least 2 for risk_mc_se")
+    prior_n = cfg.scaling.resolve(cfg.prior, n, FunctionalMode.FULL)
+    nn = cfg.truncation_for(n, prior_n)
+    kappa = heat_eigenvalues(cfg.time_horizon, nn)
+    w = posterior_weights(prior_n, kappa, n)
+    mu0 = None if cfg.mu0.is_random else cfg.mu0.realize(nn)
+    var, bias = ((w.variance, None) if mu0 is None
+                 else (w.shrink_var, -mu0.values * w.one_minus_gain))
+    return prior_n, kappa, w, mu0, _form_draws(
+        var, bias, cfg.replications, cfg.seed, (stream, idx))
+
+
+def _mean_and_se(draws: np.ndarray) -> tuple[float, float]:
+    return (float(draws.mean()),
+            float(draws.std(ddof=1) / math.sqrt(draws.size)))
+
+
 def run_ball_coverage(cfg: ExperimentConfig) -> ExperimentReport:
     """Frequentist coverage of the credible ball along the n grid.
 
     Per n: the data-free radius once, by inversion of its exact law, then
-    per replication the squared error ||muhat - mu0||^2 and the indicator
-    that it is at most radius^2.
-    At a fixed truth the squared error is drawn from its exact law,
-    sum_i (b_i + sqrt(t_i) Z_i)^2 with b = -(1 - g) mu0, and the honest
-    frequentist radius and the radius ratio are reported as well.  Prior-
-    drawn truths take the end-to-end path (truth, data set and posterior
-    mean per replication) and leave those two columns NaN.
+    per replication the squared error ||muhat - mu0||^2 from its exact law
+    (_squared_errors) and the indicator that it is at most radius^2.  For
+    prior-drawn truths that law is sum_i s_i Z_i^2, the form whose quantile
+    is radius^2, so the coverage is 1 - gamma up to Monte Carlo error, and
+    the honest frequentist radius and the radius ratio are NaN.
     """
-    if cfg.replications < 2:
-        raise ValueError("replications must be at least 2 for risk_mc_se")
     columns = ("n", "coverage", "coverage_se", "radius", "radius_freq",
                "radius_ratio", "risk_mc", "risk_mc_se")
     rows = []
     for idx, n in enumerate(cfg.n_grid):
-        prior_n = cfg.scaling.resolve(cfg.prior, n, FunctionalMode.FULL)
-        nn = cfg.truncation_for(n, prior_n)
-        kappa = heat_eigenvalues(cfg.time_horizon, nn)
-        w = posterior_weights(prior_n, kappa, n)
-        form = QuadraticForm.from_weights(CoefficientSequence(w.variance, nn))
+        prior_n, kappa, w, mu0, sq_err = _squared_errors(cfg, idx, n, "ball")
+        form = QuadraticForm.from_weights(
+            CoefficientSequence(w.variance, kappa.truncation_level))
         radius = math.sqrt(quadratic_form_quantile(form, 1.0 - cfg.gamma).value)
-        if cfg.mu0.is_random:
-            mu = np.sqrt(w.lam) * normal_matrix(cfg.seed, ("mu0", idx),
-                                                cfg.replications, nn)
-            z = normal_matrix(cfg.seed, ("cov", idx), cfg.replications, nn)
-            y = mu * kappa.values + z / math.sqrt(n)
-            sq_err = ((y * w.mean_weight - mu) ** 2).sum(axis=1)
-            r_freq = math.nan
-        else:
-            mu0 = cfg.mu0.realize(nn)
-            r_freq = frequentist_radius(prior_n, kappa, n, mu0, cfg.gamma).value
-            sq_err = _form_draws(w.shrink_var, -mu0.values * w.one_minus_gain,
-                                 cfg.replications, cfg.seed, ("ball", idx))
+        r_freq = math.nan if mu0 is None else frequentist_radius(
+            prior_n, kappa, n, mu0, cfg.gamma).value
         cov = float(np.mean(np.sqrt(sq_err) <= radius))
         se = math.sqrt(cov * (1.0 - cov) / cfg.replications)
-        rows.append((n, cov, se, radius, r_freq,
-                     radius / r_freq if r_freq == r_freq else math.nan,
-                     float(sq_err.mean()),
-                     float(sq_err.std(ddof=1) / math.sqrt(cfg.replications))))
+        rows.append((n, cov, se, radius, r_freq, radius / r_freq,
+                     *_mean_and_se(sq_err)))
     return ExperimentReport("ball-coverage", columns, rows, cfg)
 
 
@@ -281,29 +288,21 @@ def run_risk_curve(cfg: ExperimentConfig) -> ExperimentReport:
 
     The exact decomposition (bias/variance/spread) comes from the closed
     forms; a Monte Carlo estimate of the mean-square error, drawn from its
-    exact law over the configured replications, is reported alongside.
+    exact law (_squared_errors) over the configured replications, is
+    reported alongside.
     """
     if cfg.mu0.is_random:
         raise ValueError("risk curves need a fixed truth")
-    if cfg.replications < 2:
-        raise ValueError("replications must be at least 2 for risk_mc_se")
     columns = ("n", "sq_bias", "est_var", "spread", "risk_exact",
                "risk_total", "risk_mc", "risk_mc_se")
     rows = []
     for idx, n in enumerate(cfg.n_grid):
-        prior_n = cfg.scaling.resolve(cfg.prior, n, FunctionalMode.FULL)
-        nn = cfg.truncation_for(n, prior_n)
-        kappa = heat_eigenvalues(cfg.time_horizon, nn)
-        mu0 = cfg.mu0.realize(nn)
+        prior_n, kappa, _, mu0, sq_err = _squared_errors(cfg, idx, n, "risk")
         dec = risk_decomposition(prior_n, kappa, n, mu0)
-        w = posterior_weights(prior_n, kappa, n)
-        sq_err = _form_draws(w.shrink_var, -mu0.values * w.one_minus_gain,
-                             cfg.replications, cfg.seed, ("risk", idx))
         rows.append((n, dec.sq_bias, dec.estimator_variance,
                      dec.posterior_spread,
                      dec.sq_bias + dec.estimator_variance,
-                     dec.total, float(sq_err.mean()),
-                     float(sq_err.std(ddof=1) / math.sqrt(cfg.replications))))
+                     dec.total, *_mean_and_se(sq_err)))
     return ExperimentReport("risk-curve", columns, rows, cfg)
 
 

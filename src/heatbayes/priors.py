@@ -39,10 +39,10 @@ class PriorSpec:
     tau: float = 1.0
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("prior smoothness alpha must be positive")
-        if not self.tau > 0:
-            raise ValueError("prior scale tau must be positive")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("prior smoothness alpha must be positive and finite")
+        if not 0 < self.tau < math.inf:
+            raise ValueError("prior scale tau must be positive and finite")
         if self.kind is PriorFamily.EXPONENTIAL and self.tau != 1.0:
             raise ValueError(
                 "the exponential family has no scale parameter; tau must stay 1"

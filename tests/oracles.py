@@ -81,20 +81,25 @@ def sine_synthesis_reference(x, coefficients, variances):
 
 
 def replicate_errors(lam, kappa, mu0, l, n, reps, seed, chunk=250):
-    """End-to-end replications at a fixed truth, no sufficient statistics.
+    """End-to-end replications, no sufficient statistics.
 
-    Per replication: simulate y = kappa mu0 + Z / sqrt(n) over all
+    Per replication: take the truth mu0, or with mu0=None draw one from the
+    prior N(0, lam), simulate y = kappa mu0 + Z / sqrt(n) over all
     coordinates, take the posterior mean n lam kappa y / (1 + n lam kappa^2)
     coordinate by coordinate (plain, not log-space, arithmetic), and record
-    ||muhat - mu0||^2 and L muhat - L mu0 = l . (muhat - mu0).  Noise comes
-    from numpy's default generator, not from the library's streams.
+    ||muhat - mu0||^2 and L muhat - L mu0 = l . (muhat - mu0).  Truths and
+    noise come from numpy's default generator, not from the library's
+    streams.
     """
     rng = np.random.default_rng(seed)
     weight = n * lam * kappa / (1.0 + n * lam * kappa**2)
     sq_err, lin_err = [], []
     for start in range(0, reps, chunk):
-        z = rng.standard_normal((min(chunk, reps - start), mu0.size))
-        err = weight * (kappa * mu0 + z / math.sqrt(n)) - mu0
+        shape = (min(chunk, reps - start), lam.size)
+        mu = (np.sqrt(lam) * rng.standard_normal(shape) if mu0 is None
+              else mu0)
+        z = rng.standard_normal(shape)
+        err = weight * (kappa * mu + z / math.sqrt(n)) - mu
         sq_err.append(np.einsum("ij,ij->i", err, err))
         lin_err.append(err @ l)
     return np.concatenate(sq_err), np.concatenate(lin_err)

@@ -105,6 +105,8 @@ class TestLemmaSeriesValue:
             LemmaParams(N_grid=(1.0,))
         with pytest.raises(ValueError):
             LemmaParams(N_grid=(1e4, 0.5))
+        with pytest.raises(ValueError, match="finite"):
+            LemmaParams(N_grid=(1e4, math.inf))
 
     def test_undamped_band_within_factor_four(self):
         trace = lemma_series_trace(LemmaParams(t=3, r=0, u=1, p=2, v=1))

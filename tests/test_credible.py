@@ -14,6 +14,7 @@ from heatbayes import (
     QuadraticForm,
     compute_posterior,
     credible_ball,
+    default_truncation,
     frequentist_radius,
     heat_eigenvalues,
     posterior_weights,
@@ -21,6 +22,7 @@ from heatbayes import (
     simulate_observations,
     true_signal_coefficients,
 )
+from heatbayes.credible import _form_quantile
 
 
 def form(weights) -> QuadraticForm:
@@ -303,3 +305,41 @@ class TestExactQuantiles:
                                       else chi2.ppf(1 - gamma, 1)))
             assert est.value == pytest.approx(exact, rel=1e-9), (mu, gamma)
             assert abs(est.value - exact) <= est.stderr + 1e-12 * exact, (mu, gamma)
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+class TestExtremeHonestRadii:
+    """Honest-radius forms at the default truncation whose mean dwarfs
+    their sd, where the Chernoff bounds used to cancel (a hang or an
+    ArithmeticError), and forms of n tau^2 << 1, whose optimal Chernoff
+    point lies far below 1 / (2 max t)."""
+
+    @staticmethod
+    def _form(fam, alpha, n):
+        prior = (PriorSpec.polynomial(alpha) if fam == "poly"
+                 else PriorSpec.exponential(alpha))
+        nn = default_truncation(n)
+        w = posterior_weights(prior, heat_eigenvalues(0.1, nn), n)
+        bias = -w.one_minus_gain * true_signal_coefficients(nn).values
+        return w.shrink_var, bias
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("fam,alpha,n", [
+        ("poly", 10.0, 1e100), ("poly", 1.0, 1e-20), ("poly", 1.0, 1e-24)])
+    def test_bracketed_by_imhof(self, fam, alpha, n):
+        t, bias = self._form(fam, alpha, n)
+        est = _form_quantile(t, bias, 0.95)
+        assert imhof_cdf(est.value - est.stderr, t, bias) <= 0.95
+        assert imhof_cdf(est.value + est.stderr, t, bias) >= 0.95
+
+    @pytest.mark.parametrize("fam,alpha,n", [
+        ("exp", 1.0, 1e100), ("exp", 5.0, 1e50), ("poly", 10.0, 1e200)])
+    def test_nearly_deterministic_at_the_mean(self, fam, alpha, n):
+        """sd < eps mean: every quantile rounds to the mean, frozen mass
+        included."""
+        t, bias = self._form(fam, alpha, n)
+        mean = math.fsum(t) + math.fsum(bias * bias)
+        sd = math.sqrt(2.0 * math.fsum(t * t) + 4.0 * math.fsum(t * bias**2))
+        assert sd < np.finfo(float).eps * mean
+        est = _form_quantile(t, bias, 0.95)
+        assert abs(est.value - mean) <= 4.0 * np.spacing(mean), (est, mean)

@@ -46,6 +46,12 @@ class TestMu0Source:
         i = np.arange(1, 5, dtype=float)
         np.testing.assert_allclose(mu.values, i**-2.51, rtol=1e-14)
 
+    def test_rejects_non_finite_exponents(self):
+        """1^-inf = 1: an infinite beta would silently give the truth e_1."""
+        for beta, eps in ((math.inf, 0.01), (2.0, math.nan)):
+            with pytest.raises(ValueError, match="finite beta"):
+                Mu0Source.power_law(beta, eps)
+
     def test_prior_draw_has_no_deterministic_realization(self):
         with pytest.raises(ValueError):
             Mu0Source.prior_draw().realize(5)
@@ -130,6 +136,34 @@ class TestSufficientStatistics:
         agree("interval", interval.column("coverage")[0],
               interval.column("coverage_se")[0], ref, binomial_se(ref))
 
+    @pytest.mark.parametrize("prior", [PriorSpec.polynomial(1.0),
+                                       PriorSpec.exponential(1.0)],
+                             ids=["poly1", "exp1"])
+    def test_prior_draws_agree_with_end_to_end_replications(self, prior):
+        """Prior-drawn truths, n = 1e4, N = 100: ball coverage at the
+        library's radius and the mean-square error, drawn from the central
+        law sum s_i Z_i^2, against truths, data and posterior means
+        simulated coordinate by coordinate; the mean-square error against
+        its exact value sum s_i."""
+        n, nn, reps = 1e4, 100, 4000
+        cfg = ExperimentConfig(prior=prior, n_grid=(n,), replications=reps,
+                               mu0=Mu0Source.prior_draw(), seed=5, trunc=nn)
+        ball = run_ball_coverage(cfg)
+        sq_err, _ = replicate_errors(
+            prior.variance_values(nn), heat_eigenvalues(cfg.time_horizon, nn).values,
+            None, np.zeros(nn), n, reps, seed=99)
+        radius = ball.column("radius")[0]
+        ref = float(np.mean(sq_err <= radius**2))
+        cov, cov_se = ball.column("coverage")[0], ball.column("coverage_se")[0]
+        assert abs(cov - ref) <= 4.0 * math.hypot(
+            cov_se, math.sqrt(ref * (1.0 - ref) / reps)), (cov, ref)
+        mc, mc_se = ball.column("risk_mc")[0], ball.column("risk_mc_se")[0]
+        ref_se = float(sq_err.std(ddof=1)) / math.sqrt(reps)
+        assert abs(mc - float(sq_err.mean())) <= 4.0 * math.hypot(mc_se, ref_se)
+        spread = math.fsum(posterior_weights(
+            prior, heat_eigenvalues(cfg.time_horizon, nn), n).variance)
+        assert abs(mc - spread) <= 4.0 * mc_se, (mc, spread, mc_se)
+
     def test_repeated_n_uses_distinct_streams(self):
         for mu0 in (Mu0Source.test_cubic(), Mu0Source.prior_draw()):
             cfg = ExperimentConfig(prior=PriorSpec.polynomial(1.0),
@@ -152,6 +186,11 @@ class TestSufficientStatistics:
         for run in (run_ball_coverage, run_risk_curve):
             with pytest.raises(ValueError, match="at least 2"):
                 run(cfg)
+
+    def test_non_finite_n_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            ExperimentConfig(prior=PriorSpec.exponential(1.0),
+                             n_grid=(1e3, math.inf))
 
 
 class TestIntervalCoverage:

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -12,6 +14,7 @@ from heatbayes.cli import (
     COMMANDS,
     EXIT_CONFIG,
     EXIT_IO,
+    EXIT_NUMERIC,
     EXIT_OK,
     build_parser,
     main,
@@ -231,9 +234,48 @@ class TestCli:
             ["simulate", "--prior", "exp"],
             ["figures", "--n", "1e6", "--out", "D"],
             ["lemmas", "--seed", "3"],
+            # non-finite values are rejected where they are read
+            ["simulate", "--n", "inf"],
+            ["posterior", "--n", "inf"],
+            ["coverage", "--n", "inf", "--reps", "5"],
+            ["risk", "--n", "1e4,inf", "--reps", "5"],
+            ["lemmas", "--grid", "inf"],
+            ["coverage", "--tau", "inf", "--reps", "5"],
+            ["coverage", "--alpha", "inf", "--reps", "5"],
+            ["coverage", "--mu0", "power", "--mu0-beta", "inf", "--reps", "5"],
         ):
             assert main(argv) == EXIT_CONFIG, argv
         assert os.listdir(tmp_path) == []
+
+    def test_arithmetic_error_is_numeric_failure(self, tmp_path, monkeypatch,
+                                                 capsys):
+        """Any ArithmeticError of the library exits 3, not with a
+        traceback."""
+        from heatbayes import experiments
+
+        def fail(*args):
+            raise ArithmeticError("quadratic-form quantile did not converge")
+
+        monkeypatch.setattr(experiments, "frequentist_radius", fail)
+        monkeypatch.chdir(tmp_path)
+        assert main(["coverage", "--n", "1e4", "--reps", "5"]) == EXIT_NUMERIC
+        assert "did not converge" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["--prior", "exp", "--alpha", "5", "--n", "1e50"],
+        ["--alpha", "10", "--n", "1e200"]], ids=["exp5-1e50", "poly10-1e200"])
+    def test_nearly_deterministic_honest_radius_returns(self, tmp_path, argv):
+        """Honest radii of forms whose sd is below eps times their mean:
+        a child process, so that a hang fails instead of stalling."""
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.abspath(src), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "heatbayes", "coverage", *argv,
+             "--reps", "10"], cwd=tmp_path, env=env, capture_output=True,
+            text=True, timeout=60)
+        assert done.returncode == EXIT_OK, done.stderr
 
     def test_single_n_commands_reject_lists(self, tmp_path, monkeypatch,
                                             capsys):

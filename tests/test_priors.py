@@ -47,6 +47,10 @@ class TestPriorVariances:
             PriorSpec.polynomial(1.0, tau=-1.0)
         with pytest.raises(ValueError):
             PriorSpec(PriorFamily.EXPONENTIAL, 1.0, tau=2.0)
+        with pytest.raises(ValueError, match="alpha"):
+            PriorSpec.exponential(math.inf)
+        with pytest.raises(ValueError, match="tau"):
+            PriorSpec.polynomial(1.0, tau=math.inf)
 
 
 class TestRateMatchedTau:
