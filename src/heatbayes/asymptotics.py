@@ -8,8 +8,10 @@ N i^-u e^{-p i^2} is below e^-746, which underflows to exactly 0, so each
 term equals i^-t e^{-r i^2} in double precision.  For r > 0 K is raised to
 at least floor(sqrt(746/r)) + 1, past which those terms underflow too; for
 r = 0 they sum to the Hurwitz zeta(t, K + 1).  No truncation error is
-dropped.  Envelope comparisons are reported as RatioTrace tables over a
-grid of N values.  The quantitative surrogates
+dropped.  A head longer than 2^24 terms (p or r below about 3e-12) is
+rejected with a ValueError rather than summed for minutes.  Envelope
+comparisons are reported as RatioTrace tables over a grid of N values.
+The quantitative surrogates
 ("within a factor 4", "monotone over the top grid points") are calibration
 choices of this artifact, not sharp mathematical statements; reports label
 them as such.
@@ -32,6 +34,8 @@ DEFAULT_N_GRID = (1e4, 1e8, 1e12, 1e16)
 _CHUNK = 262144
 # e^-746 rounds to exactly 0 in double precision
 _UNDERFLOW = 746.0
+# longest head summed directly: about a second of work
+_MAX_HEAD = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -144,10 +148,19 @@ def _log_terms(i: np.ndarray, params: LemmaParams, logN: float) -> np.ndarray:
     return -params.t * logi - params.r * i * i - params.v * log1pexp(x)
 
 
+def _capped(root: float, name: str, value: float) -> int:
+    """The head floor(root) + 1 that the exponent `name` = value needs."""
+    if not root < _MAX_HEAD:
+        raise ValueError(f"{name} = {value:g} needs a head of {root:.4g} "
+                         f"terms, above the cap of {_MAX_HEAD}")
+    return int(root) + 1
+
+
 def _head(params: LemmaParams, logN: float) -> int:
     """K past which the damping N i^-u e^{-p i^2} underflows to exactly 0,
     so that every term past K is exactly i^-t e^{-r i^2}."""
-    return int(math.sqrt((max(logN, 0.0) + _UNDERFLOW) / params.p)) + 1
+    return _capped(math.sqrt((max(logN, 0.0) + _UNDERFLOW) / params.p),
+                   "p", params.p)
 
 
 def _blocks(K: int):
@@ -177,7 +190,7 @@ def lemma_series_value(params: LemmaParams, N: float) -> float:
     logN = math.log(N)
     K = _head(params, logN)
     if params.r > 0:  # past sqrt(746/r) the terms underflow to 0 as well
-        K = max(K, int(math.sqrt(_UNDERFLOW / params.r)) + 1)
+        K = max(K, _capped(math.sqrt(_UNDERFLOW / params.r), "r", params.r))
     parts = []
     for i in _blocks(K):
         lt = _log_terms(i, params, logN)

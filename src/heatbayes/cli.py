@@ -66,16 +66,19 @@ _NAN_OK = {"radius_freq", "radius_ratio", "residual", "exact", "predicted"}
 
 
 def _ensure_finite(columns, rows) -> None:
-    for j, name in enumerate(columns):
+    """Raise NumericFailure at the first non-finite number, column by column,
+    outside the _NAN_OK columns; strings are skipped."""
+    for name, cells in zip(columns, zip(*rows)):
         if name in _NAN_OK:
             continue
-        for row in rows:
-            v = row[j]
-            if isinstance(v, str):
-                continue
-            if not math.isfinite(float(v)):
-                raise NumericFailure(
-                    f"non-finite value in column {name!r}: {v!r}")
+        values = np.asarray(cells)
+        if values.dtype.kind not in "biuf":  # strings or objects
+            cells = [v for v in cells if not isinstance(v, str)]
+            values = np.asarray(cells, dtype=float)
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            raise NumericFailure(
+                f"non-finite value in column {name!r}: {cells[bad[0]]!r}")
 
 
 def _parse_n_list(text) -> tuple:
@@ -148,11 +151,14 @@ class _Options:
         """Check every (path, table) for non-finite values, then write each
         and record its checksum, then write the manifest, next to the first
         output unless manifest_path is given.  A .svg path plots its panel."""
+        tables = []
         for path, table in outputs:
             if not path.endswith(".svg"):
-                _ensure_finite(*(table.to_table() if hasattr(table, "to_table")
-                                 else table))
-        for path, table in outputs:
+                if hasattr(table, "to_table"):
+                    table = table.to_table()
+                _ensure_finite(*table)
+            tables.append((path, table))
+        for path, table in tables:
             write = (render_static_plot if path.endswith(".svg")
                      else write_dataset)
             self.manifest.record(path, write(table, path))
@@ -240,7 +246,7 @@ def _report(opt: _Options, report) -> None:
         print("  ".join(
             v if isinstance(v, str) else format(float(v), ".6g") for v in row))
     if opt.get("out"):
-        opt.emit([(opt.get("out"), report)])
+        opt.emit([(opt.get("out"), (columns, rows))])
 
 
 def _cmd_simulate(opt: _Options) -> int:

@@ -335,13 +335,9 @@ class PanelData:
     def to_table(self) -> tuple[tuple, list]:
         cols = ["x", "truth", "post_mean", "lower", "upper"]
         cols += [f"draw_{j + 1:02d}" for j in range(self.draw_curves.shape[0])]
-        rows = []
-        for k in range(self.x.size):
-            row = [self.x[k], self.truth[k], self.post_mean[k],
-                   self.lower[k], self.upper[k]]
-            row += list(self.draw_curves[:, k])
-            rows.append(tuple(row))
-        return tuple(cols), rows
+        table = np.column_stack([self.x, self.truth, self.post_mean,
+                                 self.lower, self.upper, self.draw_curves.T])
+        return tuple(cols), list(map(tuple, table.tolist()))
 
 
 def render_panel(cfg: ExperimentConfig, spec: PanelSpec) -> PanelData:

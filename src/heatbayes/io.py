@@ -1,9 +1,12 @@
 """Dataset serialization and run manifests.
 
-Datasets are CSV with a header row, UTF-8, LF line endings; floats are
-rendered with 17 significant digits so a reparse reproduces every value
-bit-exactly.  Every CLI run that writes files also writes a manifest
-recording the config digest, seed, and a checksum per output.
+Datasets are CSV with a header row, UTF-8, LF line endings.  A cell that
+is a str is written verbatim, a non-bool int as str(value), and anything
+else as "%.17g" % value, i.e. format(float(value), ".17g"): 17 significant
+digits, so a reparse reproduces every float bit-exactly (numpy scalars,
+bools, nan, +-inf and -0.0 included).  Every CLI run that writes files also
+writes a manifest recording the config digest, seed, and a checksum per
+output.
 """
 
 from __future__ import annotations
@@ -16,12 +19,12 @@ from dataclasses import dataclass, field
 from . import __version__
 
 
-def _render(value) -> str:
+def _cell_format(value) -> str:
     if isinstance(value, str):
-        return value
-    if isinstance(value, (int,)) and not isinstance(value, bool):
-        return str(value)
-    return format(float(value), ".17g")
+        return "%s"
+    if isinstance(value, int) and not isinstance(value, bool):
+        return "%d"
+    return "%.17g"
 
 
 def write_dataset(table, path) -> str:
@@ -32,8 +35,15 @@ def write_dataset(table, path) -> str:
     else:
         columns, rows = table
     lines = [",".join(str(c) for c in columns)]
+    # one printf template per row type signature: a table has few of them
+    templates = {}
     for row in rows:
-        lines.append(",".join(_render(v) for v in row))
+        row = tuple(row)
+        key = tuple(map(type, row))
+        template = templates.get(key)
+        if template is None:
+            template = templates[key] = ",".join(map(_cell_format, row))
+        lines.append(template % row)
     payload = ("\n".join(lines) + "\n").encode("utf-8")
     try:
         with open(path, "wb") as fh:

@@ -1,8 +1,10 @@
 """Minimal deterministic SVG emitter for figure panels.
 
 Self-contained vector output with no plotting dependency: identical panel
-data produces byte-identical files.  Legend conventions: true curve black,
-posterior mean red, credible band green, posterior draws dashed gray.
+data produces byte-identical files.  Every coordinate is written in pixels
+as "%.2f" (a polyline point as "%.2f,%.2f").  Legend conventions: true
+curve black, posterior mean red, credible band green, posterior draws
+dashed gray.
 """
 
 from __future__ import annotations
@@ -36,9 +38,8 @@ class _Frame:
 
 def _polyline(frame: _Frame, x, y, stroke: str, width: float = 1.5,
               dashed: bool = False) -> str:
-    pts = " ".join(
-        f"{_fmt(a)},{_fmt(b)}" for a, b in zip(frame.px(x), frame.py(y))
-    )
+    xy = np.column_stack([frame.px(x), frame.py(y)]).ravel().tolist()
+    pts = " ".join(["%.2f,%.2f"] * (len(xy) // 2)) % tuple(xy)
     dash = ' stroke-dasharray="4,3"' if dashed else ""
     return (f'<polyline fill="none" stroke="{stroke}" '
             f'stroke-width="{width}"{dash} points="{pts}"/>')
@@ -53,10 +54,14 @@ def render_static_plot(panel, path) -> str:
     x = np.asarray(panel.x, dtype=float)
     if x.size == 0:
         raise ValueError("cannot render an empty panel dataset")
-    series = [panel.truth, panel.post_mean, panel.lower, panel.upper]
-    if panel.draw_curves.size:
-        series.append(panel.draw_curves.ravel())
-    allv = np.concatenate([np.asarray(s, dtype=float).ravel() for s in series])
+    series = {"truth": panel.truth, "post_mean": panel.post_mean,
+              "lower": panel.lower, "upper": panel.upper,
+              "draw_curves": panel.draw_curves}
+    for name, values in {"x": x, **series}.items():
+        if not np.isfinite(values).all():
+            raise ValueError(f"cannot render non-finite values in {name}")
+    allv = np.concatenate([np.asarray(s, dtype=float).ravel()
+                           for s in series.values()])
     frame = _Frame(x, float(allv.min()), float(allv.max()))
 
     parts = [

@@ -269,3 +269,30 @@ def point_sums_reference(prior, n, time_horizon, nn, xs, truths,
                     [math.fsum(b) for b in a["bias"]],
                     math.fsum(a["decade"]) / total if total else 0.0))
     return out
+
+
+def render_cell_reference(value) -> str:
+    """One CSV cell, one value at a time: a str verbatim, a non-bool int as
+    str, anything else as format(float(value), ".17g")."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    return format(float(value), ".17g")
+
+
+def dataset_bytes_reference(columns, rows) -> bytes:
+    """The CSV bytes of (columns, rows), joined cell by cell."""
+    lines = [",".join(str(c) for c in columns)]
+    lines += [",".join(render_cell_reference(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def polyline_reference(frame, x, y, stroke, width=1.5, dashed=False) -> str:
+    """An SVG polyline with each pixel coordinate formatted on its own as
+    format(v, ".2f")."""
+    pts = " ".join(f"{format(a, '.2f')},{format(b, '.2f')}"
+                   for a, b in zip(frame.px(x), frame.py(y)))
+    dash = ' stroke-dasharray="4,3"' if dashed else ""
+    return (f'<polyline fill="none" stroke="{stroke}" '
+            f'stroke-width="{width}"{dash} points="{pts}"/>')

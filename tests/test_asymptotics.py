@@ -4,6 +4,7 @@ traces, and the integral estimates, each against an independent oracle."""
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -98,6 +99,24 @@ class TestLemmaSeriesValue:
             lemma_series_value(LemmaParams(t=2, r=4.0, u=1, p=2, v=2), 1e4)
         with pytest.raises(ValueError):
             lemma_series_value(LemmaParams(t=0.5, r=0, u=1, p=2, v=1), 1e4)
+
+    def test_rejects_unbounded_heads_at_once(self):
+        """The head sqrt((log N + 746)/p), or sqrt(746/r), has no limit:
+        p = 1e-20 would sum 2.7e11 terms."""
+        cases = [(lemma_series_value, LemmaParams(t=3, r=0, u=1, p=1e-20, v=1),
+                  "p = 1e-20"),
+                 (lemma_series_value, LemmaParams(t=2, r=1e-20, u=1, p=2, v=2),
+                  "r = 1e-20"),
+                 (lemma_norm_sup, LemmaParams(q=1, t=0, r=0, u=1, p=1e-20, v=2),
+                  "p = 1e-20")]
+        for fn, params, name in cases:
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=f"{name} needs a head of"):
+                fn(params, 1e4)
+            assert time.perf_counter() - start < 0.1
+        # a head of 2.7e5 terms is still summed
+        assert lemma_series_value(
+            LemmaParams(t=3, r=0, u=1, p=1e-8, v=1), 1e4) > 0
 
     def test_rejects_grid_values_at_most_one(self):
         """The envelopes take powers of log N, which vanishes at N = 1."""

@@ -1,5 +1,6 @@
 """Dataset round-trips, manifests, SVG determinism, and the CLI surface."""
 
+import hashlib
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import dataset_bytes_reference, polyline_reference
 
 from heatbayes.cli import (
     COMMANDS,
@@ -58,6 +60,45 @@ class TestWriteDataset:
     def test_unwritable_path_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             write_dataset((("a",), []), tmp_path / "no_dir" / "x.csv")
+
+    def test_bytes_match_cell_by_cell_oracle(self, tmp_path):
+        # every cell type a table can hold, and rows of changing type
+        # signature in the same columns
+        cells = ["name", "", np.str_("s"), 0, -7, 10**30, -(2**70), True,
+                 False, np.bool_(True), np.int64(-5), np.int64(2**62),
+                 np.float32(0.1), np.float32(-3.4e38), np.float64(1 / 3),
+                 float("nan"), float("inf"), float("-inf"), -0.0, 0.0,
+                 5e-324, 1.7976931348623157e308, 0.1, 0.30000000000000004,
+                 2 / 3, 1e23, 9007199254740993.0, 123456789.12345678,
+                 1.0000000000000002, np.float64(-2.5e-308), 1e16]
+        rows = [tuple(cells), tuple(reversed(cells)),
+                tuple(cells[1:] + cells[:1]), tuple(cells)]
+        rows += [tuple(np.roll(np.arange(len(cells)) * 1.5, k).tolist())
+                 for k in range(3)]
+        rows.append(list(cells))  # rows may be lists
+        columns = tuple(f"c{j}" for j in range(len(cells)))
+        path = tmp_path / "mixed.csv"
+        checksum = write_dataset((columns, rows), path)
+        expected = dataset_bytes_reference(columns, rows)
+        assert path.read_bytes() == expected
+        assert checksum == hashlib.sha256(expected).hexdigest()
+
+    def test_panel_bytes_match_oracle(self, tmp_path):
+        from heatbayes import ExperimentConfig, PanelSpec, PriorSpec, render_panel
+        cfg = ExperimentConfig(prior=PriorSpec.polynomial(1.0), n_grid=(1e4,),
+                               seed=3, x_grid_points=57)
+        panel = render_panel(cfg, PanelSpec(prior=cfg.prior, n=1e4,
+                                            data_stream=2, draws=3))
+        columns, rows = panel.to_table()
+        assert all(type(v) is float for row in rows for v in row)
+        write_dataset(panel, tmp_path / "p.csv")
+        assert ((tmp_path / "p.csv").read_bytes()
+                == dataset_bytes_reference(columns, rows))
+        reference = [(panel.x[k], panel.truth[k], panel.post_mean[k],
+                      panel.lower[k], panel.upper[k], *panel.draw_curves[:, k])
+                     for k in range(panel.x.size)]
+        assert dataset_bytes_reference(columns, rows) == \
+            dataset_bytes_reference(columns, reference)
 
 
 class TestManifest:
@@ -110,6 +151,50 @@ class TestSvg:
                           upper=np.array([]), draw_curves=np.zeros((0, 0)))
         with pytest.raises(ValueError):
             render_static_plot(empty, tmp_path / "e.svg")
+
+    @pytest.mark.parametrize("series", ["x", "truth", "post_mean", "lower",
+                                        "upper", "draw_curves"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_panel_rejected(self, tmp_path, series, bad):
+        import dataclasses
+
+        from heatbayes.svg import render_static_plot
+        panel = self._panel()
+        values = np.array(getattr(panel, series), dtype=float)
+        values.flat[values.size // 2] = bad
+        with pytest.raises(ValueError, match=series):
+            render_static_plot(dataclasses.replace(panel, **{series: values}),
+                               tmp_path / "n.svg")
+        assert not (tmp_path / "n.svg").exists()
+
+    @staticmethod
+    def _tie_panel():
+        """A panel whose pixel coordinates end in 5 at the third decimal
+        (some exactly, as binary fractions, some only nearly)."""
+        from heatbayes.experiments import PanelData
+        from heatbayes.svg import HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, \
+            MARGIN_T, WIDTH
+        w = WIDTH - MARGIN_L - MARGIN_R
+        h = HEIGHT - MARGIN_T - MARGIN_B
+        frac = np.array([0.125, 0.375, 0.625, 0.875, 0.005, 0.015, 0.245,
+                         0.335, 0.995, 0.505])
+        offsets = np.arange(frac.size) * 37.0 + frac
+        x = np.concatenate([[0.0], offsets / w, [1.0]])
+        # y spans [0, 1], so the frame pads it to [-0.05, 1.05]
+        y = np.concatenate([[0.0], 1.05 - (offsets + 20.0) * 1.1 / h, [1.0]])
+        return PanelData(label="ties", x=x, truth=y, post_mean=y[::-1].copy(),
+                         lower=y * 0.5, upper=y, draw_curves=np.vstack([y, x]))
+
+    @pytest.mark.parametrize("which", ["draws", "no-draws", "ties"])
+    def test_bytes_match_per_point_oracle(self, tmp_path, monkeypatch, which):
+        from heatbayes import svg
+        panel = (self._tie_panel() if which == "ties"
+                 else self._panel(draws=3 if which == "draws" else 0))
+        c1 = svg.render_static_plot(panel, tmp_path / "a.svg")
+        monkeypatch.setattr(svg, "_polyline", polyline_reference)
+        c2 = svg.render_static_plot(panel, tmp_path / "b.svg")
+        assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
+        assert c1 == c2
 
 
 class TestCli:
@@ -450,3 +535,18 @@ class TestEnsureFinite:
             _ensure_finite(("a", "b"), [(1.0, float("inf"))])
         # allowed-missing columns pass
         _ensure_finite(("radius_freq",), [(float("nan"),)])
+
+    def test_names_first_bad_column_and_value(self):
+        from heatbayes.cli import NumericFailure, _ensure_finite
+        columns = ("check", "radius_freq", "a", "b")
+        rows = [("x", float("nan"), 1.0, np.float64(-np.inf)),
+                ("y", 2.0, np.float64(np.nan), float("inf")),
+                ("nan", 3.0, 4, 5)]
+        with pytest.raises(NumericFailure,
+                           match=r"column 'a': np.float64\(nan\)"):
+            _ensure_finite(columns, rows)
+        # strings, including "nan" and "", are never read as numbers
+        _ensure_finite(("s", "v"), [("nan", 1), ("", 2.5), ("inf", True)])
+        with pytest.raises(NumericFailure, match=r"column 'v': inf"):
+            _ensure_finite(("v",), [("", ), (1.0,), (float("inf"),)])
+        _ensure_finite(("a",), [])
