@@ -23,11 +23,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import lambertw, zeta
 
 from .numeric import LOG_TINY, log1pexp
-from .sequence import CoefficientSequence
+from .sequence import CoefficientSequence, power_sums
 
 DEFAULT_N_GRID = (1e4, 1e8, 1e12, 1e16)
 
@@ -134,14 +132,6 @@ def crossover_index(N: float, u: float, p: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def crossover_index_lambertw(N: float, u: float, p: float) -> float:
-    """Closed form via the Lambert W function; cross-check only."""
-    if u == 0:
-        return math.sqrt(math.log(N) / p)
-    z = (2.0 * p / u) * N ** (2.0 / u)
-    return math.sqrt(u / (2.0 * p) * float(lambertw(z).real))
-
-
 def _log_terms(i: np.ndarray, params: LemmaParams, logN: float) -> np.ndarray:
     logi = np.log(i)
     x = logN - params.u * logi - params.p * i * i
@@ -196,7 +186,7 @@ def lemma_series_value(params: LemmaParams, N: float) -> float:
         lt = _log_terms(i, params, logN)
         parts.append(float(np.sum(np.exp(lt[lt > LOG_TINY]))))
     if params.r == 0:
-        parts.append(float(zeta(params.t, K + 1)))
+        parts.append(float(power_sums(params.t, K + 1, math.inf, 1)[0]))
     return math.fsum(parts)
 
 
@@ -325,6 +315,7 @@ def integral_bound_check(gamma: float, zeta_: float, K_grid) -> IntegralBoundRep
     grid = np.asarray(K_grid, dtype=float)
     if np.any(grid <= 1.0):
         raise ValueError("K grid values must exceed 1")
+    from scipy.integrate import quad  # scipy loads only for this check
     r1, r2 = [], []
     e1, e2 = [], []
     for K in grid:

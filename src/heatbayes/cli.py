@@ -38,7 +38,7 @@ from .experiments import (
 from .functionals import LinearFunctional
 from .io import RunManifest, write_dataset
 from .posterior import compute_posterior, posterior_mean_function
-from .priors import PriorSpec, ScalingRule
+from .priors import PriorFamily, PriorSpec, ScalingRule
 from .sequence import (
     DEFAULT_TIME_HORIZON,
     default_truncation,
@@ -188,9 +188,9 @@ def _stem(out: str) -> str:
 
 
 def _prior_from(opt: _Options) -> PriorSpec:
-    if opt.get("prior") == "exp":
-        return PriorSpec.exponential(float(opt.get("alpha")))
-    return PriorSpec.polynomial(float(opt.get("alpha")), float(opt.get("tau")))
+    family = (PriorFamily.EXPONENTIAL if opt.get("prior") == "exp"
+              else PriorFamily.POLYNOMIAL)
+    return PriorSpec(family, float(opt.get("alpha")), float(opt.get("tau")))
 
 
 def _scaling_from(opt: _Options) -> ScalingRule:

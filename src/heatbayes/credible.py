@@ -21,7 +21,8 @@ law of the form, found by safeguarded Newton steps on its density:
   both tails, formed from the cumulant generating function centred at the
   form's mean, so that a mean far above the sd does not cancel them away;
   a Gaussian convergence factor with a second-order correction ends the
-  sum at a bounded tail, and leaves an error of about
+  sum at a tail bounded through E1(y) < e^-y log(1 + 1/y) (Abramowitz &
+  Stegun 5.1.20), and leaves an error of about
   (sigma^4 / 8) f'''(x), which is estimated from the same sum.  The
   characteristic function is evaluated once per form.
 
@@ -42,7 +43,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1, gammaincinv
 
 from .numeric import compensated_sum
 from .posterior import PosteriorSummary, posterior_weights
@@ -239,7 +239,8 @@ def _davies_law(v: np.ndarray, b2: np.ndarray):
 
     # sum blocks of nodes until the tail beyond them is within _TAIL: |phi|
     # is nonincreasing, and the factor c(u) = e^-y (1 + y), y = (sigma u)^2/2,
-    # integrates against du/u to (E1(Y) + e^-Y) / 2 beyond Y
+    # integrates against du/u to (E1(Y) + e^-Y) / 2 beyond Y, with
+    # E1(Y) < e^-Y log(1 + 1/Y)
     parts = []
     block = max(1, min(4096, _CELLS // v.size))
     first = 0
@@ -247,7 +248,7 @@ def _davies_law(v: np.ndarray, b2: np.ndarray):
         u = (np.arange(first, first + block) + 0.5) * delta
         parts.append((u, _coordinate_sum(log_phi, u, v, b2)))
         y = 0.5 * (_SMOOTH * u[-1]) ** 2
-        tail = math.exp(parts[-1][1][-1].real) * (exp1(y) + math.exp(-y))
+        tail = math.exp(parts[-1][1][-1].real - y) * (math.log1p(1 / y) + 1)
         if tail <= 2.0 * math.pi * _TAIL:
             break
         first += block
@@ -310,6 +311,7 @@ def _form_quantile(var: np.ndarray, bias: np.ndarray | None,
     # central: invert at unit scale, so that c w gives c times the quantile
     scale = v.max()
     w = v / scale
+    from scipy.special import gammaincinv
     # start from the two-moment gamma approximation (Satterthwaite)
     m1, m2 = compensated_sum(w), compensated_sum(w * w)
     start = 2.0 * m2 / m1 * gammaincinv(0.5 * m1 * m1 / m2, p)

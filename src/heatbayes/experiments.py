@@ -17,9 +17,9 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .credible import (
     QuadraticForm,
@@ -238,7 +238,7 @@ def run_interval_coverage(cfg: ExperimentConfig,
     it (_interval_moments).
     """
     columns = ("n", "coverage", "coverage_se", "halfwidth", "spread", "mean_sd")
-    z_half = -norm.ppf(cfg.gamma / 2.0)
+    z_half = -NormalDist().inv_cdf(cfg.gamma / 2.0)
     rows = []
     for idx, n in enumerate(cfg.n_grid):
         prior_n = cfg.scaling.resolve(cfg.prior, n, FunctionalMode.FUNCTIONAL)
@@ -359,7 +359,7 @@ def render_panel(cfg: ExperimentConfig, spec: PanelSpec) -> PanelData:
     mean_x, sd_x, extra, curves = point_evaluation_curves(
         w, y, x, extra_coefficients=mu0.values[:, None], draw_streams=streams,
         tail=PriorTail(prior_n, nn, (cfg.mu0.sums,)))
-    z_half = -norm.ppf(cfg.gamma / 2.0)
+    z_half = -NormalDist().inv_cdf(cfg.gamma / 2.0)
     return PanelData(
         label=spec.label or f"{prior_n.kind.value}-a{prior_n.alpha:g}-n{spec.n:g}",
         x=x, truth=extra[:, 0], post_mean=mean_x,

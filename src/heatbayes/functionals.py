@@ -28,10 +28,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import zeta
-from scipy.stats import norm
 
 from .numeric import compensated_sum, sinpi
 from .posterior import PosteriorWeights, posterior_weights
@@ -42,6 +41,7 @@ from .sequence import (
     ObservationSet,
     basis_columns,
     basis_matrix,
+    power_sums,
 )
 
 # Maximum allowed relative mass of the last decade of l_i^2 lambda_i.
@@ -248,7 +248,8 @@ def admissible_truncation(prior: PriorSpec) -> int:
     if prior.kind is PriorFamily.EXPONENTIAL:
         return TRUNCATION_FLOOR
     a = prior.alpha
-    frac = (0.9 ** (-2.0 * a) - 1.0) * 1.5 / (2.0 * a * zeta(1.0 + 2.0 * a))
+    zeta = power_sums(1.0 + 2.0 * a, 1, math.inf, 1)[0]
+    frac = (0.9 ** (-2.0 * a) - 1.0) * 1.5 / (2.0 * a * zeta)
     need = (frac / ADMISSIBLE_TAIL) ** (1.0 / (2.0 * a))
     return max(TRUNCATION_FLOOR, int(math.ceil(need)))
 
@@ -273,7 +274,7 @@ def credible_interval(fp: FunctionalPosterior, gamma: float) -> tuple[float, flo
     """Central interval of posterior mass 1 - gamma: mean -+ z_{gamma/2} s_n."""
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    z = norm.ppf(gamma / 2.0)  # negative
+    z = NormalDist().inv_cdf(gamma / 2.0)  # negative
     s = fp.spread
     return (fp.mean + z * s, fp.mean - z * s)
 
@@ -357,5 +358,5 @@ def pointwise_band(prior: PriorSpec, kappa: CoefficientSequence, n: float,
         raise ValueError("truncation mismatch between y and kappa")
     w = posterior_weights(prior, kappa, n)
     mean_x, sd_x, _, _ = point_evaluation_curves(w, y.y.values, x_grid)
-    z = -norm.ppf(gamma / 2.0)
+    z = -NormalDist().inv_cdf(gamma / 2.0)
     return np.column_stack((mean_x - z * sd_x, mean_x + z * sd_x))

@@ -18,7 +18,9 @@ BLOCK = 65536
 
 def _encode(part) -> int:
     if isinstance(part, (int, np.integer)):
-        return int(part) & 0xFFFFFFFFFFFFFFFF
+        if not 0 <= int(part) < 1 << 64:  # no two keys may share a stream
+            raise ValueError(f"stream key part {part} lies outside [0, 2**64)")
+        return int(part)
     if isinstance(part, str):
         # stable 64-bit FNV-1a; hash() is salted per process, unusable here
         h = 0xCBF29CE484222325

@@ -191,23 +191,25 @@ def bin_range(first: int, values, period: int | None = None) -> np.ndarray:
     return a[0]
 
 
-def power_sums(s: float, first: int, last: int,
+def power_sums(s: float, first: int, last: float,
                period: int | None = None) -> np.ndarray:
     """Sums of i^-s over first <= i <= last, binned as bin_range bins them.
 
     The indices of residue r run i_r, i_r + P, ..., j_r, so their sum is
     P^-s [zeta(s, i_r / P) - zeta(s, (j_r + P) / P)] with the Hurwitz zeta,
-    taken by _shifted_power_sums: O(P) work for any range.  Ranges shorter
-    than P, and period None, are summed term by term.
+    taken by _shifted_power_sums: O(P) work for any range, and for last =
+    math.inf, which needs a period, each sum is P^-s zeta(s, i_r / P).
+    Ranges shorter than P, and period None, are summed term by term.
     """
     if period is None or last - first + 1 < period:
+        if math.isinf(last):
+            raise ValueError("an infinite range needs a period")
         i = np.arange(first, last + 1)
         return bin_range(first, i.astype(float) ** -s, period)
-    r = np.arange(period)
-    lo = first + (r - first) % period
-    hi = last - (last - r) % period
-    return period ** -s * _shifted_power_sums(s, lo / period,
-                                              (hi - lo) // period + 1)
+    lo = first + (np.arange(period) - first) % period
+    count = (np.full(period, math.inf) if math.isinf(last)
+             else (last - lo) // period + 1)
+    return period ** -s * _shifted_power_sums(s, lo / period, count)
 
 
 # leading terms of _shifted_power_sums summed directly
@@ -219,7 +221,7 @@ _BERNOULLI = (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0,
 
 def _shifted_power_sums(s: float, q: np.ndarray, count: np.ndarray) -> np.ndarray:
     """sum_{k < count} (q + k)^-s = zeta(s, q) - zeta(s, q + count) for
-    q > 0 and integer counts, any real s.
+    q > 0 and integer or infinite counts, any real s.
 
     scipy's zeta(s, q) is NaN for s < 1 and infinite at s = 1; near the
     pole both of its terms grow like 1/(s - 1), and for a short range at
@@ -239,9 +241,9 @@ def _shifted_power_sums(s: float, q: np.ndarray, count: np.ndarray) -> np.ndarra
     """
     q = np.asarray(q, dtype=float)
     count = np.asarray(count)
-    out = np.zeros(q.shape)
-    for k in range(min(_EM_DIRECT, int(count.max(initial=0)))):
-        out += np.where(k < count, (q + k) ** -s, 0.0)
+    k = np.arange(_EM_DIRECT)
+    terms = np.where(k < count[..., None], (q[..., None] + k) ** -s, 0.0)
+    out = terms.cumsum(-1)[..., -1]  # a running sum in k, not pairwise
     rest = np.maximum(count - _EM_DIRECT, 0)
     a = q + _EM_DIRECT
     b = a + rest

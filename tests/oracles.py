@@ -296,3 +296,14 @@ def polyline_reference(frame, x, y, stroke, width=1.5, dashed=False) -> str:
     dash = ' stroke-dasharray="4,3"' if dashed else ""
     return (f'<polyline fill="none" stroke="{stroke}" '
             f'stroke-width="{width}"{dash} points="{pts}"/>')
+
+
+def crossover_index_lambertw(N, u, p):
+    """Root of N i^-u e^{-p i^2} = 1 in closed form via the Lambert W
+    function, against which the library's bisection is checked."""
+    from scipy.special import lambertw
+
+    if u == 0:
+        return math.sqrt(math.log(N) / p)
+    z = (2.0 * p / u) * N ** (2.0 / u)
+    return math.sqrt(u / (2.0 * p) * float(lambertw(z).real))

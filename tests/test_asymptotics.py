@@ -8,12 +8,12 @@ import time
 
 import numpy as np
 import pytest
+from oracles import crossover_index_lambertw
 from scipy.special import exp1, zeta
 
 from heatbayes.asymptotics import (
     LemmaParams,
     crossover_index,
-    crossover_index_lambertw,
     crossover_residual,
     integral_bound_check,
     lemma_csbound_check,

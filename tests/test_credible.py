@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from oracles import empirical_quantile, imhof_cdf
+from scipy.special import exp1
 from scipy.stats import chi2, ncx2
 
 from heatbayes import (
@@ -29,6 +30,12 @@ def form(weights) -> QuadraticForm:
     vals = np.asarray(weights, dtype=float)
     return QuadraticForm.from_weights(CoefficientSequence(vals, vals.size))
 
+
+
+def test_exponential_integral_bound():
+    """The Davies stopping rule bounds E1(y) by e^-y log(1 + 1/y)."""
+    y = np.geomspace(1e-6, 700.0, 2001)
+    assert np.all(np.exp(-y) * np.log1p(1.0 / y) >= exp1(y))
 
 class TestQuadraticForm:
     def test_mean_and_sd_closed_forms(self):

@@ -59,6 +59,18 @@ class TestAdmissibility:
         n3 = admissible_truncation(PriorSpec.polynomial(3.0))
         assert n1 > n2 > n3 == 100
 
+    @pytest.mark.parametrize("prior, level", [
+        (PriorSpec.polynomial(0.5), 10_132_119),
+        (PriorSpec.polynomial(1.0), 3826),
+        (PriorSpec.polynomial(2.0), 100),
+        (PriorSpec.polynomial(3.0), 100),
+        (PriorSpec.polynomial(5.0), 100),
+        (PriorSpec.polynomial(10.0), 100),
+        (PriorSpec.exponential(1.0), 100),
+    ])
+    def test_recommended_levels_pinned(self, prior, level):
+        assert admissible_truncation(prior) == level
+
     def test_zero_functional_trivially_admissible(self):
         L = LinearFunctional.from_coefficients(np.zeros(50))
         assert check_admissible(L, PriorSpec.polynomial(0.5)) == 0.0

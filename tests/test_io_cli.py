@@ -388,6 +388,27 @@ class TestCli:
         assert digests[0] == digests[1]
         capsys.readouterr()
 
+    def test_exponential_prior_rejects_tau(self, tmp_path, capsys):
+        """The exponential family has no scale: --tau other than 1 exits 2
+        instead of running with tau = 1 under a manifest that says 3."""
+        out = str(tmp_path / "risk.csv")
+        argv = ["risk", "--prior", "exp", "--n", "1e4", "--reps", "10",
+                "--out", out]
+        assert main(argv + ["--tau", "3"]) == EXIT_CONFIG
+        assert "tau" in capsys.readouterr().err
+        assert not os.path.exists(out)
+        assert main(argv) == EXIT_OK
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_64_bits_rejected(self, tmp_path, capsys, seed):
+        """Seeds are not reduced modulo 2^64, so -1 cannot alias 2^64 - 1."""
+        out = str(tmp_path / "obs.csv")
+        assert main(["simulate", "--seed", seed, "--out", out]) == EXIT_CONFIG
+        assert seed in capsys.readouterr().err
+        assert not os.path.exists(out)
+        code = main(["simulate", "--seed", str(2**64 - 1), "--out", out])
+        assert code == EXIT_OK
+
     def test_io_error_exit_code(self, tmp_path):
         target = str(tmp_path / "missing_dir" / "x.csv")
         assert main(["simulate", "--n", "1e3", "--out", target]) == EXIT_IO

@@ -19,6 +19,7 @@ from heatbayes import (
     true_signal_function,
 )
 from heatbayes.posterior import PosteriorSummary, posterior_mean_function
+from heatbayes.rng import substream
 from heatbayes.sequence import (
     basis_matrix,
     bin_range,
@@ -221,6 +222,20 @@ class TestSimulateObservations:
         kap = heat_eigenvalues(0.1, 20)
         with pytest.raises(ValueError):
             simulate_observations(mu0, kap, 1.0, seed=0)
+
+
+class TestStreams:
+    def test_stream_values_pinned(self):
+        z = substream(7, "obs", 0).standard_normal(3)
+        assert z.tolist() == [0.7445912798376522, 0.6012494427054094,
+                              -0.7965623277820124]
+
+    @pytest.mark.parametrize("part", [-1, 2**64, np.int64(-3)])
+    def test_key_parts_outside_64_bits_rejected(self, part):
+        with pytest.raises(ValueError, match=str(part)):
+            substream(part)
+        with pytest.raises(ValueError, match=str(part)):
+            substream(0, "obs", part)
 
 
 class TestSobolevNorm:

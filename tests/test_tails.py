@@ -12,6 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import zeta as hurwitz_zeta
 from scipy.stats import norm
 from oracles import (
     grid_curves_reference,
@@ -123,6 +124,18 @@ def test_power_sums_against_direct_bins(s):
             got = power_sums(s, first, last, period)
             _assert_rel(got, residue_bins_reference(terms, period), 1e-12)
 
+
+
+@pytest.mark.parametrize("s", [1.001, 1.5, 2.0, 3.0, 7.0, 21.0])
+def test_power_sums_to_infinity_against_hurwitz_zeta(s):
+    """An infinite end sums residue r to P^-s zeta(s, i_r / P)."""
+    for first in (1, 17, 28, 10**6):
+        for period in (1, 2, 40):
+            lo = first + (np.arange(period) - first) % period
+            want = hurwitz_zeta(s, lo / period) * period ** -s
+            _assert_rel(power_sums(s, first, math.inf, period), want, 1e-14)
+    with pytest.raises(ValueError):
+        power_sums(s, 1, math.inf)
 
 def test_truth_sums_against_direct_bins():
     """Every truth's sums; the cubic's need an even period (the 2M of a grid
