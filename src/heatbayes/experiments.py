@@ -149,6 +149,8 @@ class ExperimentConfig:
             raise ValueError("all n in the grid must be positive and finite")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
+        if self.x_grid_points < 2:
+            raise ValueError("x_grid_points must be at least 2")
 
     def truncation_for(self, n: float, prior_n: PriorSpec) -> int:
         if self.trunc is not None:

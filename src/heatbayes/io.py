@@ -1,7 +1,10 @@
 """Dataset serialization and run manifests.
 
-Datasets are CSV with a header row, UTF-8, LF line endings.  A cell that
-is a str is written verbatim, a non-bool int as str(value), and anything
+Datasets are CSV with a header row, UTF-8, LF line endings, and as many
+cells in every row as the header has columns.  A column name must hold no
+",", "\n" or "\r".  A cell that is a str is written verbatim and must
+hold no "\n" or "\r" (a "," is let through: the lemma suite's labels
+carry one); a non-bool int is written as str(value), and anything
 else as "%.17g" % value, i.e. format(float(value), ".17g"): 17 significant
 digits, so a reparse reproduces every float bit-exactly (numpy scalars,
 bools, nan, +-inf and -0.0 included).  Every CLI run that writes files also
@@ -27,22 +30,40 @@ def _cell_format(value) -> str:
     return "%.17g"
 
 
+def _check_text(text: str, where: str, separators: str) -> None:
+    if any(c in text for c in separators):
+        raise ValueError(f"{where} holds a CSV separator: {text!r}")
+
+
 def write_dataset(table, path) -> str:
     """Write (columns, rows) or an object exposing to_table(); returns the
-    sha256 checksum of the written bytes."""
+    sha256 checksum of the written bytes.  A row whose length differs from
+    the header's, or a separator in a column name or a line break in a str
+    cell, raises ValueError naming the row or the column."""
     if hasattr(table, "to_table"):
         columns, rows = table.to_table()
     else:
         columns, rows = table
-    lines = [",".join(str(c) for c in columns)]
-    # one printf template per row type signature: a table has few of them
+    columns = [str(c) for c in columns]
+    for c in columns:
+        _check_text(c, f"column name {c!r}", ",\n\r")
+    lines = [",".join(columns)]
+    # one printf template per row type signature: a table has few of them;
+    # with it, the positions of its str cells
     templates = {}
-    for row in rows:
+    for r, row in enumerate(rows):
         row = tuple(row)
+        if len(row) != len(columns):
+            raise ValueError(f"row {r} has {len(row)} cells, the header "
+                             f"{len(columns)} columns")
         key = tuple(map(type, row))
-        template = templates.get(key)
-        if template is None:
-            template = templates[key] = ",".join(map(_cell_format, row))
+        if key not in templates:
+            templates[key] = (",".join(map(_cell_format, row)),
+                              [j for j, v in enumerate(row)
+                               if isinstance(v, str)])
+        template, texts = templates[key]
+        for j in texts:
+            _check_text(row[j], f"row {r}, column {columns[j]!r}", "\n\r")
         lines.append(template % row)
     payload = ("\n".join(lines) + "\n").encode("utf-8")
     try:

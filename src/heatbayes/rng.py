@@ -9,11 +9,23 @@ execution order.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 # Draw-block size for Monte Carlo loops; fixed so that the blocked stream
 # layout (and hence every sampled value) is independent of worker count.
 BLOCK = 65536
+
+
+@functools.lru_cache(maxsize=64)
+def _fnv1a(part: str) -> int:
+    # stable 64-bit FNV-1a; hash() is salted per process, unusable here.
+    # Stream keys use a handful of names, so each is hashed once.
+    h = 0xCBF29CE484222325
+    for b in part.encode("utf-8"):
+        h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return h
 
 
 def _encode(part) -> int:
@@ -22,11 +34,7 @@ def _encode(part) -> int:
             raise ValueError(f"stream key part {part} lies outside [0, 2**64)")
         return int(part)
     if isinstance(part, str):
-        # stable 64-bit FNV-1a; hash() is salted per process, unusable here
-        h = 0xCBF29CE484222325
-        for b in part.encode("utf-8"):
-            h = ((h ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-        return h
+        return _fnv1a(part)
     raise TypeError(f"stream path parts must be int or str, got {part!r}")
 
 

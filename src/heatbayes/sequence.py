@@ -19,6 +19,7 @@ one residue binning of explicit terms, for the head and the tail alike.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -293,7 +294,8 @@ class AliasingFold:
     coefficients sum_i c_i e_i(x_k) = (table @ bin_range(1, c, 2M))[k], with
     table[k, r] = sqrt(2) sin(pi (r k mod 2M)/M) gathered from 2M sine values
     at exact integer residues, so that its rows at x = 0 and x = 1 are exact
-    zeros.
+    zeros.  `square` is table * table, the basis squared for variances.
+    Both are read-only: GridSynthesis shares one fold per M (`_shared_fold`).
     """
 
     def __init__(self, m: int):
@@ -301,6 +303,16 @@ class AliasingFold:
         r = np.arange(self.period)
         values = math.sqrt(2.0) * sinpi(r / m)
         self.table = values[np.outer(np.arange(m + 1), r) % self.period]
+        self.square = self.table * self.table
+        self.table.setflags(write=False)
+        self.square.setflags(write=False)
+
+
+@functools.lru_cache(maxsize=4)
+def _shared_fold(m: int) -> AliasingFold:
+    """The fold of M, built once for the few grid sizes in use; table and
+    square hold 32 (M + 1) M bytes, 1.3 MB at M = 200."""
+    return AliasingFold(m)
 
 
 class GridSynthesis:
@@ -309,15 +321,16 @@ class GridSynthesis:
 
     On the grid linspace(0, 1, M + 1) the coefficients fold exactly onto
     their 2M residue bins (bin_range) and a series is the sine table of
-    AliasingFold times its bins; on other grids the bins are the
-    coefficients themselves and the series is summed over blocks of _CHUNK
-    basis columns.
+    AliasingFold times its bins; that fold, table and square, is built
+    once per M and shared read-only by every synthesis on the grid.  On
+    other grids the bins are the coefficients themselves and the series is
+    summed over blocks of _CHUNK basis columns.
     """
 
     def __init__(self, x_grid):
         self.x = _grid(x_grid)
         m = self.x.size - 1
-        self.fold = (AliasingFold(m) if m > 0 and np.array_equal(
+        self.fold = (_shared_fold(m) if m > 0 and np.array_equal(
             self.x, np.linspace(0.0, 1.0, m + 1)) else None)
         # the period of the bins: 2M on the uniform grid, else None
         self.period = None if self.fold is None else self.fold.period
@@ -335,9 +348,9 @@ class GridSynthesis:
         variances, E the basis on the grid; the second is None without
         variances."""
         if self.fold is not None:
-            t = self.fold.table
-            return t @ columns, (None if variances is None
-                                 else (t * t) @ variances)
+            fold = self.fold
+            return fold.table @ columns, (None if variances is None
+                                          else fold.square @ variances)
         nn = columns.shape[0]
         out = np.zeros((self.x.size, columns.shape[1]))
         s2 = None if variances is None else np.zeros(self.x.size)

@@ -288,14 +288,63 @@ def dataset_bytes_reference(columns, rows) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def polyline_reference(frame, x, y, stroke, width=1.5, dashed=False) -> str:
-    """An SVG polyline with each pixel coordinate formatted on its own as
-    format(v, ".2f")."""
-    pts = " ".join(f"{format(a, '.2f')},{format(b, '.2f')}"
-                   for a, b in zip(frame.px(x), frame.py(y)))
-    dash = ' stroke-dasharray="4,3"' if dashed else ""
-    return (f'<polyline fill="none" stroke="{stroke}" '
-            f'stroke-width="{width}"{dash} points="{pts}"/>')
+def svg_bytes_reference(panel) -> bytes:
+    """The SVG file of a panel, curve by curve, with each pixel coordinate
+    formatted on its own as format(v, ".2f")."""
+    from heatbayes.svg import HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, \
+        MARGIN_T, WIDTH, _Frame
+
+    def f2(v):
+        return format(v, ".2f")
+
+    x = np.asarray(panel.x, dtype=float)
+    series = [panel.truth, panel.post_mean, panel.lower, panel.upper,
+              panel.draw_curves]
+    allv = np.concatenate([np.asarray(s, dtype=float).ravel() for s in series])
+    frame = _Frame(x, float(allv.min()), float(allv.max()))
+
+    def polyline(y, stroke, width, dashed=False):
+        pts = " ".join(f"{f2(a)},{f2(b)}"
+                       for a, b in zip(frame.px(x), frame.py(y)))
+        dash = ' stroke-dasharray="4,3"' if dashed else ""
+        return (f'<polyline fill="none" stroke="{stroke}" '
+                f'stroke-width="{width}"{dash} points="{pts}"/>')
+
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<rect x="{MARGIN_L}" y="{MARGIN_T}" '
+        f'width="{WIDTH - MARGIN_L - MARGIN_R}" '
+        f'height="{HEIGHT - MARGIN_T - MARGIN_B}" '
+        'fill="none" stroke="#888" stroke-width="1"/>',
+    ]
+    parts += [polyline(d, "#999999", 0.8, dashed=True)
+              for d in panel.draw_curves]
+    parts += [polyline(panel.lower, "#117733", 1.5),
+              polyline(panel.upper, "#117733", 1.5),
+              polyline(panel.post_mean, "#cc2222", 1.5),
+              polyline(panel.truth, "#000000", 1.8)]
+    for tick in (0.0, 0.5, 1.0):
+        tx = f2(float(frame.px(tick)))
+        parts.append(f'<line x1="{tx}" y1="{HEIGHT - MARGIN_B}" x2="{tx}" '
+                     f'y2="{HEIGHT - MARGIN_B + 5}" stroke="#000" '
+                     'stroke-width="1"/>')
+        parts.append(f'<text x="{tx}" y="{HEIGHT - MARGIN_B + 18}" '
+                     'font-family="monospace" font-size="11" '
+                     f'text-anchor="middle">{tick:g}</text>')
+    for yv in (frame.y0, frame.y1):
+        ty = f2(float(frame.py(yv)) + 4)
+        parts.append(f'<text x="{MARGIN_L - 6}" y="{ty}" '
+                     'font-family="monospace" font-size="11" '
+                     f'text-anchor="end">{f2(yv)}</text>')
+    if panel.label:
+        parts.append(f'<text x="{MARGIN_L + 6}" y="{MARGIN_T + 14}" '
+                     f'font-family="monospace" font-size="11">'
+                     f'{panel.label}</text>')
+    parts.append("</svg>")
+    return ("\n".join(parts) + "\n").encode("utf-8")
 
 
 def crossover_index_lambertw(N, u, p):

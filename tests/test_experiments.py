@@ -192,6 +192,12 @@ class TestSufficientStatistics:
             ExperimentConfig(prior=PriorSpec.exponential(1.0),
                              n_grid=(1e3, math.inf))
 
+    @pytest.mark.parametrize("points", [-1, 0, 1])
+    def test_grid_below_two_points_rejected(self, points):
+        with pytest.raises(ValueError, match="x_grid_points"):
+            ExperimentConfig(prior=PriorSpec.exponential(1.0), n_grid=(1e3,),
+                             x_grid_points=points)
+
 
 class TestIntervalCoverage:
     def test_self_consistency_small(self):

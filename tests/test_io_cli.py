@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import dataset_bytes_reference, polyline_reference
+from oracles import dataset_bytes_reference, svg_bytes_reference
 
 from heatbayes.cli import (
     COMMANDS,
@@ -82,6 +82,28 @@ class TestWriteDataset:
         expected = dataset_bytes_reference(columns, rows)
         assert path.read_bytes() == expected
         assert checksum == hashlib.sha256(expected).hexdigest()
+
+    @pytest.mark.parametrize("rows,where", [
+        ([(1.0,), (1.0, 2.0)], "row 0"),
+        ([(1.0, 2.0), (1.0, 2.0, 3.0)], "row 1"),
+        ([(1.0, 2.0), ("x", "a\nb")], "row 1, column 'b'"),
+        ([("cr\r", 1.0)], "row 0, column 'a'"),
+    ])
+    def test_malformed_rows_rejected(self, tmp_path, rows, where):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError, match=where):
+            write_dataset((("a", "b"), rows), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb"])
+    def test_separator_in_column_name_rejected(self, tmp_path, name):
+        with pytest.raises(ValueError, match="column"):
+            write_dataset((("x", name), [(1.0, 2.0)]), tmp_path / "c.csv")
+
+    def test_empty_string_cells_kept(self, tmp_path):
+        path = tmp_path / "e.csv"
+        write_dataset((("a", "b"), [("", 1.0), ("s", "")]), path)
+        assert path.read_bytes() == b"a,b\n,1\ns,\n"
 
     def test_panel_bytes_match_oracle(self, tmp_path):
         from heatbayes import ExperimentConfig, PanelSpec, PriorSpec, render_panel
@@ -186,15 +208,49 @@ class TestSvg:
                          lower=y * 0.5, upper=y, draw_curves=np.vstack([y, x]))
 
     @pytest.mark.parametrize("which", ["draws", "no-draws", "ties"])
-    def test_bytes_match_per_point_oracle(self, tmp_path, monkeypatch, which):
-        from heatbayes import svg
+    def test_bytes_match_per_point_oracle(self, tmp_path, which):
+        from heatbayes.svg import render_static_plot
         panel = (self._tie_panel() if which == "ties"
                  else self._panel(draws=3 if which == "draws" else 0))
-        c1 = svg.render_static_plot(panel, tmp_path / "a.svg")
-        monkeypatch.setattr(svg, "_polyline", polyline_reference)
-        c2 = svg.render_static_plot(panel, tmp_path / "b.svg")
-        assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
-        assert c1 == c2
+        checksum = render_static_plot(panel, tmp_path / "a.svg")
+        expected = svg_bytes_reference(panel)
+        assert (tmp_path / "a.svg").read_bytes() == expected
+        assert checksum == hashlib.sha256(expected).hexdigest()
+
+    def test_points_kernel_matches_format(self):
+        from heatbayes.svg import _points
+        rng = np.random.default_rng(5)
+        k = np.arange(400_000, dtype=float)
+        values = np.concatenate([
+            10.0 ** rng.uniform(0.0, 6.0, 100_000) * 0.999999,
+            k / 200,  # every tie, exact in binary or not
+            k / 200 + 1e-12, np.abs(k / 200 - 1e-12),
+            [0.0, 999999.99, 9.995, 99.995, 999.995, 9999.995, 99999.995,
+             999999.995, 0.005, 0.995, 9.994999999999999, 1e6 - 1e-10,
+             1.0, 0.01, 0.125, 1e5]])
+        xy = values.reshape(-1, 4, 2)
+        expected = [" ".join(f"{format(a, '.2f')},{format(b, '.2f')}"
+                             for a, b in row) for row in xy]
+        assert _points(xy) == expected
+
+    @pytest.mark.parametrize("bad", [-0.01, -0.0, 1e6, float("nan"),
+                                     float("inf")])
+    def test_points_kernel_rejects_outside_domain(self, bad):
+        from heatbayes.svg import _points
+        xy = np.array([[[1.0, 2.0], [bad, 3.0]]])
+        with pytest.raises(ValueError, match="pixel coordinates"):
+            _points(xy)
+
+    @pytest.mark.parametrize("x", [[0.5], [0.3, 0.3, 0.3]])
+    def test_zero_x_span_rejected(self, tmp_path, x):
+        from heatbayes.experiments import PanelData
+        from heatbayes.svg import render_static_plot
+        x = np.array(x)
+        panel = PanelData(label="", x=x, truth=x, post_mean=x, lower=x,
+                          upper=x, draw_curves=np.zeros((0, x.size)))
+        with pytest.raises(ValueError, match="x values"):
+            render_static_plot(panel, tmp_path / "z.svg")
+        assert not (tmp_path / "z.svg").exists()
 
 
 class TestCli:

@@ -19,8 +19,11 @@ from heatbayes import (
     true_signal_function,
 )
 from heatbayes.posterior import PosteriorSummary, posterior_mean_function
-from heatbayes.rng import substream
+from heatbayes.rng import _encode, substream
 from heatbayes.sequence import (
+    AliasingFold,
+    GridSynthesis,
+    _shared_fold,
     basis_matrix,
     bin_range,
     default_truncation,
@@ -230,6 +233,12 @@ class TestStreams:
         assert z.tolist() == [0.7445912798376522, 0.6012494427054094,
                               -0.7965623277820124]
 
+    def test_string_keys_pinned(self):
+        assert _encode("panel") == 6829252156396663685
+        assert _encode("draw") == 17402091920879547283
+        assert _encode("obs") == 1887465748648775877
+        assert _encode(np.str_("obs")) == 1887465748648775877
+
     @pytest.mark.parametrize("part", [-1, 2**64, np.int64(-3)])
     def test_key_parts_outside_64_bits_rejected(self, part):
         with pytest.raises(ValueError, match=str(part)):
@@ -338,6 +347,38 @@ class TestGridSynthesis:
             tracemalloc.stop()
         assert peak < 50e6
         assert curve[0] == 0.0 and curve[-1] == 0.0
+
+
+class TestSharedFold:
+    """GridSynthesis takes one read-only fold per grid size."""
+
+    def test_same_m_same_fold(self):
+        a = GridSynthesis(np.linspace(0.0, 1.0, 201)).fold
+        assert a is GridSynthesis(np.linspace(0.0, 1.0, 201)).fold
+        assert a is _shared_fold(200)
+
+    def test_tables_read_only(self):
+        fold = _shared_fold(20)
+        for table in (fold.table, fold.square):
+            with pytest.raises(ValueError):
+                table[1, 1] = 0.0
+        with pytest.raises(ValueError):
+            fold.table += 1.0
+
+    @pytest.mark.parametrize("m", [1, 20, 200])
+    def test_curves_match_fresh_fold(self, m):
+        syn = GridSynthesis(np.linspace(0.0, 1.0, m + 1))
+        rng = np.random.default_rng(m)
+        columns = rng.standard_normal((2 * m, 3))
+        variances = rng.random(2 * m)
+        fresh = AliasingFold(m).table
+        got_curves, got_s2 = syn.curves(columns, variances)
+        assert np.array_equal(got_curves, fresh @ columns)
+        assert np.array_equal(got_s2, (fresh * fresh) @ variances)
+
+    def test_cache_bounded(self):
+        maxsize = _shared_fold.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 8
 
 
 class TestBinRange:
