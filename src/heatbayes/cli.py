@@ -67,7 +67,17 @@ _NAN_OK = {"radius_freq", "radius_ratio", "residual", "exact", "predicted"}
 
 def _ensure_finite(columns, rows) -> None:
     """Raise NumericFailure at the first non-finite number, column by column,
-    outside the _NAN_OK columns; strings are skipped."""
+    outside the _NAN_OK columns; strings are skipped.  rows may be a float
+    matrix."""
+    if isinstance(rows, np.ndarray):
+        checked = np.array([name not in _NAN_OK for name in columns])
+        bad = ~np.isfinite(rows) & checked
+        if bad.any():
+            c = np.flatnonzero(bad.any(axis=0))[0]
+            r = np.flatnonzero(bad[:, c])[0]
+            raise NumericFailure(f"non-finite value in column "
+                                 f"{columns[c]!r}: {float(rows[r, c])!r}")
+        return
     for name, cells in zip(columns, zip(*rows)):
         if name in _NAN_OK:
             continue
@@ -154,8 +164,8 @@ class _Options:
         tables = []
         for path, table in outputs:
             if not path.endswith(".svg"):
-                if hasattr(table, "to_table"):
-                    table = table.to_table()
+                if hasattr(table, "to_matrix"):
+                    table = table.to_matrix()
                 _ensure_finite(*table)
             tables.append((path, table))
         for path, table in tables:
@@ -279,8 +289,8 @@ def _cmd_posterior(opt: _Options) -> int:
     out = opt.get("out")
     fn_out = _stem(out) + "_mean.csv"
     opt.emit([(out, (("i", "y", "mean", "variance", "shrink_var"), rows)),
-              (fn_out, (("x", "post_mean"),
-                        list(zip(x, posterior_mean_function(summary, x)))))])
+              (fn_out, (("x", "post_mean"), np.column_stack(
+                  [x, posterior_mean_function(summary, x)])))])
     print(f"wrote {out} and {fn_out}")
     return EXIT_OK
 

@@ -334,12 +334,19 @@ class PanelData:
         inside = (self.truth >= self.lower) & (self.truth <= self.upper)
         return float(inside.mean())
 
-    def to_table(self) -> tuple[tuple, list]:
+    def to_matrix(self) -> tuple[tuple, np.ndarray]:
+        """The column names and the (points, 5 + draws) float matrix of x,
+        truth, post_mean, lower, upper and the draws, one row a point."""
         cols = ["x", "truth", "post_mean", "lower", "upper"]
         cols += [f"draw_{j + 1:02d}" for j in range(self.draw_curves.shape[0])]
-        table = np.column_stack([self.x, self.truth, self.post_mean,
-                                 self.lower, self.upper, self.draw_curves.T])
-        return tuple(cols), list(map(tuple, table.tolist()))
+        return tuple(cols), np.column_stack([
+            self.x, self.truth, self.post_mean, self.lower, self.upper,
+            self.draw_curves.T])
+
+    def to_table(self) -> tuple[tuple, list]:
+        """to_matrix() with each row a tuple of Python floats."""
+        cols, matrix = self.to_matrix()
+        return cols, list(map(tuple, matrix.tolist()))
 
 
 def render_panel(cfg: ExperimentConfig, spec: PanelSpec) -> PanelData:

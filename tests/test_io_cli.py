@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -121,6 +122,122 @@ class TestWriteDataset:
                      for k in range(panel.x.size)]
         assert dataset_bytes_reference(columns, rows) == \
             dataset_bytes_reference(columns, reference)
+
+
+def _check_matrix(matrix, tmp_path) -> None:
+    """write_dataset on a float matrix writes, and checksums, the bytes of
+    the cell-by-cell reference."""
+    columns = tuple(f"c{j}" for j in range(matrix.shape[1]))
+    path = tmp_path / "m.csv"
+    checksum = write_dataset((columns, matrix), path)
+    expected = dataset_bytes_reference(columns, matrix)
+    assert path.read_bytes() == expected
+    assert checksum == hashlib.sha256(expected).hexdigest()
+
+
+class TestMatrixKernel:
+    """write_dataset on (columns, float matrix) against format(v, ".17g")
+    cell by cell."""
+
+    def test_random_bit_patterns(self, tmp_path):
+        rng = np.random.default_rng(11)
+        bits = rng.integers(0, 2**64, size=(40_000, 5), dtype=np.uint64)
+        matrix = bits.view(np.float64)  # subnormals, nan and inf among them
+        _check_matrix(matrix, tmp_path)
+
+    def test_every_decade_of_the_fixed_range(self, tmp_path):
+        rng = np.random.default_rng(12)
+        matrix = (10.0 ** rng.uniform(-5.0, 18.0, size=(20_000, 4))
+                  * rng.choice([-1.0, 1.0], size=(20_000, 4)))
+        _check_matrix(matrix, tmp_path)
+
+    def test_exact_decimal_ties(self, tmp_path):
+        # j / 2^m is exactly j 5^m / 10^m: with j odd and j 5^m of 18 digits
+        # it lies halfway between two 17-digit decimals, and "%.17g"
+        # rounds it half to even
+        rng = np.random.default_rng(13)
+        ties = []
+        for m in range(70):
+            low, high = -(-10**17 // 5**m), min(10**18 // 5**m, 2**53)
+            for j in rng.integers(low, high, size=400) if low < high else ():
+                j = int(j) | 1
+                if len(str(j * 5**m)) == 18:
+                    ties.append(j / 2**m)
+        assert len(ties) > 8000
+        small = [j / 2**m for m in range(70) for j in range(1, 200, 2)]
+        matrix = np.array(ties + small).reshape(-1, 1)
+        _check_matrix(matrix, tmp_path)
+
+    def test_boundaries_and_special_values(self, tmp_path):
+        powers = [10.0**k for k in range(-5, 19)]
+        values = [1e-4, np.nextafter(1e-4, 0.0), 1e16, 1e17,
+                  99999999999999999.0, np.nextafter(1e17, 0.0),
+                  0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324,
+                  np.finfo(float).max, np.finfo(float).tiny, 0.5, 1.0, 9.5]
+        values += powers + [np.nextafter(p, 0.0) for p in powers]
+        values += [np.nextafter(p, np.inf) for p in powers]
+        values = np.array(values + [-v for v in values])
+        matrix = values.reshape(-1, 2)
+        _check_matrix(matrix, tmp_path)
+        _check_matrix(values[:, None], tmp_path)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_narrow_float_input(self, tmp_path, dtype):
+        rng = np.random.default_rng(14)
+        matrix = (rng.standard_normal((500, 3))
+                  * 10.0 ** rng.integers(-6, 4, size=(500, 3))).astype(dtype)
+        _check_matrix(matrix, tmp_path)
+
+    def test_read_dataset_round_trip_bitwise(self, tmp_path):
+        rng = np.random.default_rng(15)
+        matrix = rng.integers(0, 2**64, size=(5000, 3),
+                              dtype=np.uint64).view(np.float64)
+        matrix[np.isnan(matrix)] = -0.0
+        path = tmp_path / "r.csv"
+        write_dataset((("a", "b", "c"), matrix), path)
+        columns, rows = read_dataset(path)
+        assert columns == ["a", "b", "c"]
+        back = np.array(rows, dtype=np.float64)
+        assert np.array_equal(back.view(np.uint64), matrix.view(np.uint64))
+
+    def test_empty_matrix_writes_header_alone(self, tmp_path):
+        path = tmp_path / "e.csv"
+        write_dataset((("x", "y"), np.empty((0, 2))), path)
+        assert path.read_bytes() == b"x,y\n"
+
+    @pytest.mark.parametrize("matrix,columns", [
+        (np.ones(3), ("a", "b", "c")),
+        (np.ones((2, 3, 1)), ("a", "b", "c")),
+        (np.ones((2, 3)), ("a", "b")),
+        (np.ones((2, 0)), ()),
+    ])
+    def test_misshapen_matrix_rejected(self, tmp_path, matrix, columns):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError, match=re.escape(str(matrix.shape))):
+            write_dataset((columns, matrix), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("matrix", [
+        np.ones((2, 2), dtype=np.int64), np.ones((2, 2), dtype=bool),
+        np.ones((2, 2), dtype=object), np.ones((2, 2), dtype=complex)])
+    def test_non_floating_matrix_rejected(self, tmp_path, matrix):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError, match=str(matrix.dtype)):
+            write_dataset((("a", "b"), matrix), path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("points,draws", [
+        (2, 3), (21, 20), (201, 20), (57, 0)])
+    def test_panel_bytes_match_oracle(self, tmp_path, points, draws):
+        from heatbayes import ExperimentConfig, PanelSpec, PriorSpec, render_panel
+        cfg = ExperimentConfig(prior=PriorSpec.exponential(1.0), n_grid=(1e4,),
+                               seed=5, x_grid_points=points)
+        panel = render_panel(cfg, PanelSpec(prior=cfg.prior, n=1e4,
+                                            data_stream=1, draws=draws))
+        checksum = write_dataset(panel, tmp_path / "p.csv")
+        expected = dataset_bytes_reference(*panel.to_table())
+        assert (tmp_path / "p.csv").read_bytes() == expected
+        assert checksum == hashlib.sha256(expected).hexdigest()
 
 
 class TestManifest:
@@ -627,3 +744,56 @@ class TestEnsureFinite:
         with pytest.raises(NumericFailure, match=r"column 'v': inf"):
             _ensure_finite(("v",), [("", ), (1.0,), (float("inf"),)])
         _ensure_finite(("a",), [])
+
+    def test_matrix_names_first_bad_column_and_value(self):
+        from heatbayes.cli import NumericFailure, _ensure_finite
+        columns = ("x", "radius_freq", "a", "b")
+        matrix = np.array([[0.0, np.nan, 1.0, -np.inf],
+                           [1.0, 2.0, np.nan, np.inf],
+                           [2.0, 3.0, 4.0, 5.0]])
+        with pytest.raises(NumericFailure, match=r"column 'a': nan$"):
+            _ensure_finite(columns, matrix)
+        with pytest.raises(NumericFailure, match=r"column 'b': -inf$"):
+            _ensure_finite(columns, matrix[[0, 2]])
+        # allowed-missing columns and empty matrices pass
+        _ensure_finite(columns, matrix[[2]])
+        _ensure_finite(("radius_freq",), np.array([[np.nan]]))
+        _ensure_finite(("a",), np.empty((0, 1)))
+
+    def test_emit_checks_panels_before_writing(self, tmp_path, monkeypatch):
+        from heatbayes import cli
+        from heatbayes.experiments import render_panel as real
+
+        def broken(cfg, spec):
+            panel = real(cfg, spec)
+            panel.upper[3] = np.inf
+            return panel
+
+        monkeypatch.setattr(cli, "render_panel", broken)
+        out = tmp_path / "b.csv"
+        assert main(["bands", "--grid", "11", "--out", str(out)]) == \
+            EXIT_NUMERIC
+        assert os.listdir(tmp_path) == []
+
+
+def test_figures_csv_match_oracle(tmp_path, capsys):
+    """heatbayes figures writes each panel's CSV as the cell-by-cell
+    reference formats it, and records the checksum of what it wrote."""
+    from heatbayes import ExperimentConfig, render_panel
+    from heatbayes.experiments import FIGURE_PROTOCOLS
+    out = tmp_path / "figs"
+    assert main(["figures", "--fig", "fig1", "--grid", "57",
+                 "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    recorded = {os.path.basename(o["path"]): o["sha256"]
+                for o in manifest["outputs"]}
+    specs = FIGURE_PROTOCOLS["fig1"]()
+    assert len(recorded) == 2 * len(specs)
+    for spec in specs:
+        cfg = ExperimentConfig(prior=spec.prior, n_grid=(spec.n,), gamma=0.05,
+                               replications=1, seed=0, x_grid_points=57)
+        panel = render_panel(cfg, spec)
+        name = f"fig1_{panel.label}.csv"
+        expected = dataset_bytes_reference(*panel.to_table())
+        assert (out / name).read_bytes() == expected
+        assert recorded[name] == hashlib.sha256(expected).hexdigest()
