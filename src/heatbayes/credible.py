@@ -13,7 +13,11 @@ law of the form, found by safeguarded Newton steps on its density:
   L(s) = prod (1 + 2 w_i s)^(-1/2), is inverted by the Fourier series of
   Abate & Whitt (1995) with Euler summation.  The discretisation error is
   at most e^-A / (1 - e^-A); the Euler sum's own error is estimated by
-  the change from one more term, and twice their sum is reported.
+  the change from one more term, and twice their sum is reported.  Newton
+  starts from Wilson & Hilferty's cube-root normal quantile of the gamma
+  law with the form's first two moments (Satterthwaite), floored by the
+  chi-square_1 quantile of the largest weight and by the gamma's
+  lower-tail bound.
 * forms with a bias, sum (b_i + sqrt(v_i) Z_i)^2 (the frequentist
   radius): the Gil-Pelaez integral of the characteristic function of the
   form, centred at its mean and scaled to unit sd, is summed at midpoints
@@ -24,7 +28,14 @@ law of the form, found by safeguarded Newton steps on its density:
   sum at a tail bounded through E1(y) < e^-y log(1 + 1/y) (Abramowitz &
   Stegun 5.1.20), and leaves an error of about
   (sigma^4 / 8) f'''(x), which is estimated from the same sum.  The
-  characteristic function is evaluated once per form.
+  characteristic function is evaluated once per form, and the sum stops
+  at the exact node where the tail bound first holds; the bound falls
+  monotonically there, as |phi| does not increase.  On a grid over the
+  aliasing period the whole sum is one zero-padded FFT, and Newton starts
+  from its interpolated crossing of the level: two or three evaluations
+  of the law then suffice.  The error bound also counts the rounding of
+  the form's mean and of x minus it, which moves the law as a shift of x
+  would.
 
 The Laplace-Euler series fails on forms with a large noncentrality, whose
 terms keep oscillating, and the midpoint sum needs many nodes on central
@@ -34,13 +45,16 @@ for central forms), as in the Monte Carlo sampler `_form_draws`, which
 draws the squared errors of the ball coverage and risk experiments.
 Each quantile carries a bound on its absolute numerical error: the
 inversion's probability error divided by the density, plus the distance
-of the last iterate from the root.
+of the last iterate from the root.  The inversion stops once that
+probability error covers |F(x) - p|, or once the Newton step is below the
+resolution eps x of x.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -151,16 +165,17 @@ def _form_draws(var: np.ndarray, bias: np.ndarray | None, mc_draws: int,
 
 
 def _coordinate_sum(term, nodes: np.ndarray, *coords: np.ndarray) -> np.ndarray:
-    """sum_i term(nodes[:, None], coords_i[None, :]) in bounded blocks."""
+    """sum over all coordinates of term(nodes[:, None], coords[None, :]), in
+    bounded blocks; term returns the sum over its block's coordinates, and
+    may stack several such sums in front of the nodes."""
     cols = min(coords[0].size, _CELLS)
     rows = max(1, _CELLS // cols)
-    out = None
+    out = []
     for r in range(0, nodes.size, rows):
         node = nodes[r:r + rows, None]
-        part = sum(term(node, *(c[k:k + cols] for c in coords)).sum(axis=1)
-                   for k in range(0, coords[0].size, cols))
-        out = part if out is None else np.concatenate((out, part))
-    return out
+        out.append(sum(term(node, *(c[k:k + cols] for c in coords))
+                       for k in range(0, coords[0].size, cols)))
+    return np.concatenate(out, axis=-1)
 
 
 def _euler_law(w: np.ndarray):
@@ -184,8 +199,8 @@ def _euler_law(w: np.ndarray):
 
     def law(x):
         s = (_EULER_A + 2j * math.pi * k) / (2.0 * x)
-        lt = np.exp(-0.5 * _coordinate_sum(lambda s, w: np.log1p(2.0 * s * w),
-                                           s, w))
+        lt = np.exp(-0.5 * _coordinate_sum(
+            lambda s, w: np.log1p(2.0 * s * w).sum(axis=1), s, w))
         scale = sign * math.exp(0.5 * _EULER_A) / x
         cdf, cdf_err = euler(scale * (lt / s).real)
         pdf, _ = euler(scale * lt.real)
@@ -196,16 +211,18 @@ def _euler_law(w: np.ndarray):
 
 
 def _davies_law(v: np.ndarray, b2: np.ndarray):
-    """(law, mean, lo, hi) for the form sum (b_i + sqrt(v_i) Z_i)^2, with
+    """(law, start, lo, hi) for the form sum (b_i + sqrt(v_i) Z_i)^2, with
     b2 the squared biases: law(x) = (F(x), f(x), bound on |error of F|),
-    and outside [lo, hi] each tail of the form holds at most _TAIL.
+    start(p) is near the root of F(x) = p, and outside [lo, hi] each tail
+    of the form holds at most _TAIL.
 
     On the form centred and scaled to unit sd,
     F(x) = 1/2 - (1/pi) int_0^inf Im[phi(u) e^{-iux}] / u du is summed at
     the midpoints u_k = (k + 1/2) delta, with the period 2 pi / delta just
     above hi - lo so that the aliased mass lies in the tails.
     """
-    centre = compensated_sum(v) + compensated_sum(b2)
+    # correctly rounded: the law charges its rounding to the error below
+    centre = math.fsum(np.concatenate((v, b2)).tolist())
     sd = math.sqrt(2.0 * compensated_sum(v * v) + 4.0 * compensated_sum(v * b2))
     v, b2, mean = v / sd, b2 / sd, centre / sd
 
@@ -214,7 +231,8 @@ def _davies_law(v: np.ndarray, b2: np.ndarray):
         # mean taken out analytically: subtracting s * mean from the
         # cumulant would cancel where mean / sd exceeds 1 / eps
         x = -2.0 * v * s
-        return -0.5 * (np.log1p(x) - x) + 2.0 * b2 * v * s * s / (1.0 + x)
+        return (-0.5 * (np.log1p(x) - x)
+                + 2.0 * b2 * v * s * s / (1.0 + x)).sum(axis=1)
 
     # Chernoff: P(Q <= y) and P(Q >= y) are at most exp(K(s) - s y); the
     # absolute points reach the optimum s (about 7 at unit sd) wherever it
@@ -231,52 +249,101 @@ def _davies_law(v: np.ndarray, b2: np.ndarray):
     # the convergence factor spreads the law by a few multiples of _SMOOTH
     delta = 2.0 * math.pi / (hi - lo + 20.0 * _SMOOTH)
 
-    def log_phi(u, v, b2):  # log phi(u) + i u mean, split into modulus, phase
-        z = 2.0 * v * u
-        q = 1.0 + z * z
-        return (-0.25 * np.log1p(z * z) - u * b2 * z / q
-                + 1j * (0.5 * (np.arctan(z) - z) - u * b2 * z * z / q))
+    def log_phi(u, v, b2):
+        # rows log|phi(u)| and arg phi(u) + u mean, built in place and
+        # summed over the coordinates as one product with ones
+        z = (2.0 * v) * u
+        q = z * z
+        out = np.empty((2,) + z.shape)
+        modulus, phase = out
+        np.log1p(q, out=modulus)
+        np.arctan(z, out=phase)
+        phase -= z
+        q += 1.0
+        drift = (2.0 * v * b2) * (u * u)  # u b^2 z
+        drift /= q
+        modulus *= -0.25
+        modulus -= drift
+        phase *= 0.5
+        drift *= z
+        phase -= drift
+        return out @ np.ones(v.size)
 
-    # sum blocks of nodes until the tail beyond them is within _TAIL: |phi|
-    # is nonincreasing, and the factor c(u) = e^-y (1 + y), y = (sigma u)^2/2,
+    # sum the nodes up to the first whose tail is within _TAIL: |phi| is
+    # nonincreasing, and the factor c(u) = e^-y (1 + y), y = (sigma u)^2/2,
     # integrates against du/u to (E1(Y) + e^-Y) / 2 beyond Y, with
-    # E1(Y) < e^-Y log(1 + 1/Y)
+    # E1(Y) < e^-Y log(1 + 1/Y), so the bound falls as u grows
     parts = []
-    block = max(1, min(4096, _CELLS // v.size))
-    first = 0
+    most = max(1, min(4096, _CELLS // v.size))
+    first, block = 0, min(256, most)
     while True:
         u = (np.arange(first, first + block) + 0.5) * delta
-        parts.append((u, _coordinate_sum(log_phi, u, v, b2)))
-        y = 0.5 * (_SMOOTH * u[-1]) ** 2
-        tail = math.exp(parts[-1][1][-1].real - y) * (math.log1p(1 / y) + 1)
-        if tail <= 2.0 * math.pi * _TAIL:
+        parts.append(_coordinate_sum(log_phi, u, v, b2))
+        y = 0.5 * (_SMOOTH * u) ** 2
+        met = (np.exp(parts[-1][0] - y) * (np.log1p(1.0 / y) + 1.0)
+               <= 2.0 * math.pi * _TAIL)
+        if met[-1]:
+            parts[-1] = parts[-1][:, :int(np.argmax(met)) + 1]
             break
-        first += block
-    u = np.concatenate([p[0] for p in parts])
-    lp = np.concatenate([p[1] for p in parts])
+        first, block = first + block, min(2 * block, most)
+    log_modulus, phase = np.concatenate(parts, axis=1)
+    k = np.arange(phase.size) + 0.5
+    u = k * delta
     y = 0.5 * (_SMOOTH * u) ** 2
-    amp = np.exp(lp.real - y) * (1.0 + y)
-    phase = lp.imag
+    amp = np.exp(log_modulus - y) * (1.0 + y)
+    weight = amp / k
+    cube = amp * u**3
+    # rounding: each term carries the error of its phase, phase - u shift
+    phase_rounding = _EPS * float(weight @ (1.0 + np.abs(phase)))
+    shift_rounding = _EPS * float(weight @ u)
 
     def law(x):
         shift = (x - centre) / sd
-        arg = phase - u * shift
-        im, re = amp * np.sin(arg), amp * np.cos(arg)
-        cdf = 0.5 - float(np.sum(im / (u / delta))) / math.pi
-        pdf = delta * float(np.sum(re)) / math.pi
-        d4 = delta * float(np.sum(u**3 * im)) / math.pi  # -f'''(x)
-        # rounding: each term carries the error of its phase
-        rounding = _EPS * float(np.sum(amp / (u / delta) * (
-            1.0 + np.abs(phase) + u * abs(shift))))
-        err = 2.0 * _SMOOTH**4 / 8.0 * abs(d4) + 3.0 * _TAIL + rounding
-        return cdf, pdf / sd, err
+        arg = u * -shift
+        arg += phase
+        sin = np.sin(arg)
+        cdf = 0.5 - float(weight @ sin) / math.pi
+        pdf = delta * float(amp @ np.cos(arg)) / (math.pi * sd)
+        d4 = delta * float(cube @ sin) / math.pi  # -f'''(x)
+        # the rounding of centre (of b^2 and of the sum, eps / 2 each) and
+        # of x - centre (eps / 2) moves the law as a shift of x would
+        moved = _EPS * (centre + 0.5 * abs(x - centre)) * abs(pdf)
+        err = (2.0 * _SMOOTH**4 / 8.0 * abs(d4) + 3.0 * _TAIL + phase_rounding
+               + shift_rounding * abs(shift) + moved)
+        return cdf, pdf, err
 
-    return law, centre, centre + lo * sd, centre + hi * sd
+    def start(p):
+        # F at shift lo + j 2 pi / (size delta) is 1/2 - Im(e^{-i pi j / size}
+        # S_j) / pi, S the FFT of the node terms at shift lo zero-padded to
+        # size, the rotation that of the half node; bisection on j finds a
+        # crossing of p, and the start interpolates it
+        size = max(4096, 1 << (k.size - 1).bit_length())
+        node = np.fft.fft(weight * np.exp(1j * (phase - u * lo)), size)
+
+        def grid_cdf(j):
+            turn = math.pi * j / size
+            return 0.5 - (node[j].imag * math.cos(turn)
+                          - node[j].real * math.sin(turn)) / math.pi
+
+        a, b = 0, size - 1
+        fa, fb = grid_cdf(a), grid_cdf(b)
+        if not fa < p <= fb:
+            return centre + (lo if fa >= p else hi) * sd
+        while b - a > 1:
+            mid = (a + b) // 2
+            f = grid_cdf(mid)
+            a, fa, b, fb = (mid, f, b, fb) if f < p else (a, fa, mid, f)
+        shift = lo + (a + (p - fa) / (fb - fa)) * 2.0 * math.pi / (size * delta)
+        return centre + float(min(shift, hi)) * sd
+
+    return law, start, centre + lo * sd, centre + hi * sd
 
 
 def _invert(law, p: float, x: float, lo: float, hi: float) -> QuantileEstimate:
     """Root of law(x)[0] = p in (lo, hi): Newton steps on the density,
-    bisection whenever a step leaves the bracket; hi may be inf."""
+    bisection whenever a step leaves the bracket; hi may be inf.  Stops
+    once the error bound covers |F(x) - p| or the step is below the
+    resolution of x."""
     for _ in range(_NEWTON_STEPS):
         cdf, pdf, err = law(x)
         if cdf < p:
@@ -286,6 +353,8 @@ def _invert(law, p: float, x: float, lo: float, hi: float) -> QuantileEstimate:
         if abs(cdf - p) <= 0.1 * err or hi - lo <= 4.0 * _EPS * x:
             break
         step = x - (cdf - p) / pdf if pdf > 0 else math.nan
+        if abs(step - x) <= _EPS * x:
+            break
         if lo < step < hi:
             x = step
         else:
@@ -304,17 +373,24 @@ def _form_quantile(var: np.ndarray, bias: np.ndarray | None,
     active, mass = _split(var, bias)
     v = var[active]
     if bias is not None and np.any(bias[active]):
-        b2 = bias[active] ** 2
-        law, mean, lo, hi = _davies_law(v, b2)
-        est = _invert(law, p, min(max(mean, lo), hi), lo, hi)
+        law, start, lo, hi = _davies_law(v, bias[active] ** 2)
+        est = _invert(law, p, start(p), lo, hi)
         return QuantileEstimate(mass + est.value, est.stderr)
     # central: invert at unit scale, so that c w gives c times the quantile
     scale = v.max()
     w = v / scale
-    from scipy.special import gammaincinv
-    # start from the two-moment gamma approximation (Satterthwaite)
+    # start from Wilson & Hilferty's cube-root normal quantile of the gamma
+    # law with the same two moments (Satterthwaite), which fails where the
+    # cube root nears 0; two floors hold there: the quantile of Z^2, as the
+    # form exceeds max w Z_1^2 = Z_1^2, and the point where the gamma's
+    # lower-tail bound (x / gscale)^shape / Gamma(shape + 1) reaches p
     m1, m2 = compensated_sum(w), compensated_sum(w * w)
-    start = 2.0 * m2 / m1 * gammaincinv(0.5 * m1 * m1 / m2, p)
+    shape, gscale = 0.5 * m1 * m1 / m2, 2.0 * m2 / m1
+    root = (1.0 - 1.0 / (9.0 * shape)
+            + NormalDist().inv_cdf(p) / (3.0 * math.sqrt(shape)))
+    start = max(gscale * shape * max(root, 0.0) ** 3,
+                NormalDist().inv_cdf(0.5 + 0.5 * p) ** 2,
+                gscale * math.exp((math.log(p) + math.lgamma(shape + 1.0)) / shape))
     est = _invert(_euler_law(w), p, start, 0.0, math.inf)
     return QuantileEstimate(mass + scale * est.value, scale * est.stderr)
 

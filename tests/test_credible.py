@@ -23,6 +23,7 @@ from heatbayes import (
     simulate_observations,
     true_signal_coefficients,
 )
+from heatbayes import credible
 from heatbayes.credible import _form_quantile
 
 
@@ -350,3 +351,79 @@ class TestExtremeHonestRadii:
         assert sd < np.finfo(float).eps * mean
         est = _form_quantile(t, bias, 0.95)
         assert abs(est.value - mean) <= 4.0 * np.spacing(mean), (est, mean)
+
+
+# the honest forms of the benchmark's coverage workload: default truncation,
+# the cubic truth, gamma = 0.05
+COVERAGE_HONEST = [(fam, alpha, n)
+                   for fam, alpha in (("poly", 1.0), ("poly", 3.0), ("exp", 5.0))
+                   for n in (1e4, 1e8)]
+
+
+def _honest_problem(fam, alpha, n):
+    """(prior, kappa, mu0, squared-error variances t, bias) at the default
+    truncation."""
+    prior = (PriorSpec.polynomial(alpha) if fam == "poly"
+             else PriorSpec.exponential(alpha))
+    nn = default_truncation(n, prior.tau)
+    kap = heat_eigenvalues(0.1, nn)
+    mu0 = true_signal_coefficients(nn)
+    w = posterior_weights(prior, kap, n)
+    return prior, kap, mu0, w.shrink_var, -w.one_minus_gain * mu0.values
+
+
+class TestHonestInversion:
+    """The FFT start, the node cut and the resolution stop of the honest
+    radius's inversion."""
+
+    @pytest.mark.parametrize("fam,alpha,n", COVERAGE_HONEST)
+    def test_at_most_three_law_evaluations(self, fam, alpha, n, monkeypatch):
+        calls = []
+
+        def counted(make):
+            def wrapper(*args):
+                made = make(*args)
+                law = made[0] if isinstance(made, tuple) else made
+
+                def law_counted(x):
+                    calls.append(x)
+                    return law(x)
+                if isinstance(made, tuple):
+                    return (law_counted, *made[1:])
+                return law_counted
+            return wrapper
+
+        monkeypatch.setattr(credible, "_davies_law", counted(credible._davies_law))
+        monkeypatch.setattr(credible, "_euler_law", counted(credible._euler_law))
+        prior, kap, mu0, *_ = _honest_problem(fam, alpha, n)
+        frequentist_radius(prior, kap, n, mu0, 0.05)
+        assert 1 <= len(calls) <= 3, calls
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_fft_start_and_node_cut_against_imhof(self, monkeypatch):
+        """poly alpha = 3, n = 1e4: the tail rule holds within the first
+        100 nodes (at the 19th), and the sum over them still brackets the
+        Imhof oracle."""
+        *_, t, bias = _honest_problem("poly", 3.0, 1e4)
+        active, mass = credible._split(t, bias)
+        nodes = []
+        fft = np.fft.fft
+
+        def spy(a, n=None):
+            nodes.append(a.size)
+            return fft(a, n)
+
+        monkeypatch.setattr(np.fft, "fft", spy)
+        law, start, lo, hi = credible._davies_law(t[active], bias[active] ** 2)
+        x = start(0.95)
+        assert nodes and nodes[0] < 100, nodes
+        assert lo <= x <= hi
+        # the start interpolates the FFT's F to 0.95
+        assert abs(law(x)[0] - 0.95) <= 1e-6
+        assert abs(imhof_cdf(mass + x, t, bias) - 0.95) <= 1e-6
+        for y in np.linspace(lo, hi, 9)[1:-1]:
+            cdf, _, err = law(y)
+            assert abs(cdf - imhof_cdf(mass + y, t, bias)) <= err + 1e-12, y
+        est = credible._form_quantile(t, bias, 0.95)
+        _assert_bracketed(lambda y: imhof_cdf(y, t, bias), est.value,
+                          est.stderr, 0.95, square=False)

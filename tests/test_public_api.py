@@ -50,12 +50,26 @@ def test_no_module_level_scipy_import():
     assert offenders == []
 
 
+def _scipy_modules_after(lines: str) -> str:
+    """The scipy modules loaded after running `lines` in a fresh process
+    (this one has scipy loaded already)."""
+    script = ("import sys\n"
+              "import heatbayes as hb\n"
+              + lines +
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(heatbayes.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
 def test_panels_intervals_and_risk_load_no_scipy():
     """The import and the panel, interval and risk paths run without scipy,
     in a fresh process (this one has scipy loaded already)."""
-    script = (
-        "import sys\n"
-        "import heatbayes as hb\n"
+    assert _scipy_modules_after(
         "from heatbayes.experiments import PanelSpec\n"
         "prior = hb.PriorSpec.polynomial(1.0)\n"
         "cfg = hb.ExperimentConfig(prior=prior, n_grid=(1e4,),\n"
@@ -63,13 +77,15 @@ def test_panels_intervals_and_risk_load_no_scipy():
         "hb.render_panel(cfg, PanelSpec(prior, 1e4, 0, draws=2))\n"
         "hb.run_interval_coverage(cfg, hb.LinearFunctional.point_evaluation(\n"
         "    0.5, 100))\n"
-        "hb.run_risk_curve(cfg)\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    )
-    src = os.path.dirname(os.path.dirname(heatbayes.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+        "hb.run_risk_curve(cfg)\n") == "[]"
+
+
+def test_ball_radii_load_no_scipy():
+    """Credible radii (Wilson-Hilferty start of the central inversion) and
+    honest radii, through ball coverage at a fixed and a prior-drawn truth,
+    run without scipy."""
+    assert _scipy_modules_after(
+        "for mu0 in (hb.Mu0Source.test_cubic(), hb.Mu0Source.prior_draw()):\n"
+        "    hb.run_ball_coverage(hb.ExperimentConfig(\n"
+        "        prior=hb.PriorSpec.polynomial(1.0), n_grid=(1e2, 1e4),\n"
+        "        replications=5, mu0=mu0))\n") == "[]"
