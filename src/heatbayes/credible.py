@@ -340,10 +340,11 @@ def _davies_law(v: np.ndarray, b2: np.ndarray):
 
 
 def _invert(law, p: float, x: float, lo: float, hi: float) -> QuantileEstimate:
-    """Root of law(x)[0] = p in (lo, hi): Newton steps on the density,
-    bisection whenever a step leaves the bracket; hi may be inf.  Stops
-    once the error bound covers |F(x) - p| or the step is below the
-    resolution of x."""
+    """Root of law(x)[0] = p in (lo, hi), 0 <= lo, hi may be inf: Newton
+    steps on the density inside the bracket and within a factor 4 of x
+    (from a deep lower tail, F ~ x^k, they overshoot), else 4 x up to a
+    finite hi, then bisection, geometric while hi > 4 lo.  Stops once the
+    error bound covers |F(x) - p| or the step is below the resolution."""
     for _ in range(_NEWTON_STEPS):
         cdf, pdf, err = law(x)
         if cdf < p:
@@ -355,10 +356,12 @@ def _invert(law, p: float, x: float, lo: float, hi: float) -> QuantileEstimate:
         step = x - (cdf - p) / pdf if pdf > 0 else math.nan
         if abs(step - x) <= _EPS * x:
             break
-        if lo < step < hi:
+        if lo < step < hi and 0.25 * x <= step <= 4.0 * x:
             x = step
+        elif hi == math.inf:
+            x = 4.0 * x
         else:
-            x = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * x
+            x = math.sqrt(lo * hi) if hi > 4.0 * lo > 0.0 else 0.5 * (lo + hi)
     else:
         raise ArithmeticError("quadratic-form quantile did not converge")
     if not pdf > 0:

@@ -29,12 +29,20 @@ range, take their text from "%.17g" % v.
 
 Every CLI run that writes files also writes a manifest recording the
 config digest, seed, and a checksum per output.
+
+Datasets, plots and manifests are overwritten in place, not truncated
+first (freeing a file's blocks and allocating them again costs a rewrite
+several times as much), and a regular file is then trimmed to the payload;
+/dev/null and pipes are written as they are.  A failed write leaves the
+prefix written, and its OSError names the path.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import stat
 import time
 from dataclasses import dataclass, field
 
@@ -62,6 +70,27 @@ def _cell_format(value) -> str:
     if isinstance(value, int) and not isinstance(value, bool):
         return "%d"
     return "%.17g"
+
+
+def _write_bytes(path, payload: bytes, what: str) -> str:
+    """Write payload to path as the module docstring says; returns its
+    sha256."""
+    written = regular = 0
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            regular = stat.S_ISREG(os.fstat(fd).st_mode)
+            while written < len(payload):
+                written += os.write(fd, payload[written:])
+        finally:
+            try:
+                if regular:  # a failed write leaves its prefix, not the old tail
+                    os.ftruncate(fd, written)
+            finally:
+                os.close(fd)
+    except OSError as exc:
+        raise OSError(f"failed writing {what} to {path}: {exc}") from exc
+    return hashlib.sha256(payload).hexdigest()
 
 
 def _check_text(text: str, where: str, separators: str) -> None:
@@ -195,13 +224,8 @@ def write_dataset(table, path) -> str:
         body = _matrix_lines(rows.astype(np.float64, copy=False))
     else:
         body = _row_lines(columns, rows)
-    payload = (",".join(columns) + "\n").encode("utf-8") + body
-    try:
-        with open(path, "wb") as fh:
-            fh.write(payload)
-    except OSError as exc:
-        raise OSError(f"failed writing dataset to {path}: {exc}") from exc
-    return hashlib.sha256(payload).hexdigest()
+    return _write_bytes(path, (",".join(columns) + "\n").encode("utf-8")
+                        + body, "dataset")
 
 
 def read_dataset(path) -> tuple[list, list]:
@@ -254,9 +278,4 @@ class RunManifest:
             "outputs": self.outputs,
         }
         body = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        try:
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(body)
-        except OSError as exc:
-            raise OSError(f"failed writing manifest to {path}: {exc}") from exc
-        return hashlib.sha256(body.encode()).hexdigest()
+        return _write_bytes(path, body.encode("utf-8"), "manifest")

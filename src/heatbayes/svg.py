@@ -14,13 +14,16 @@ picks the correctly rounded cent count unless fl(100 v) lies within 1e-6
 of a half, and those few coordinates (exact binary ties such as 0.125,
 which round half-even, among them) take their count from "%.2f" % v.  A
 coordinate outside [0, 1e6), non-finite or -0.0 raises ValueError.
+
+A plot is written as io writes datasets: in place, a regular file trimmed
+to the new bytes, and a failed write leaving the prefix written.
 """
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
+
+from .io import _write_bytes
 
 WIDTH, HEIGHT = 640, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 56, 16, 16, 40
@@ -30,10 +33,6 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 56, 16, 16, 40
 # column 10 what follows: "," after x, " " after y, "\n" after a row's end
 _POW10 = 10 ** np.arange(8, -1, -1, dtype=np.int32)
 _COLUMNS = (0, 1, 2, 3, 4, 5, 6, 8, 9)
-
-
-def _fmt(v: float) -> str:
-    return format(v, ".2f")
 
 
 class _Frame:
@@ -91,20 +90,15 @@ def render_static_plot(panel, path) -> str:
     x = np.asarray(panel.x, dtype=float)
     if x.size == 0:
         raise ValueError("cannot render an empty panel dataset")
-    series = {"truth": panel.truth, "post_mean": panel.post_mean,
-              "lower": panel.lower, "upper": panel.upper,
-              "draw_curves": panel.draw_curves}
-    for name, values in {"x": x, **series}.items():
-        if not np.isfinite(values).all():
+    for name in ("x", "truth", "post_mean", "lower", "upper", "draw_curves"):
+        if not np.isfinite(getattr(panel, name)).all():
             raise ValueError(f"cannot render non-finite values in {name}")
     if x.max() == x.min():
         raise ValueError("cannot render x values that span no interval")
-    allv = np.concatenate([np.asarray(s, dtype=float).ravel()
-                           for s in series.values()])
-    frame = _Frame(x, float(allv.min()), float(allv.max()))
     draws = np.asarray(panel.draw_curves, dtype=float).reshape(-1, x.size)
     curves = np.vstack([draws, panel.lower, panel.upper, panel.post_mean,
                         panel.truth])
+    frame = _Frame(x, float(curves.min()), float(curves.max()))
     xy = np.empty(curves.shape + (2,))
     xy[..., 0] = frame.px(x)
     xy[..., 1] = frame.py(curves)
@@ -128,15 +122,15 @@ def render_static_plot(panel, path) -> str:
               for points, (stroke, width, dash) in zip(_points(xy), styles)]
     for tick in (0.0, 0.5, 1.0):
         tx = float(frame.px(np.array([tick]))[0])
-        parts.append(f'<line x1="{_fmt(tx)}" y1="{HEIGHT - MARGIN_B}" '
-                     f'x2="{_fmt(tx)}" y2="{HEIGHT - MARGIN_B + 5}" '
+        parts.append(f'<line x1="{tx:.2f}" y1="{HEIGHT - MARGIN_B}" '
+                     f'x2="{tx:.2f}" y2="{HEIGHT - MARGIN_B + 5}" '
                      'stroke="#000" stroke-width="1"/>')
-        parts.append(f'<text x="{_fmt(tx)}" y="{HEIGHT - MARGIN_B + 18}" '
+        parts.append(f'<text x="{tx:.2f}" y="{HEIGHT - MARGIN_B + 18}" '
                      'font-family="monospace" font-size="11" '
                      f'text-anchor="middle">{tick:g}</text>')
     for yv in (frame.y0, frame.y1):
         ty = float(frame.py(np.array([yv]))[0])
-        parts.append(f'<text x="{MARGIN_L - 6}" y="{_fmt(ty + 4)}" '
+        parts.append(f'<text x="{MARGIN_L - 6}" y="{ty + 4:.2f}" '
                      'font-family="monospace" font-size="11" '
                      f'text-anchor="end">{yv:.2f}</text>')
     label = getattr(panel, "label", "")
@@ -144,10 +138,5 @@ def render_static_plot(panel, path) -> str:
         parts.append(f'<text x="{MARGIN_L + 6}" y="{MARGIN_T + 14}" '
                      f'font-family="monospace" font-size="11">{label}</text>')
     parts.append("</svg>")
-    payload = ("\n".join(parts) + "\n").encode("utf-8")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(payload)
-    except OSError as exc:
-        raise OSError(f"failed writing plot to {path}: {exc}") from exc
-    return hashlib.sha256(payload).hexdigest()
+    return _write_bytes(path, ("\n".join(parts) + "\n").encode("utf-8"),
+                        "plot")

@@ -164,8 +164,12 @@ def imhof_cdf(x, var, bias=None, skew=1e-20):
     while parts(top)[1] * top > 1e-14 and top < 2.0**24:
         top *= 2.0
     if top < 2.0**24 and abs(parts(top)[0]) < 400.0 * math.pi:
-        val = quad(integrand, 0.0, top, limit=2000, epsabs=1e-14,
-                   epsrel=1e-13)[0]
+        # dyadic pieces: the envelope falls by powers of u, at rates
+        # that change along [0, top]
+        edges = [0.0] + [2.0**k for k in range(-4, int(math.log2(top)) + 1)]
+        val = math.fsum(quad(integrand, a, b, limit=2000, epsabs=1e-15,
+                             epsrel=1e-13)[0]
+                        for a, b in zip(edges, edges[1:]))
     else:
         omega = 0.5 * (x - m_normal)
         if not omega > 0.0:

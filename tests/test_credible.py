@@ -372,29 +372,36 @@ def _honest_problem(fam, alpha, n):
     return prior, kap, mu0, w.shrink_var, -w.one_minus_gain * mu0.values
 
 
+def _count_law_calls(monkeypatch) -> list:
+    """The list that each evaluation of a quadratic form's law appends its
+    x to, from here to the end of the test."""
+    calls = []
+
+    def counted(make):
+        def wrapper(*args):
+            made = make(*args)
+            law = made[0] if isinstance(made, tuple) else made
+
+            def law_counted(x):
+                calls.append(x)
+                return law(x)
+            if isinstance(made, tuple):
+                return (law_counted, *made[1:])
+            return law_counted
+        return wrapper
+
+    monkeypatch.setattr(credible, "_davies_law", counted(credible._davies_law))
+    monkeypatch.setattr(credible, "_euler_law", counted(credible._euler_law))
+    return calls
+
+
 class TestHonestInversion:
     """The FFT start, the node cut and the resolution stop of the honest
     radius's inversion."""
 
     @pytest.mark.parametrize("fam,alpha,n", COVERAGE_HONEST)
     def test_at_most_three_law_evaluations(self, fam, alpha, n, monkeypatch):
-        calls = []
-
-        def counted(make):
-            def wrapper(*args):
-                made = make(*args)
-                law = made[0] if isinstance(made, tuple) else made
-
-                def law_counted(x):
-                    calls.append(x)
-                    return law(x)
-                if isinstance(made, tuple):
-                    return (law_counted, *made[1:])
-                return law_counted
-            return wrapper
-
-        monkeypatch.setattr(credible, "_davies_law", counted(credible._davies_law))
-        monkeypatch.setattr(credible, "_euler_law", counted(credible._euler_law))
+        calls = _count_law_calls(monkeypatch)
         prior, kap, mu0, *_ = _honest_problem(fam, alpha, n)
         frequentist_radius(prior, kap, n, mu0, 0.05)
         assert 1 <= len(calls) <= 3, calls
@@ -427,3 +434,78 @@ class TestHonestInversion:
         est = credible._form_quantile(t, bias, 0.95)
         _assert_bracketed(lambda y: imhof_cdf(y, t, bias), est.value,
                           est.stderr, 0.95, square=False)
+
+
+def _unbounded_invert(law, p, x, lo, hi):
+    """credible._invert as it was before its steps were bounded: any Newton
+    step inside the bracket, else bisection, or doubling while hi is inf."""
+    for _ in range(credible._NEWTON_STEPS):
+        cdf, pdf, err = law(x)
+        if cdf < p:
+            lo = x
+        else:
+            hi = x
+        if abs(cdf - p) <= 0.1 * err or hi - lo <= 4.0 * credible._EPS * x:
+            break
+        step = x - (cdf - p) / pdf if pdf > 0 else math.nan
+        if abs(step - x) <= credible._EPS * x:
+            break
+        if lo < step < hi:
+            x = step
+        else:
+            x = 0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * x
+    else:
+        raise ArithmeticError("quadratic-form quantile did not converge")
+    return credible.QuantileEstimate(
+        value=x, stderr=(err + abs(cdf - p)) / pdf + 2.0 * credible._EPS * x)
+
+
+def _coverage_forms():
+    """(variances, bias or None) of the benchmark's coverage workload at
+    the default truncation: the credible (central) forms of the fixed-truth
+    and prior-drawn balls, and the honest forms of the fixed-truth balls."""
+    forms = []
+    for fam, alpha, ns in (("poly", 1.0, (1e4, 1e8)), ("poly", 3.0, (1e4, 1e8)),
+                           ("exp", 5.0, (1e4, 1e8)), ("exp", 1.0, (1e4,))):
+        for n in ns:
+            prior, kap, _, t, bias = _honest_problem(fam, alpha, n)
+            forms.append((posterior_weights(prior, kap, n).variance, None))
+            if not (fam == "exp" and alpha == 1.0):
+                forms.append((t, bias))
+    return forms
+
+
+class TestBoundedInversion:
+    """Newton steps within a factor 4 of x, 4 x from an unbounded bracket
+    and geometric bisection: the central forms' lower tails, where an
+    unbounded step from F ~ 1e-49 used to leave for x ~ 1e38 and never
+    come back."""
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("alpha,n,nn", [(alpha, n, nn)
+                                            for alpha in (1.0, 3.0)
+                                            for n in (1e4, 1e8)
+                                            for nn in (100, 3826)])
+    def test_lower_tail_central_quantiles(self, alpha, n, nn, monkeypatch):
+        *_, w = _grid_form("poly", alpha, n, nn)
+        q = QuadraticForm.from_weights(CoefficientSequence(w.variance, nn))
+        calls = _count_law_calls(monkeypatch)
+        for p in (1e-5, 3e-5, 1e-4):
+            calls.clear()
+            est = quadratic_form_quantile(q, p)
+            assert len(calls) <= 20, (p, len(calls))
+            _assert_bracketed(lambda x: imhof_cdf(x, w.variance), est.value,
+                              est.stderr, p, square=False)
+
+    def test_coverage_forms_unchanged_at_central_levels(self, monkeypatch):
+        """Where no Newton step is out of bounds, the quantiles and the law
+        evaluations are those of the unbounded steps, bit for bit."""
+        calls = _count_law_calls(monkeypatch)
+        for var, bias in _coverage_forms():
+            for p in (0.5, 0.95):
+                runs = []
+                for invert in (_unbounded_invert, credible._invert):
+                    calls.clear()
+                    monkeypatch.setattr(credible, "_invert", invert)
+                    runs.append((_form_quantile(var, bias, p), len(calls)))
+                assert runs[0] == runs[1], (p, runs)

@@ -1,5 +1,7 @@
 """Dataset round-trips, manifests, SVG determinism, and the CLI surface."""
 
+import ast
+import errno
 import hashlib
 import json
 import math
@@ -23,6 +25,7 @@ from heatbayes.cli import (
     main,
 )
 from heatbayes.io import RunManifest, read_dataset, write_dataset
+from heatbayes.svg import render_static_plot
 
 
 class TestWriteDataset:
@@ -251,6 +254,103 @@ class TestManifest:
         assert payload["outputs"][0]["sha256"] == csum
         assert len(payload["config_digest"]) == 64
         assert payload["wall_clock_s"] >= 0
+
+
+def _write(kind, path) -> str:
+    """Write a small output of one kind to path; returns its checksum."""
+    if kind == "dataset":
+        return write_dataset((("a", "b"), [(1.5, "x"), (-2.0, "y")]), path)
+    if kind == "plot":
+        return render_static_plot(TestSvg._tie_panel(), path)
+    return RunManifest(config={"n": 1e4}, seed=3).write(path)
+
+
+@pytest.mark.parametrize("kind", ["dataset", "plot", "manifest"])
+class TestInPlaceWrites:
+    """Datasets, plots and manifests overwrite their file in place: no
+    truncation first, a regular file trimmed to the new bytes, and a failed
+    write leaving the prefix written."""
+
+    def test_rewrite_over_longer_file(self, tmp_path, kind):
+        path = tmp_path / "out"
+        path.write_bytes(b"\0" * 100_000)
+        inode = os.stat(path).st_ino
+        checksum = _write(kind, path)
+        raw = path.read_bytes()
+        assert hashlib.sha256(raw).hexdigest() == checksum
+        assert len(raw) < 100_000 and b"\0" not in raw
+        assert os.stat(path).st_ino == inode
+        if kind != "manifest":  # a manifest records its own wall clock
+            assert _write(kind, tmp_path / "fresh") == checksum
+
+    def test_checksum_of_a_new_file(self, tmp_path, kind):
+        checksum = _write(kind, tmp_path / "new")
+        raw = (tmp_path / "new").read_bytes()
+        assert hashlib.sha256(raw).hexdigest() == checksum
+
+    def test_device_is_written_as_it_is(self, kind):
+        assert len(_write(kind, os.devnull)) == 64
+
+    def test_unwritable_path_names_the_path(self, tmp_path, kind):
+        path = tmp_path / "no_dir" / "out"
+        with pytest.raises(OSError, match=re.escape(str(path))):
+            _write(kind, path)
+
+    def test_failed_write_leaves_its_prefix(self, tmp_path, kind, monkeypatch):
+        path = tmp_path / "out"
+        path.write_bytes(b"\0" * 100_000)
+        handed = []
+        write = os.write
+
+        def fail_after_ten_bytes(fd, data):
+            if handed:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            handed.append(bytes(data))
+            return write(fd, data[:10])
+
+        monkeypatch.setattr(os, "write", fail_after_ten_bytes)
+        with pytest.raises(OSError, match=re.escape(str(path))):
+            _write(kind, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == handed[0][:10]
+
+
+def test_single_write_path():
+    """Only io._write_bytes opens a file for writing: no module of the
+    package calls os.open, open with a mode that writes, or
+    Path.write_text or write_bytes anywhere else."""
+    import pathlib
+
+    import heatbayes
+    found = []
+    for path in sorted(pathlib.Path(heatbayes.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), path.name)
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else \
+                    getattr(f, "id", None)
+                if name == "open":
+                    # builtin open(file, mode), Path.open(mode); os.open
+                    # always counts
+                    args = node.args[1:] if isinstance(f, ast.Name) else \
+                        node.args
+                    modes = [k.value for k in node.keywords if k.arg == "mode"]
+                    modes += args[:1]
+                    writes = (isinstance(f, ast.Attribute)
+                              and getattr(f.value, "id", None) == "os"
+                              or any(not isinstance(m, ast.Constant)
+                                     or set("wax+") & set(str(m.value))
+                                     for m in modes))
+                elif name in ("write_text", "write_bytes", "fdopen"):
+                    writes = True
+                else:
+                    continue
+                if writes:
+                    found.append((path.name, getattr(top, "name", None)))
+    assert found == [("io.py", "_write_bytes")]
 
 
 class TestSvg:
@@ -774,6 +874,22 @@ class TestEnsureFinite:
         assert main(["bands", "--grid", "11", "--out", str(out)]) == \
             EXIT_NUMERIC
         assert os.listdir(tmp_path) == []
+
+
+def test_figures_rerun_rewrites_the_same_files(tmp_path, capsys):
+    """A second run into the same directory rewrites every file in place
+    with the same bytes; the manifests differ only in wall_clock_s."""
+    out = tmp_path / "figs"
+    runs = []
+    for _ in range(2):
+        assert main(["figures", "--fig", "fig1", "--out", str(out)]) == EXIT_OK
+        files = {f: (out / f).read_bytes() for f in sorted(os.listdir(out))}
+        inodes = {f: os.stat(out / f).st_ino for f in files}
+        manifest = json.loads(files.pop("manifest.json"))
+        assert manifest.pop("wall_clock_s") > 0
+        runs.append((files, inodes, manifest))
+    assert len(runs[0][0]) == len(runs[0][2]["outputs"]) > 0
+    assert runs[0] == runs[1]
 
 
 def test_figures_csv_match_oracle(tmp_path, capsys):
