@@ -45,9 +45,13 @@ for central forms), as in the Monte Carlo sampler `_form_draws`, which
 draws the squared errors of the ball coverage and risk experiments.
 Each quantile carries a bound on its absolute numerical error: the
 inversion's probability error divided by the density, plus the distance
-of the last iterate from the root.  The inversion stops once that
-probability error covers |F(x) - p|, or once the Newton step is below the
-resolution eps x of x.
+of the last iterate from the root.  Each law also gives the |F(x) - p|
+that resolves p: a tenth of its error bound, or for the Euler series the
+rounding of its terms, eps * sum |terms|, where that is larger (A = 25
+amplifies rounding by e^(A/2), so F wobbles by about 1e-11 between
+neighbouring x, and Newton steps below that chase rounding).  The
+inversion stops there, or once the Newton step is below the resolution
+eps x of x.
 """
 
 from __future__ import annotations
@@ -179,7 +183,8 @@ def _coordinate_sum(term, nodes: np.ndarray, *coords: np.ndarray) -> np.ndarray:
 
 
 def _euler_law(w: np.ndarray):
-    """x -> (F(x), f(x), bound on |error of F|) for sum w_i Z_i^2.
+    """x -> (F(x), f(x), bound on |error of F|, |F(x) - p| that resolves p)
+    for sum w_i Z_i^2.
 
     F and the density f are the Laplace inverses of L(s)/s and L(s), by
     Abate & Whitt's Fourier series at s_k = (A + 2 pi i k) / (2x).
@@ -195,24 +200,26 @@ def _euler_law(w: np.ndarray):
         now = _EULER_MEAN @ partial[_EULER_N:stop]
         later = _EULER_MEAN @ partial[_EULER_N + 1:stop + 1]
         rounding = _EPS * float(np.abs(terms).sum())
-        return later, abs(later - now) + rounding
+        return later, abs(later - now) + rounding, rounding
 
     def law(x):
         s = (_EULER_A + 2j * math.pi * k) / (2.0 * x)
         lt = np.exp(-0.5 * _coordinate_sum(
             lambda s, w: np.log1p(2.0 * s * w).sum(axis=1), s, w))
         scale = sign * math.exp(0.5 * _EULER_A) / x
-        cdf, cdf_err = euler(scale * (lt / s).real)
-        pdf, _ = euler(scale * lt.real)
+        cdf, cdf_err, rounding = euler(scale * (lt / s).real)
+        pdf, _, _ = euler(scale * lt.real)
         # twice the sum: the Euler term is an estimate, not a bound
-        return cdf, pdf, 2.0 * (cdf_err + discrete)
+        err = 2.0 * (cdf_err + discrete)
+        return cdf, pdf, err, max(0.1 * err, rounding)
 
     return law
 
 
 def _davies_law(v: np.ndarray, b2: np.ndarray):
     """(law, start, lo, hi) for the form sum (b_i + sqrt(v_i) Z_i)^2, with
-    b2 the squared biases: law(x) = (F(x), f(x), bound on |error of F|),
+    b2 the squared biases: law(x) = (F(x), f(x), bound on |error of F|,
+    |F(x) - p| that resolves p, a tenth of that bound),
     start(p) is near the root of F(x) = p, and outside [lo, hi] each tail
     of the form holds at most _TAIL.
 
@@ -310,7 +317,7 @@ def _davies_law(v: np.ndarray, b2: np.ndarray):
         moved = _EPS * (centre + 0.5 * abs(x - centre)) * abs(pdf)
         err = (2.0 * _SMOOTH**4 / 8.0 * abs(d4) + 3.0 * _TAIL + phase_rounding
                + shift_rounding * abs(shift) + moved)
-        return cdf, pdf, err
+        return cdf, pdf, err, 0.1 * err
 
     def start(p):
         # F at shift lo + j 2 pi / (size delta) is 1/2 - Im(e^{-i pi j / size}
@@ -343,15 +350,16 @@ def _invert(law, p: float, x: float, lo: float, hi: float) -> QuantileEstimate:
     """Root of law(x)[0] = p in (lo, hi), 0 <= lo, hi may be inf: Newton
     steps on the density inside the bracket and within a factor 4 of x
     (from a deep lower tail, F ~ x^k, they overshoot), else 4 x up to a
-    finite hi, then bisection, geometric while hi > 4 lo.  Stops once the
-    error bound covers |F(x) - p| or the step is below the resolution."""
+    finite hi, then bisection, geometric while hi > 4 lo.  Stops once
+    |F(x) - p| is within the law's resolution of p or the step is below
+    the resolution of x."""
     for _ in range(_NEWTON_STEPS):
-        cdf, pdf, err = law(x)
+        cdf, pdf, err, tol = law(x)
         if cdf < p:
             lo = x
         else:
             hi = x
-        if abs(cdf - p) <= 0.1 * err or hi - lo <= 4.0 * _EPS * x:
+        if abs(cdf - p) <= tol or hi - lo <= 4.0 * _EPS * x:
             break
         step = x - (cdf - p) / pdf if pdf > 0 else math.nan
         if abs(step - x) <= _EPS * x:

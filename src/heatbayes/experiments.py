@@ -9,12 +9,15 @@ draw block, the paths are:
     (seed, "interval", k)      one normal per interval replication
     (seed, "risk", k, b)       Monte Carlo errors of the risk curve
     (seed, "obs", s)           observations of panel data stream s
-    (seed, "panel", s, "draw", j)  posterior draw j of that panel
+    (seed, "panel", s, "draw", j)  posterior draw j of that panel: row j of
+                               normal_matrix(seed, ("panel", s, "draw"), ...),
+                               the same stream
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
@@ -38,7 +41,7 @@ from .functionals import (
 )
 from .posterior import posterior_weights, risk_decomposition
 from .priors import FunctionalMode, PriorFamily, PriorSpec, ScalingRule
-from .rng import substream
+from .rng import normal_matrix, substream
 from .sequence import (
     CoefficientSequence,
     DEFAULT_TIME_HORIZON,
@@ -363,10 +366,10 @@ def render_panel(cfg: ExperimentConfig, spec: PanelSpec) -> PanelData:
                               spec.data_stream).y.values
     w = posterior_weights(prior_n, kappa, spec.n)
     x = np.linspace(0.0, 1.0, cfg.x_grid_points)
-    streams = [substream(cfg.seed, "panel", spec.data_stream, "draw", j)
-               for j in range(spec.draws)]
+    draws = functools.partial(normal_matrix, cfg.seed,
+                              ("panel", spec.data_stream, "draw"), spec.draws)
     mean_x, sd_x, extra, curves = point_evaluation_curves(
-        w, y, x, extra_coefficients=mu0.values[:, None], draw_streams=streams,
+        w, y, x, extra_coefficients=mu0.values[:, None], draw_normals=draws,
         tail=PriorTail(prior_n, nn, (cfg.mu0.sums,)))
     z_half = -NormalDist().inv_cdf(cfg.gamma / 2.0)
     return PanelData(

@@ -291,13 +291,16 @@ def functional_bias(L: LinearFunctional, prior: PriorSpec,
 
 def point_evaluation_curves(weights: PosteriorWeights, y_values: np.ndarray,
                             x_grid, extra_coefficients: np.ndarray | None = None,
-                            draw_streams=(), tail: PriorTail | None = None):
+                            draw_normals=None, tail: PriorTail | None = None):
     """Fused per-x marginal posterior over a grid, over all N coordinates.
 
     Returns (mean_x, sd_x, extra_x, draws_x): the point-evaluation posterior
     N(mean(x), sd(x)^2) at every grid point, optional extra coefficient
-    columns (the true curve) and one posterior draw per generator in
-    draw_streams, all synthesized against the same basis (GridSynthesis).
+    columns (the true curve) and one posterior draw per row of the draw
+    matrix, all synthesized against the same basis (GridSynthesis).
+    `draw_normals`, if given, maps the bin count b to a (draws, b) matrix of
+    standard normals, for instance functools.partial(rng.normal_matrix,
+    seed, path, draws), whose row j is stream (*path, j).
     `weights`, `y_values` and the extra columns cover the head i <= N_h;
     `tail` adds the coordinates N_h < i <= N, where w = 0 (the mean needs
     only the head) and s = lambda.  On the grid linspace(0, 1, M + 1) the
@@ -336,10 +339,12 @@ def point_evaluation_curves(weights: PosteriorWeights, y_values: np.ndarray,
             mean_t = np.zeros(nn - nh)
     mean_b = syn.bins(weights.mean_weight * y_values, mean_t)
     var_b = syn.bins(weights.variance, lam_t)
+    sd_b = np.sqrt(var_b)
+    z = () if draw_normals is None else draw_normals(var_b.size)
+    # one 1-D column per draw keeps the stacked columns C-ordered
     columns = np.column_stack(
         [mean_b] + [syn.bins(c, t) for c, t in zip(extra, extra_t)]
-        + [mean_b + np.sqrt(var_b) * g.standard_normal(var_b.size)
-           for g in draw_streams])
+        + [mean_b + sd_b * row for row in z])
     curves, s2_x = syn.curves(columns, var_b)
     return (curves[:, 0], np.sqrt(s2_x), curves[:, 1:1 + len(extra)],
             curves[:, 1 + len(extra):].T)

@@ -429,7 +429,7 @@ class TestHonestInversion:
         assert abs(law(x)[0] - 0.95) <= 1e-6
         assert abs(imhof_cdf(mass + x, t, bias) - 0.95) <= 1e-6
         for y in np.linspace(lo, hi, 9)[1:-1]:
-            cdf, _, err = law(y)
+            cdf, _, err, _ = law(y)
             assert abs(cdf - imhof_cdf(mass + y, t, bias)) <= err + 1e-12, y
         est = credible._form_quantile(t, bias, 0.95)
         _assert_bracketed(lambda y: imhof_cdf(y, t, bias), est.value,
@@ -437,15 +437,16 @@ class TestHonestInversion:
 
 
 def _unbounded_invert(law, p, x, lo, hi):
-    """credible._invert as it was before its steps were bounded: any Newton
-    step inside the bracket, else bisection, or doubling while hi is inf."""
+    """credible._invert, with its stop, as it was before its steps were
+    bounded: any Newton step inside the bracket, else bisection, or
+    doubling while hi is inf."""
     for _ in range(credible._NEWTON_STEPS):
-        cdf, pdf, err = law(x)
+        cdf, pdf, err, tol = law(x)
         if cdf < p:
             lo = x
         else:
             hi = x
-        if abs(cdf - p) <= 0.1 * err or hi - lo <= 4.0 * credible._EPS * x:
+        if abs(cdf - p) <= tol or hi - lo <= 4.0 * credible._EPS * x:
             break
         step = x - (cdf - p) / pdf if pdf > 0 else math.nan
         if abs(step - x) <= credible._EPS * x:
@@ -509,3 +510,30 @@ class TestBoundedInversion:
                     monkeypatch.setattr(credible, "_invert", invert)
                     runs.append((_form_quantile(var, bias, p), len(calls)))
                 assert runs[0] == runs[1], (p, runs)
+
+
+class TestEulerStop:
+    """The central inversion stops once |F - p| is within the rounding of
+    the Euler terms, eps * sum |terms|, where that exceeds a tenth of the
+    error bound: F wobbles by about that much between neighbouring x."""
+
+    def test_coverage_forms_at_most_four_evaluations(self, monkeypatch):
+        calls = _count_law_calls(monkeypatch)
+        for var, bias in _coverage_forms():
+            if bias is None:
+                for p in (0.5, 0.95):
+                    calls.clear()
+                    _form_quantile(var, None, p)
+                    assert 1 <= len(calls) <= 4, (p, calls)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_stop_within_rounding(self, monkeypatch):
+        """poly alpha=3, n=1e8, N=100 at p = 0.99: 5 evaluations, where a
+        stop at a tenth of the error bound took 7 (at the fifth, |F - p| is
+        4.4e-12, the rounding 7.2e-12 and the error bound 4.4e-11)."""
+        *_, w = _grid_form("poly", 3.0, 1e8, 100)
+        calls = _count_law_calls(monkeypatch)
+        est = _form_quantile(w.variance, None, 0.99)
+        assert len(calls) <= 5, calls
+        _assert_bracketed(lambda x: imhof_cdf(x, w.variance), est.value,
+                          est.stderr, 0.99, square=False)

@@ -319,6 +319,26 @@ class TestPanels:
                                             data_stream=1, draws=3))
         assert not np.array_equal(panel.draw_curves[0], panel.draw_curves[1])
 
+    def test_two_stream_constructions_per_panel(self, monkeypatch):
+        """One 20-draw panel builds the obs stream and one draw batch: two
+        SeedSequences and two Philox generators, not one per draw."""
+        built = []
+
+        def counting(cls):
+            def make(*args, **kwargs):
+                built.append(cls.__name__)
+                return cls(*args, **kwargs)
+            return make
+
+        for cls in (np.random.SeedSequence, np.random.Philox):
+            monkeypatch.setattr(np.random, cls.__name__, counting(cls))
+        cfg = self._cfg(PriorSpec.polynomial(1.0), seed=7)
+        panel = render_panel(cfg, PanelSpec(prior=cfg.prior, n=1e4,
+                                            data_stream=3, draws=20))
+        assert panel.draw_curves.shape == (20, 101)
+        assert built.count("SeedSequence") <= 2
+        assert built.count("Philox") <= 2
+
 
 class TestFigureProtocols:
     def test_figure_one_layout(self):

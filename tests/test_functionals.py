@@ -320,7 +320,8 @@ class TestAliasingFold:
         assert got[1][0] == 0.0 and got[1][-1] == 0.0
         draws = point_evaluation_curves(
             w, np.ones(nn), x,
-            draw_streams=[np.random.default_rng(k) for k in range(3)])[3]
+            draw_normals=lambda b: np.array(
+                [np.random.default_rng(k).standard_normal(b) for k in range(3)]))[3]
         assert draws.shape == (3, x.size) and np.all(np.isfinite(draws))
 
     @pytest.mark.parametrize("m,nn", [(2, 3), (20, 1000), (50, 4321)])
@@ -341,7 +342,8 @@ class TestAliasingFold:
         x = np.linspace(0.0, 1.0, m + 1)
         w = synthetic_weights(nn, seed=9)
         mean_x, _, _, draws = point_evaluation_curves(
-            w, np.ones(nn), x, draw_streams=[np.random.default_rng(4)])
+            w, np.ones(nn), x,
+            draw_normals=lambda b: np.random.default_rng(4).standard_normal((1, b)))
         fold = AliasingFold(m)
         z = np.random.default_rng(4).standard_normal(2 * m)
         expect = mean_x + fold.table @ (

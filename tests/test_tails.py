@@ -297,10 +297,11 @@ class TestRenderPanel:
         kappa = heat_eigenvalues(0.1, nn)
         mu0 = cfg.mu0.realize(nn)
         y = simulate_observations(mu0, kappa, SNR, 7, 3).y.values
-        streams = [substream(7, "panel", 3, "draw", j) for j in range(4)]
         mean, sd, truth, draws = point_evaluation_curves(
             posterior_weights(prior, kappa, SNR), y, panel.x,
-            mu0.values[:, None], streams)
+            mu0.values[:, None],
+            lambda b: np.array([substream(7, "panel", 3, "draw", j)
+                                .standard_normal(b) for j in range(4)]))
         assert np.array_equal(panel.post_mean, mean)
         assert np.abs(panel.truth - truth[:, 0]).max() <= 1e-14
         half = 1.959963984540054 * sd
