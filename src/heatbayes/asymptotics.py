@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numeric import LOG_TINY, log1pexp
+from .numeric import LOG_TINY, MAX_HEAD, log1pexp
 from .sequence import CoefficientSequence, power_sums
 
 DEFAULT_N_GRID = (1e4, 1e8, 1e12, 1e16)
@@ -32,8 +32,6 @@ DEFAULT_N_GRID = (1e4, 1e8, 1e12, 1e16)
 _CHUNK = 262144
 # e^-746 rounds to exactly 0 in double precision
 _UNDERFLOW = 746.0
-# longest head summed directly: about a second of work
-_MAX_HEAD = 2 ** 24
 
 
 @dataclass(frozen=True)
@@ -140,9 +138,9 @@ def _log_terms(i: np.ndarray, params: LemmaParams, logN: float) -> np.ndarray:
 
 def _capped(root: float, name: str, value: float) -> int:
     """The head floor(root) + 1 that the exponent `name` = value needs."""
-    if not root < _MAX_HEAD:
+    if not root < MAX_HEAD:
         raise ValueError(f"{name} = {value:g} needs a head of {root:.4g} "
-                         f"terms, above the cap of {_MAX_HEAD}")
+                         f"terms, above the cap of {MAX_HEAD}")
     return int(root) + 1
 
 

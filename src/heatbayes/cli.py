@@ -36,7 +36,7 @@ from .experiments import (
     run_risk_curve,
 )
 from .functionals import LinearFunctional
-from .io import RunManifest, write_dataset
+from .io import RunManifest, table_cells, write_dataset
 from .posterior import compute_posterior, posterior_mean_function
 from .priors import PriorFamily, PriorSpec, ScalingRule
 from .sequence import (
@@ -67,28 +67,17 @@ _NAN_OK = {"radius_freq", "radius_ratio", "residual", "exact", "predicted"}
 
 def _ensure_finite(columns, rows) -> None:
     """Raise NumericFailure at the first non-finite number, column by column,
-    outside the _NAN_OK columns; strings are skipped.  rows may be a float
-    matrix."""
-    if isinstance(rows, np.ndarray):
-        checked = np.array([name not in _NAN_OK for name in columns])
-        bad = ~np.isfinite(rows) & checked
-        if bad.any():
-            c = np.flatnonzero(bad.any(axis=0))[0]
-            r = np.flatnonzero(bad[:, c])[0]
-            raise NumericFailure(f"non-finite value in column "
-                                 f"{columns[c]!r}: {float(rows[r, c])!r}")
-        return
-    for name, cells in zip(columns, zip(*rows)):
-        if name in _NAN_OK:
-            continue
-        values = np.asarray(cells)
-        if values.dtype.kind not in "biuf":  # strings or objects
-            cells = [v for v in cells if not isinstance(v, str)]
-            values = np.asarray(cells, dtype=float)
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise NumericFailure(
-                f"non-finite value in column {name!r}: {cells[bad[0]]!r}")
+    outside the _NAN_OK columns.  rows may be a float matrix; cells that
+    carry their own text (str and int, see io.table_cells) are never read
+    as numbers."""
+    columns, matrix, _ = table_cells((columns, rows))
+    checked = np.array([name not in _NAN_OK for name in columns])
+    bad = ~np.isfinite(matrix) & checked
+    if bad.any():
+        c = np.flatnonzero(bad.any(axis=0))[0]
+        r = np.flatnonzero(bad[:, c])[0]
+        raise NumericFailure(f"non-finite value in column "
+                             f"{columns[c]!r}: {float(matrix[r, c])!r}")
 
 
 def _parse_n_list(text) -> tuple:
@@ -161,14 +150,10 @@ class _Options:
         """Check every (path, table) for non-finite values, then write each
         and record its checksum, then write the manifest, next to the first
         output unless manifest_path is given.  A .svg path plots its panel."""
-        tables = []
         for path, table in outputs:
             if not path.endswith(".svg"):
-                if hasattr(table, "to_matrix"):
-                    table = table.to_matrix()
-                _ensure_finite(*table)
-            tables.append((path, table))
-        for path, table in tables:
+                _ensure_finite(*table_cells(table)[:2])
+        for path, table in outputs:
             write = (render_static_plot if path.endswith(".svg")
                      else write_dataset)
             self.manifest.record(path, write(table, path))
@@ -266,10 +251,9 @@ def _cmd_simulate(opt: _Options) -> int:
     kappa = heat_eigenvalues(DEFAULT_TIME_HORIZON, nn)
     mu0 = true_signal_coefficients(nn)
     obs = simulate_observations(mu0, kappa, n, seed)
-    rows = [(int(i + 1), kappa.values[i], mu0.values[i], obs.y.values[i])
-            for i in range(nn)]
     out = opt.get("out")
-    opt.emit([(out, (("i", "kappa", "mu0", "y"), rows))])
+    opt.emit([(out, (("i", "kappa", "mu0", "y"), np.column_stack(
+        [np.arange(1.0, nn + 1), kappa.values, mu0.values, obs.y.values])))])
     print(f"wrote {out} ({nn} coordinates, n={n:g}, seed={seed})")
     return EXIT_OK
 
@@ -283,12 +267,13 @@ def _cmd_posterior(opt: _Options) -> int:
                                 int(opt.get("seed")))
     summary = compute_posterior(prior, kappa, n, obs)
     x = np.linspace(0.0, 1.0, _int_flag(opt, "grid", 2))
-    rows = [(int(i + 1), obs.y.values[i], summary.mean.values[i],
-             summary.variance.values[i], summary.shrink_var.values[i])
-            for i in range(nn)]
     out = opt.get("out")
     fn_out = _stem(out) + "_mean.csv"
-    opt.emit([(out, (("i", "y", "mean", "variance", "shrink_var"), rows)),
+    opt.emit([(out, (("i", "y", "mean", "variance", "shrink_var"),
+                     np.column_stack([np.arange(1.0, nn + 1), obs.y.values,
+                                      summary.mean.values,
+                                      summary.variance.values,
+                                      summary.shrink_var.values]))),
               (fn_out, (("x", "post_mean"), np.column_stack(
                   [x, posterior_mean_function(summary, x)])))])
     print(f"wrote {out} and {fn_out}")

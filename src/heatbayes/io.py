@@ -1,17 +1,19 @@
 """Dataset serialization and run manifests.
 
-Datasets are CSV with a header row, UTF-8, LF line endings, and as many
-cells in every row as the header has columns.  A column name must hold no
-",", "\n" or "\r".  A table is (columns, rows) or (columns, matrix).  In
-rows, a cell that is a str is written verbatim and must hold no "\n" or
-"\r" (a "," is let through: the lemma suite's labels carry one); a
-non-bool int is written as str(value), and anything else as
-"%.17g" % value, i.e. format(float(value), ".17g"): 17 significant digits,
-so a reparse reproduces every float bit-exactly (numpy scalars, bools, nan,
-+-inf and -0.0 included).  A matrix is a 2-D floating ndarray with one
-column per header column, and its cells are written as those rows' floats.
+Datasets are CSV with a header row of at least one column, UTF-8, LF
+line endings, and as many cells in every row as the header has columns.
+A column name must hold no ",", "\n" or "\r".  A table is (columns, rows)
+or (columns, matrix), a matrix being a 2-D floating ndarray.  One cell
+rule holds for both: a str carries its own text, written verbatim and
+holding no "\n" or "\r" (a "," is let through: the lemma suite's labels
+carry one), and so does a non-bool int, written as str(value); any other
+cell is written as "%.17g" % value, i.e. format(float(value), ".17g"):
+17 significant digits, so a reparse reproduces every float bit-exactly
+(numpy scalars and ints, bools, nan, +-inf and -0.0 included).
+table_cells turns a table into one form, a float64 matrix plus the cells
+with their own text, of any width, which one routine writes.
 
-The cells of a matrix are formatted together, as 17-digit integers turned
+The cells of the matrix are formatted together, as 17-digit integers turned
 into digit bytes, and the result is exactly format(float(v), ".17g").
 That needs 1e-4 <= |v| < 1e17, where "%.17g" writes fixed notation: the
 digits of D = round(|v| 10^(16 - E)), E = floor(log10 |v|) in [-4, 16],
@@ -25,7 +27,8 @@ that the rounding carried into an 18th digit.  A misplaced E never gives
 a D inside: that needs |v| within 5e-17 (relative) below a power of ten,
 and the nearest doubles below 1e-3 ... 1e17 lie at least 8.3e-17 below.
 The cells with D outside, and 0, -0.0, nan, +-inf and |v| outside the
-range, take their text from "%.17g" % v.
+range, take their text from "%.17g" % v, as cells with their own text
+take theirs: byte strings kept by their length, so that a NUL stays.
 
 Every CLI run that writes files also writes a manifest recording the
 config digest, seed, and a checksum per output.
@@ -56,20 +59,13 @@ _POW10 = np.array([float(10 ** k) for k in range(21)])
 _QUADS = (np.arange(10000, dtype=np.uint16)[:, None]
           // np.array([1000, 100, 10, 1], dtype=np.uint16) % 10
           + ord("0")).astype(np.uint8).view(np.uint32).ravel()
-# a matrix cell's text is one column of 25 bytes: row 0 the sign, rows 1-5
-# "0.000", rows 6-23 the 17 digits with the point among them, row 24 the
-# separator; the bytes kept of each of these blocks are a prefix
+# a matrix cell's text is one column of bytes: row 0 the sign, rows 1-5
+# "0.000", rows 6-23 the 17 digits with the point among them, the last row
+# the separator (row 24, or further down if some text is wider than 24
+# bytes); the bytes kept of each of these blocks are a prefix
 _LEAD = np.arange(1, 6)[:, None]
 _PLACE = np.arange(18)[:, None]  # places of digits and point, from row 6
 _NTH = np.arange(17, dtype=np.uint8)[:, None]
-
-
-def _cell_format(value) -> str:
-    if isinstance(value, str):
-        return "%s"
-    if isinstance(value, int) and not isinstance(value, bool):
-        return "%d"
-    return "%.17g"
 
 
 def _write_bytes(path, payload: bytes, what: str) -> str:
@@ -135,9 +131,10 @@ def _digits(d: np.ndarray, text: np.ndarray) -> None:
     text[1:17] = _QUADS[quads.reshape(n, 4)].view(np.uint8).T
 
 
-def _matrix_lines(m: np.ndarray) -> bytes:
-    """The data lines of a float64 matrix: its cells as
-    format(float(v), ".17g"), row by row (see the module docstring)."""
+def _matrix_lines(m: np.ndarray, own: dict) -> bytes:
+    """The data lines of a float64 matrix: each cell as its own text, keyed
+    by flat index in own, if it has one, else as format(float(v), ".17g"),
+    row by row (see the module docstring)."""
     n = m.size
     v = m.ravel()
     a = np.abs(v)
@@ -146,7 +143,16 @@ def _matrix_lines(m: np.ndarray) -> bytes:
     e = np.clip(np.floor(np.log10(a)), -4, 16).astype(np.intp)
     d = _counts(a, e)
     fixed &= (d >= 10 ** 16) & (d < 10 ** 17)
-    text = np.empty((25, n), dtype=np.uint8)
+    mine = np.fromiter(own, dtype=np.intp, count=len(own))
+    fixed[mine] = True  # written with their own text, not "%.17g"'s
+    slow = np.flatnonzero(~fixed)
+    cells = ["%.17g" % u for u in v[slow].tolist()] + list(own.values())
+    cells = [c.encode() for c in cells]
+    verbatim = np.concatenate([slow, mine])  # their text is in cells
+    size = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells))
+    # "%.17g" text is at most 24 bytes: "-2.2250738585072014e-308"
+    width = max(24, size.max(initial=0))
+    text = np.empty((width + 1, n), dtype=np.uint8)
     _digits(d, text[6:23])
     last = (_NTH * (text[6:23] != ord("0"))).max(axis=0)  # nonzero digit
     # the point follows the first E + 1 digits of v >= 1, and the digits
@@ -157,54 +163,28 @@ def _matrix_lines(m: np.ndarray) -> bytes:
     text[6 + point, np.arange(n)] = ord(".")
     text[0] = ord("-")
     text[1:6] = np.frombuffer(b"0.000", dtype=np.uint8)[:, None]
-    text[24] = ord(",")
-    text[24].reshape(m.shape)[:, -1] = ord("\n")
+    text[-1] = ord(",")
+    text[-1].reshape(m.shape)[:, -1] = ord("\n")
     keep = np.empty(text.shape, dtype=bool)
     keep[0] = np.signbit(v)
     keep[1:6] = _LEAD <= np.where(e < 0, 1 - e, 0)  # "0." and -E - 1 zeros
     # the integer digits, and the point and fraction up to its last
     # nonzero digit if it has one
     keep[6:24] = _PLACE <= np.where(last > e, last + (e >= 0), e)
-    keep[24] = True
-    slow = np.flatnonzero(~fixed)
-    # "%.17g" text is at most 24 bytes: "-2.2250738585072014e-308"
-    cells = np.array(["%.17g" % u for u in v[slow].tolist()], dtype="S24")
-    cells = cells.view(np.uint8).reshape(-1, 24).T
-    text[:24, slow] = cells
-    keep[:24, slow] = cells != 0
+    keep[24:-1] = False  # the rows of wider own text
+    keep[-1] = True
+    # kept by length: a cell's own text may hold NULs
+    text[:width, verbatim] = np.array(cells, dtype=f"S{width}").view(
+        np.uint8).reshape(-1, width).T
+    keep[:width, verbatim] = np.arange(width)[:, None] < size
     return text.T[keep.T].tobytes()
 
 
-def _row_lines(columns: list, rows) -> bytes:
-    """The data lines of rows, one printf template per row type signature:
-    a table has few of them; with it, the positions of its str cells."""
-    lines = []
-    templates = {}
-    for r, row in enumerate(rows):
-        row = tuple(row)
-        if len(row) != len(columns):
-            raise ValueError(f"row {r} has {len(row)} cells, the header "
-                             f"{len(columns)} columns")
-        key = tuple(map(type, row))
-        if key not in templates:
-            templates[key] = (",".join(map(_cell_format, row)) + "\n",
-                              [j for j, v in enumerate(row)
-                               if isinstance(v, str)])
-        template, texts = templates[key]
-        for j in texts:
-            _check_text(row[j], f"row {r}, column {columns[j]!r}", "\n\r")
-        lines.append(template % row)
-    return "".join(lines).encode("utf-8")
-
-
-def write_dataset(table, path) -> str:
-    """Write (columns, rows), (columns, matrix) or an object exposing
-    to_matrix() or to_table(); returns the sha256 checksum of the written
-    bytes.  A row whose length differs from the header's, or a separator
-    in a column name or a line break in a str cell, raises ValueError
-    naming the row or the column; so does a matrix that is not 2-D with
-    the header's width, naming its shape, or not floating, naming its
-    dtype.  Nothing is written then."""
+def table_cells(table) -> tuple[list, np.ndarray, dict]:
+    """A table in the one form that write_dataset formats: its column names,
+    a 2-D float64 matrix, and the text of the cells that carry their own,
+    keyed by flat index (their matrix entries are 0).  Raises ValueError
+    as write_dataset says."""
     if hasattr(table, "to_matrix"):
         columns, rows = table.to_matrix()
     elif hasattr(table, "to_table"):
@@ -214,18 +194,44 @@ def write_dataset(table, path) -> str:
     columns = [str(c) for c in columns]
     for c in columns:
         _check_text(c, f"column name {c!r}", ",\n\r")
-    if isinstance(rows, np.ndarray):
-        if rows.ndim != 2 or rows.shape[1] != len(columns) or not columns:
-            raise ValueError(f"a matrix of shape {rows.shape} does not fit "
-                             f"a header of {len(columns)} columns")
-        if rows.dtype.kind != "f":
-            raise ValueError(f"a matrix of dtype {rows.dtype} is not "
-                             "floating")
-        body = _matrix_lines(rows.astype(np.float64, copy=False))
-    else:
-        body = _row_lines(columns, rows)
+    width, own = len(columns), {}
+    if not isinstance(rows, np.ndarray):
+        cells, r = [], -1
+        for r, row in enumerate(rows):
+            row = tuple(row)
+            if len(row) != width:
+                raise ValueError(f"row {r} has {len(row)} cells, the header "
+                                 f"{width} columns")
+            cells += row
+        # most cells are floats, so that test comes first
+        own = {k: str(v) for k, v in enumerate(cells)
+               if not isinstance(v, float) and isinstance(v, (str, int))
+               and not isinstance(v, bool)}
+        for k, text in own.items():
+            if "\n" in text or "\r" in text:  # never in an int's text
+                _check_text(text, f"row {k // width}, column "
+                            f"{columns[k % width]!r}", "\n\r")
+            cells[k] = 0.0
+        rows = np.array(cells, dtype=np.float64).reshape(r + 1, width)
+    if rows.ndim != 2 or rows.shape[1] != width or not columns:
+        raise ValueError(f"a matrix of shape {rows.shape} does not fit "
+                         f"a header of {width} columns")
+    if rows.dtype.kind != "f":
+        raise ValueError(f"a matrix of dtype {rows.dtype} is not floating")
+    return columns, rows.astype(np.float64, copy=False), own
+
+
+def write_dataset(table, path) -> str:
+    """Write (columns, rows), (columns, matrix) or an object exposing
+    to_matrix() or to_table(); returns the sha256 checksum of the written
+    bytes.  A row whose length differs from the header's, or a separator
+    in a column name or a line break in a str cell, raises ValueError
+    naming the row or the column; so does a table with no columns, or a
+    matrix that is not 2-D with the header's width, naming its shape, or
+    not floating, naming its dtype.  Nothing is written then."""
+    columns, matrix, own = table_cells(table)
     return _write_bytes(path, (",".join(columns) + "\n").encode("utf-8")
-                        + body, "dataset")
+                        + _matrix_lines(matrix, own), "dataset")
 
 
 def read_dataset(path) -> tuple[list, list]:

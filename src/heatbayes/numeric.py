@@ -14,6 +14,8 @@ import numpy as np
 
 # exp underflows to 0 below this; used for early exits in log-space sums.
 LOG_TINY = -745.0
+# longest series summed term by term: about a second of work
+MAX_HEAD = 2 ** 24
 # |log a| beyond which a/(1+a) saturates at double precision.
 _SATURATION = 40.0
 

@@ -109,6 +109,31 @@ class TestWriteDataset:
         write_dataset((("a", "b"), [("", 1.0), ("s", "")]), path)
         assert path.read_bytes() == b"a,b\n,1\ns,\n"
 
+    @pytest.mark.parametrize("rows", [
+        [("\u00e9t\u00e9", 1.5), (0.25, "\u03bb=\u221e \U0001d4e9")],
+        [(1e-300, "x" * 40), (-0.0, "y" * 40), (2.5, "z")],
+        [("a", "", "c"), ("", "e", "")],
+        [("", 1.0, 2.0, ""), ("", np.nan, 3, ""), ("q", 7, -1e20, "")],
+        [("a\0b", "\0"), ("\0\0", 1.0), (np.nan, "nul\0")],
+    ], ids=["non-ascii", "wide-last-column", "text-only", "empty-ends",
+            "nul"])
+    def test_text_cells_match_oracle(self, tmp_path, rows):
+        """Cells with their own text, anywhere and of any width, are
+        written verbatim among the formatted floats."""
+        columns = tuple(f"c{j}" for j in range(len(rows[0])))
+        path = tmp_path / "t.csv"
+        checksum = write_dataset((columns, rows), path)
+        expected = dataset_bytes_reference(columns, rows)
+        assert path.read_bytes() == expected
+        assert checksum == hashlib.sha256(expected).hexdigest()
+
+    @pytest.mark.parametrize("rows", [[(), ()], []])
+    def test_table_without_columns_rejected(self, tmp_path, rows):
+        path = tmp_path / "none.csv"
+        with pytest.raises(ValueError, match="0 columns"):
+            write_dataset(((), rows), path)
+        assert not path.exists()
+
     def test_panel_bytes_match_oracle(self, tmp_path):
         from heatbayes import ExperimentConfig, PanelSpec, PriorSpec, render_panel
         cfg = ExperimentConfig(prior=PriorSpec.polynomial(1.0), n_grid=(1e4,),
@@ -837,7 +862,7 @@ class TestEnsureFinite:
                 ("y", 2.0, np.float64(np.nan), float("inf")),
                 ("nan", 3.0, 4, 5)]
         with pytest.raises(NumericFailure,
-                           match=r"column 'a': np.float64\(nan\)"):
+                           match=r"column 'a': nan$"):
             _ensure_finite(columns, rows)
         # strings, including "nan" and "", are never read as numbers
         _ensure_finite(("s", "v"), [("nan", 1), ("", 2.5), ("inf", True)])
@@ -913,3 +938,117 @@ def test_figures_csv_match_oracle(tmp_path, capsys):
         expected = dataset_bytes_reference(*panel.to_table())
         assert (out / name).read_bytes() == expected
         assert recorded[name] == hashlib.sha256(expected).hexdigest()
+
+
+def _recorded(manifest_path) -> dict:
+    """The checksums a manifest records, by file name."""
+    manifest = json.loads(open(manifest_path).read())
+    return {os.path.basename(o["path"]): o["sha256"]
+            for o in manifest["outputs"]}
+
+
+def _assert_written(path, columns, rows) -> None:
+    """path holds the cell-by-cell reference bytes of (columns, rows), and
+    its manifest records their checksum."""
+    expected = dataset_bytes_reference(columns, rows)
+    assert path.read_bytes() == expected
+    manifest = str(path).replace("_mean.csv", ".csv")[:-4] + ".manifest.json"
+    assert (_recorded(manifest)[path.name]
+            == hashlib.sha256(expected).hexdigest())
+
+
+@pytest.mark.parametrize("trunc", [None, 5000])
+def test_simulate_csv_matches_oracle(tmp_path, capsys, trunc):
+    """heatbayes simulate writes its rows, int index first, as the
+    cell-by-cell reference formats them."""
+    from heatbayes.sequence import (DEFAULT_TIME_HORIZON, default_truncation,
+                                    heat_eigenvalues, simulate_observations,
+                                    true_signal_coefficients)
+    out = tmp_path / "sim.csv"
+    argv = ["simulate", "--out", str(out)]
+    assert main(argv + (["--trunc", str(trunc)] if trunc else [])) == EXIT_OK
+    nn = trunc or default_truncation(1e4)
+    kappa = heat_eigenvalues(DEFAULT_TIME_HORIZON, nn)
+    mu0 = true_signal_coefficients(nn)
+    y = simulate_observations(mu0, kappa, 1e4, 0).y
+    _assert_written(out, ("i", "kappa", "mu0", "y"),
+                    [(i + 1, kappa.values[i], mu0.values[i], y.values[i])
+                     for i in range(nn)])
+
+
+def test_posterior_csv_matches_oracle(tmp_path, capsys):
+    from heatbayes import PriorSpec, compute_posterior, posterior_mean_function
+    from heatbayes.sequence import (DEFAULT_TIME_HORIZON, default_truncation,
+                                    heat_eigenvalues, simulate_observations,
+                                    true_signal_coefficients)
+    out = tmp_path / "post.csv"
+    assert main(["posterior", "--grid", "57", "--out", str(out)]) == EXIT_OK
+    nn = default_truncation(1e4, 1.0)
+    kappa = heat_eigenvalues(DEFAULT_TIME_HORIZON, nn)
+    obs = simulate_observations(true_signal_coefficients(nn), kappa, 1e4, 0)
+    post = compute_posterior(PriorSpec.polynomial(1.0), kappa, 1e4, obs)
+    _assert_written(out, ("i", "y", "mean", "variance", "shrink_var"),
+                    [(i + 1, obs.y.values[i], post.mean.values[i],
+                      post.variance.values[i], post.shrink_var.values[i])
+                     for i in range(nn)])
+    x = np.linspace(0.0, 1.0, 57)
+    _assert_written(tmp_path / "post_mean.csv", ("x", "post_mean"),
+                    list(zip(x, posterior_mean_function(post, x))))
+
+
+@pytest.mark.parametrize("argv", [
+    ["coverage", "--n", "1e4,1e8", "--reps", "50"],
+    ["coverage", "--n", "1e4,1e8", "--mu0", "prior", "--reps", "50"],
+    ["coverage", "--kind", "interval", "--reps", "50"],
+    ["risk", "--prior", "exp", "--n", "1e2,1e4,1e6", "--reps", "50"],
+    ["lemmas"],
+], ids=["ball-cubic", "ball-prior", "interval", "risk-exp", "lemmas"])
+def test_report_csv_matches_oracle(tmp_path, monkeypatch, capsys, argv):
+    """Each report CSV is its table's row form (NaN radius_freq of prior
+    truths, the lemma suite's str labels and "" residuals included) as the
+    cell-by-cell reference formats it."""
+    from heatbayes import cli
+    reports = []
+
+    def keep(run):
+        def kept(*args):
+            reports.append(run(*args))
+            return reports[-1]
+        return kept
+
+    for name in ("run_ball_coverage", "run_interval_coverage",
+                 "run_risk_curve", "standard_lemma_suite"):
+        monkeypatch.setattr(cli, name, keep(getattr(cli, name)))
+    out = tmp_path / "report.csv"
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    (report,) = reports
+    columns, rows = report.to_table()
+    cells = [v for row in rows for v in row]
+    if "prior" in argv:
+        assert all(math.isnan(row[columns.index("radius_freq")])
+                   for row in rows)
+    if argv == ["lemmas"]:
+        assert "" in cells and all(isinstance(row[0], str) for row in rows)
+    _assert_written(out, columns, rows)
+
+
+def test_exp_interval_doubling_stays_within_memory(tmp_path):
+    """An exponential prior so flat that its tail, summed term by term,
+    would run past MAX_HEAD terms stops doubling N and exits 2 with the
+    admissibility error, within 2 GB of address space: a child process
+    under that limit and a timeout."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.abspath(src), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "heatbayes", "coverage", "--kind", "interval",
+         "--prior", "exp", "--alpha", "1e-300", "--reps", "10"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=limit)
+    assert done.returncode == EXIT_CONFIG, done.stderr
+    assert "last-decade mass" in done.stderr
