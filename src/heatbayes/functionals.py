@@ -279,16 +279,6 @@ def credible_interval(fp: FunctionalPosterior, gamma: float) -> tuple[float, flo
     return (fp.mean + z * s, fp.mean - z * s)
 
 
-def functional_bias(L: LinearFunctional, prior: PriorSpec,
-                    kappa: CoefficientSequence, n: float,
-                    mu0: CoefficientSequence) -> float:
-    """|sum l_i mu0_i / (1 + a_i)|, the bias of the posterior mean for L mu."""
-    if mu0.truncation_level != L.l.truncation_level:
-        raise ValueError("truncation mismatch between representer and mu0")
-    w = posterior_weights(prior, kappa, n)
-    return abs(compensated_sum(L.l.values * mu0.values * w.one_minus_gain))
-
-
 def point_evaluation_curves(weights: PosteriorWeights, y_values: np.ndarray,
                             x_grid, extra_coefficients: np.ndarray | None = None,
                             draw_normals=None, tail: PriorTail | None = None):

@@ -224,10 +224,10 @@ def _shifted_power_sums(s: float, q: np.ndarray, count: np.ndarray) -> np.ndarra
     """sum_{k < count} (q + k)^-s = zeta(s, q) - zeta(s, q + count) for
     q > 0 and integer or infinite counts, any real s.
 
-    scipy's zeta(s, q) is NaN for s < 1 and infinite at s = 1; near the
-    pole both of its terms grow like 1/(s - 1), and for a short range at
-    large q their difference is off by up to 2e-10 of the sum.  The
-    expansion below has none of these problems.
+    A difference of two library Hurwitz zeta values is NaN for s < 1 and
+    infinite at s = 1; near the pole both terms grow like 1/(s - 1), and
+    for a short range at large q their difference is off by up to 2e-10
+    of the sum.  The expansion below has none of these problems.
 
     The first _EM_DIRECT terms are summed directly; the rest, from
     a = q + _EM_DIRECT to b - 1 with b = q + count, is zeta(s, a) -
@@ -258,15 +258,6 @@ def _shifted_power_sums(s: float, q: np.ndarray, count: np.ndarray) -> np.ndarra
                  * (a ** (u - 2 * j) - b ** (u - 2 * j)))
         rising *= (s + 2 * j - 1) * (s + 2 * j)
     return out + np.where(rest > 0, tail, 0.0)
-
-
-def sine_basis_eval(i: int, x: float) -> float:
-    """e_i(x) = sqrt(2) sin(i pi x) for x in [0, 1]."""
-    if i < 1:
-        raise ValueError("basis index must be a positive integer")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
-    return math.sqrt(2.0) * float(sinpi(i * x))
 
 
 def _grid(x_grid) -> np.ndarray:

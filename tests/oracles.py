@@ -360,3 +360,28 @@ def crossover_index_lambertw(N, u, p):
         return math.sqrt(math.log(N) / p)
     z = (2.0 * p / u) * N ** (2.0 / u)
     return math.sqrt(u / (2.0 * p) * float(lambertw(z).real))
+
+
+def integral_ratios_quad(gamma, zeta_, K):
+    """(growth, tail) ratios of the two Gaussian-tail integrals to their
+    envelopes by scipy's adaptive quad, after factoring out e^{+-zeta K^2}:
+    2 zeta K int_0^{K-1} e^{zeta(y^2 - 2Ky)} (1 - y/K)^gamma dy and
+    2 zeta K int_0^inf e^{-zeta(y^2 + 2Ky)} (1 + y/K)^-gamma dy."""
+    from scipy.integrate import quad
+
+    width = max(50.0 / (2.0 * zeta_ * K), 1e-3)
+
+    def grow(y):
+        return math.exp(zeta_ * (y * y - 2.0 * K * y)) * (1.0 - y / K) ** gamma
+
+    upper = K - 1.0
+    cut = min(width, upper)
+    j1 = quad(grow, 0.0, cut, epsabs=0.0, epsrel=1e-11)[0]
+    if cut < upper:
+        j1 += quad(grow, cut, upper, epsabs=1e-300, epsrel=1e-11)[0]
+
+    def decay(y):
+        return math.exp(-zeta_ * (y * y + 2.0 * K * y)) * (1.0 + y / K) ** -gamma
+
+    j2 = quad(decay, 0.0, np.inf, epsabs=0.0, epsrel=1e-11)[0]
+    return 2.0 * zeta_ * K * j1, 2.0 * zeta_ * K * j2

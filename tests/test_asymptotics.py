@@ -5,10 +5,11 @@ import json
 import math
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
-from oracles import crossover_index_lambertw
+from oracles import crossover_index_lambertw, integral_ratios_quad
 from scipy.special import exp1, zeta
 
 from heatbayes.asymptotics import (
@@ -242,7 +243,53 @@ class TestLemmaCsbound:
         assert mine == pytest.approx(oracle, rel=1e-10)
 
 
+ZETAS = (0.1, 1.0, 50.0)
+KS = (1.001, 1.5, 2.0, 5.0, 10.0, 30.0)
+# (gamma, zeta, K): the slow-decay stress case; four random inputs on which
+# quad raises IntegrationWarning; zeta K^2 small at large K, where x^gamma
+# varies on a scale of 1 near x = 1, and at K near 1, where
+# (x/K)^-gamma varies on a scale of K near x = K
+QUAD_CASES = (
+    (0.5, 0.1, 1.5),
+    (2.4807711903509526, 0.3425391510598943, 306.24927901954464),
+    (0.46670635430240665, 3.2842227576202494, 126.70427334439785),
+    (3.461378356470024, 84.09693354610275, 184.93144716033447),
+    (3.043906459307891, 1.1246953330982432, 129.84667461345802),
+    (0.5, 1e-8, 1e4), (0.01, 1e-8, 1e4), (2.5, 1e-6, 1.001),
+    (1.5, 0.7, 2.0), (1.5, 0.7, 30.0), (3.0, 50.0, 1.001), (0.5, 1.0, 10.0),
+)
+
+
+def strict_integral_check(gamma, zeta_, K):
+    """integral_bound_check at one K, with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return integral_bound_check(gamma, zeta_, (K,))
+
+
 class TestIntegralBounds:
+    @pytest.mark.parametrize("K", KS)
+    @pytest.mark.parametrize("zeta_", ZETAS)
+    def test_closed_forms_at_gamma_one(self, zeta_, K):
+        """gamma = 1: growth ratio 1 - e^{zeta(1-K^2)}, tail ratio
+        zeta K^2 e^{zeta K^2} E1(zeta K^2)."""
+        report = strict_integral_check(1.0, zeta_, K)
+        assert report.part1.ratio[0] == pytest.approx(
+            -math.expm1(zeta_ * (1.0 - K * K)), rel=1e-12, abs=0.0)
+        z = zeta_ * K * K
+        if z <= 700.0:
+            assert report.part2.ratio[0] == pytest.approx(
+                z * math.exp(z) * float(exp1(z)), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("gamma,zeta_,K", QUAD_CASES)
+    def test_general_gamma_matches_quad(self, gamma, zeta_, K):
+        report = strict_integral_check(gamma, zeta_, K)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # quad's own warnings
+            growth, tail = integral_ratios_quad(gamma, zeta_, K)
+        assert report.part1.ratio[0] == pytest.approx(growth, rel=1e-11, abs=0.0)
+        assert report.part2.ratio[0] == pytest.approx(tail, rel=1e-11, abs=0.0)
+
     def test_growth_ratio_closed_form(self):
         """gamma = 1: the antiderivative gives ratio 1 - e^{zeta(1-K^2)}."""
         report = integral_bound_check(1.0, 1.0, (2.0, 5.0, 30.0))
@@ -276,6 +323,14 @@ class TestIntegralBounds:
             integral_bound_check(-1.0, 1.0, (2.0,))
         with pytest.raises(ValueError):
             integral_bound_check(-1.0, 1.0, ())
+        for gamma, zeta_, K, what in ((1.0, 1.0, math.nan, "K grid"),
+                                      (1.0, 1.0, math.inf, "K grid"),
+                                      (1.0, 1.0, 1e200, "K grid"),
+                                      (1.0, 1e-320, 2.0, "K grid"),
+                                      (1.0, math.inf, 2.0, "zeta"),
+                                      (math.inf, 1.0, 2.0, "gamma")):
+            with pytest.raises(ValueError, match=what):
+                integral_bound_check(gamma, zeta_, (2.0, K))
 
 
 class TestStandardSuite:

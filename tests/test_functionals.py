@@ -15,7 +15,6 @@ from heatbayes import (
     admissible_truncation,
     compute_posterior,
     credible_interval,
-    functional_bias,
     functional_posterior,
     heat_eigenvalues,
     pointwise_band,
@@ -28,6 +27,7 @@ from heatbayes import (
 from heatbayes.functionals import (
     FunctionalPosterior,
     check_admissible,
+    functional_moments,
     point_evaluation_curves,
 )
 from heatbayes.posterior import PosteriorWeights
@@ -351,31 +351,42 @@ class TestAliasingFold:
         assert np.abs(draws[0] - expect).max() <= 1e-12 * np.abs(expect).max()
 
 
+def moments_bias(L, prior, kappa, n, mu0):
+    """|bias| of the posterior mean of L at the truth mu0, as
+    functional_moments reports it over full-length weights."""
+    w = posterior_weights(prior, kappa, n)
+    return abs(functional_moments(L, w, prior, kappa.truncation_level,
+                                  mu0.values)[2])
+
+
 class TestFunctionalBias:
     def test_single_coordinate_hand_value(self):
+        """One active coordinate; N = 100 so that the last-decade check
+        sees no mass."""
         prior = PriorSpec.polynomial(1.0)  # lambda_1 = 1
-        kap = CoefficientSequence(np.array([0.5]), 1)
-        mu0 = CoefficientSequence(np.array([1.0]), 1)
-        L = LinearFunctional.coordinate(1, 1)
-        val = functional_bias(L, prior, kap, 100.0, mu0)
+        nn = 100
+        kap = CoefficientSequence(np.r_[0.5, np.zeros(nn - 1)], nn)
+        mu0 = CoefficientSequence(np.r_[1.0, np.zeros(nn - 1)], nn)
+        L = LinearFunctional.coordinate(1, nn)
+        val = moments_bias(L, prior, kap, 100.0, mu0)
         assert val == pytest.approx(1.0 / 26.0, rel=1e-13)
 
     def test_vanishes_with_benign_operator(self):
         prior = PriorSpec.polynomial(1.0)
-        nn = 100
+        nn = admissible_truncation(prior)
         kap = CoefficientSequence(np.ones(nn), nn)
         mu0 = true_signal_coefficients(nn)
         L = LinearFunctional.point_evaluation(0.4, nn)
-        assert functional_bias(L, prior, kap, 1e18, mu0) < 1e-8
+        assert moments_bias(L, prior, kap, 1e18, mu0) < 1e-8
 
     def test_cauchy_schwarz_bound(self):
         """bias^2 <= ||mu0||_beta^2 sum l_i^2 i^{-2 beta} / (1 + a_i)^2."""
         prior = PriorSpec.polynomial(1.0)
-        nn, n, beta = 400, 1e4, 2.0
+        nn, n, beta = admissible_truncation(prior), 1e4, 2.0
         kap = heat_eigenvalues(0.1, nn)
         mu0 = true_signal_coefficients(nn)
         L = LinearFunctional.point_evaluation(0.35, nn)
-        bias = functional_bias(L, prior, kap, n, mu0)
+        bias = moments_bias(L, prior, kap, n, mu0)
         w = posterior_weights(prior, kap, n)
         i = np.arange(1, nn + 1, dtype=float)
         rhs_series = float((L.l.values**2 * i ** (-2 * beta)

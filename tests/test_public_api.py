@@ -1,10 +1,14 @@
 """The package's public surface: every exported name resolves, so that a
-deleted function cannot stay exported, and importing it loads no scipy."""
+deleted function cannot stay exported; no file of it imports scipy, and
+pyproject.toml declares exactly what it imports."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
+
+import pytest
 
 import heatbayes
 
@@ -22,32 +26,55 @@ def test_star_import():
     assert set(heatbayes.__all__) <= set(namespace)
 
 
-def _module_level_imports(node):
-    """Import statements that run when the module is imported: every one
-    outside a function body."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                              ast.Lambda)):
-            continue
-        if isinstance(child, (ast.Import, ast.ImportFrom)):
-            yield child
-        yield from _module_level_imports(child)
+def _imported_modules(path):
+    """(module, line) for every absolute import in the file at `path`,
+    function bodies included."""
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module, node.lineno
+
+
+def _package_files():
+    package = os.path.dirname(heatbayes.__file__)
+    for root, _, names in sorted(os.walk(package)):
+        for name in sorted(names):
+            if name.endswith(".py"):
+                yield os.path.join(root, name)
 
 
 def test_no_module_level_scipy_import():
-    package = os.path.dirname(heatbayes.__file__)
-    offenders = []
-    for name in sorted(os.listdir(package)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(package, name)) as f:
-            tree = ast.parse(f.read())
-        for node in _module_level_imports(tree):
-            modules = ([a.name for a in node.names]
-                       if isinstance(node, ast.Import) else [node.module])
-            if any(m and m.split(".")[0] == "scipy" for m in modules):
-                offenders.append(f"{name}:{node.lineno}")
+    """No file of the package imports scipy, not even inside a function."""
+    offenders = [f"{os.path.basename(path)}:{line}"
+                 for path in _package_files()
+                 for module, line in _imported_modules(path)
+                 if module.split(".")[0] == "scipy"]
     assert offenders == []
+
+
+def test_declared_dependencies_match_imports():
+    """[project] dependencies name exactly the third-party modules that the
+    package imports; the test extra adds scipy and pytest."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    root = os.path.dirname(os.path.dirname(os.path.dirname(heatbayes.__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as f:
+        project = tomllib.load(f)["project"]
+
+    def names(requirements):
+        return {re.split(r"[\s<>=!~;\[]", r, maxsplit=1)[0].lower()
+                for r in requirements}
+
+    imported = {module.split(".")[0]
+                for path in _package_files()
+                for module, _ in _imported_modules(path)}
+    third_party = imported - set(sys.stdlib_module_names) - {"heatbayes"}
+    assert names(project["dependencies"]) == third_party
+    assert {"scipy", "pytest"} <= names(
+        project["optional-dependencies"]["test"])
 
 
 def _scipy_modules_after(lines: str) -> str:
@@ -89,3 +116,17 @@ def test_ball_radii_load_no_scipy():
         "    hb.run_ball_coverage(hb.ExperimentConfig(\n"
         "        prior=hb.PriorSpec.polynomial(1.0), n_grid=(1e2, 1e4),\n"
         "        replications=5, mu0=mu0))\n") == "[]"
+
+
+def test_lemma_suite_and_command_load_no_scipy(tmp_path):
+    """The lemma suite, through the library and the command line, runs
+    without scipy."""
+    out = str(tmp_path / "lemmas.csv")
+    assert _scipy_modules_after(
+        "import contextlib, io\n"
+        "from heatbayes import cli\n"
+        "from heatbayes.asymptotics import standard_lemma_suite\n"
+        "standard_lemma_suite()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['lemmas', '--out', {out!r}]) == 0\n"
+    ) == "[]"

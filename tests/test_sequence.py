@@ -13,7 +13,6 @@ from heatbayes import (
     forward_solution,
     heat_eigenvalues,
     simulate_observations,
-    sine_basis_eval,
     sobolev_norm,
     true_signal_coefficients,
     true_signal_function,
@@ -24,6 +23,7 @@ from heatbayes.sequence import (
     AliasingFold,
     GridSynthesis,
     _shared_fold,
+    basis_columns,
     basis_matrix,
     bin_range,
     default_truncation,
@@ -80,23 +80,25 @@ class TestHeatEigenvalues:
 
 class TestSineBasis:
     def test_known_values(self):
-        assert sine_basis_eval(1, 0.5) == pytest.approx(math.sqrt(2), rel=1e-15)
-        assert sine_basis_eval(2, 0.5) == 0.0
-        assert sine_basis_eval(3, 1.0 / 6.0) == pytest.approx(
-            math.sqrt(2), rel=1e-12)
+        E = basis_matrix([0.5, 1.0 / 6.0], 3)
+        assert E[0, 0] == pytest.approx(math.sqrt(2), rel=1e-15)
+        assert E[0, 1] == 0.0
+        assert E[1, 2] == pytest.approx(math.sqrt(2), rel=1e-12)
 
     def test_exact_zeros_at_endpoints(self):
-        for i in (1, 2, 17, 1000, 7_654_321):
-            assert sine_basis_eval(i, 0.0) == 0.0
-            assert sine_basis_eval(i, 1.0) == 0.0
+        ends = [0.0, 1.0]
+        E = basis_matrix(ends, 1000)
+        for i in (1, 2, 17, 1000):
+            np.testing.assert_array_equal(E[:, i - 1], 0.0)
+        # column 7654321 alone, through the same kernel
+        np.testing.assert_array_equal(
+            basis_columns(np.array(ends), 7_654_320, 7_654_321), 0.0)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            sine_basis_eval(1, -0.1)
+            basis_matrix([-0.1], 1)
         with pytest.raises(ValueError):
-            sine_basis_eval(1, 1.1)
-        with pytest.raises(ValueError):
-            sine_basis_eval(0, 0.5)
+            basis_matrix([1.1], 1)
 
     def test_orthonormal_on_grid(self):
         """Composite trapezoid integrates trig polynomials exactly."""
