@@ -58,7 +58,7 @@ class LemmaParams:
             raise ValueError("every N grid value must be finite and exceed 1")
 
     def validate_series(self) -> None:
-        if self.t < 0 or self.u < 0 or self.v < 0:
+        if not (self.t >= 0 and self.u >= 0 and self.v >= 0):
             raise ValueError("series constraints require t, u, v >= 0")
         if not self.p > 0:
             raise ValueError("series constraints require p > 0")
@@ -68,9 +68,9 @@ class LemmaParams:
             raise ValueError("undamped series (r = 0) diverges unless t > 1")
 
     def validate_norm(self) -> None:
-        if self.u < 0 or self.v < 0:
+        if not (self.u >= 0 and self.v >= 0):
             raise ValueError("norm constraints require u, v >= 0")
-        if self.t < -2 * self.q:
+        if not self.t >= -2 * self.q:
             raise ValueError("norm constraints require t >= -2q")
         if not self.p > 0:
             raise ValueError("norm constraints require p > 0")
@@ -78,7 +78,7 @@ class LemmaParams:
             raise ValueError("norm constraints require 0 <= r < v p")
 
     def validate_csbound(self) -> None:
-        if self.t < 0:
+        if not self.t >= 0:
             raise ValueError("weighted-sum constraints require t >= 0")
         if not (self.u > 0 and self.p > 0):
             raise ValueError("weighted-sum constraints require u, p > 0")
@@ -117,7 +117,7 @@ def crossover_index(N: float, u: float, p: float) -> float:
     """
     if not N > 1:
         raise ValueError("crossover index needs N > 1")
-    if u < 0 or not p > 0:
+    if not (u >= 0 and p > 0):
         raise ValueError("crossover index needs u >= 0 and p > 0")
     logN = math.log(N)
 

@@ -92,6 +92,13 @@ def _parse_n_list(text) -> tuple:
     return vals
 
 
+def _finite_float(value) -> float:
+    v = float(value)
+    if not math.isfinite(v):  # a manifest is JSON, which has no NaN or inf
+        raise ValueError(f"must be finite, got {value!r}")
+    return v
+
+
 class Option(NamedTuple):
     """The flag --name (underscores as dashes): its default, the keywords
     of its add_argument call, and the parser of its value (the `type`
@@ -185,12 +192,12 @@ def _stem(out: str) -> str:
 def _prior_from(opt: _Options) -> PriorSpec:
     family = (PriorFamily.EXPONENTIAL if opt.get("prior") == "exp"
               else PriorFamily.POLYNOMIAL)
-    return PriorSpec(family, float(opt.get("alpha")), float(opt.get("tau")))
+    return PriorSpec(family, opt.get("alpha"), opt.get("tau"))
 
 
 def _scaling_from(opt: _Options) -> ScalingRule:
     if opt.get("scaling") == "matched":
-        return ScalingRule.rate_matched(float(opt.get("beta")))
+        return ScalingRule.rate_matched(opt.get("beta"))
     return ScalingRule.fixed()
 
 
@@ -198,7 +205,7 @@ def _mu0_from(opt: _Options) -> Mu0Source:
     if opt.get("mu0") == "prior":
         return Mu0Source.prior_draw()
     if opt.get("mu0") == "power":
-        return Mu0Source.power_law(float(opt.get("mu0_beta")))
+        return Mu0Source.power_law(opt.get("mu0_beta"))
     return Mu0Source.test_cubic()
 
 
@@ -217,7 +224,7 @@ def _experiment_config(opt: _Options, **fields) -> ExperimentConfig:
         prior=_prior_from(opt),
         n_grid=opt.get("n"),
         scaling=_scaling_from(opt),
-        gamma=float(opt.get("gamma")),
+        gamma=opt.get("gamma"),
         seed=int(opt.get("seed")),
         trunc=_int_flag(opt, "trunc", 1),
         **fields,
@@ -298,7 +305,7 @@ def _cmd_coverage(opt: _Options) -> int:
                              mu0=_mu0_from(opt))
     if opt.get("kind") == "interval":
         # the experiment rebuilds the representer at its own truncation
-        L = LinearFunctional.point_evaluation(float(opt.get("x")), 100)
+        L = LinearFunctional.point_evaluation(opt.get("x"), 100)
         _report(opt, run_interval_coverage(cfg, L))
     else:
         _report(opt, run_ball_coverage(cfg))
@@ -329,7 +336,7 @@ def _cmd_figures(opt: _Options) -> int:
     names = sorted(FIGURE_PROTOCOLS) if which == "all" else [which]
     jobs = [(name, spec, ExperimentConfig(
                 prior=spec.prior, n_grid=(spec.n,),
-                gamma=float(opt.get("gamma")), replications=1,
+                gamma=opt.get("gamma"), replications=1,
                 seed=int(opt.get("seed")), trunc=trunc, x_grid_points=grid))
             for name in names for spec in FIGURE_PROTOCOLS[name]()]
     out_dir = opt.get("out")
@@ -349,18 +356,18 @@ _N = _opt("n", "1e4", parse=_parse_n_list,
           help="signal-to-noise n (comma list where a grid applies)")
 _PRIOR = (
     _opt("prior", "poly", choices=["poly", "exp"]),
-    _opt("alpha", 1.0, type=float),
-    _opt("tau", 1.0, type=float),
+    _opt("alpha", 1.0, _finite_float, type=float),
+    _opt("tau", 1.0, _finite_float, type=float),
     _opt("scaling", "fixed", choices=["fixed", "matched"]),
-    _opt("beta", 2.0, type=float,
+    _opt("beta", 2.0, _finite_float, type=float,
          help="target smoothness for matched scaling"),
 )
-_GAMMA = _opt("gamma", 0.05, type=float)
+_GAMMA = _opt("gamma", 0.05, _finite_float, type=float)
 _REPS = _opt("reps", 1000, type=int)
 _SEED = _opt("seed", 0, type=int)
 _TRUNC = _opt("trunc", type=int)
 _GRID = _opt("grid", 201, type=int, help="x-grid point count")
-_MU0_BETA = _opt("mu0_beta", 2.0, type=float)
+_MU0_BETA = _opt("mu0_beta", 2.0, _finite_float, type=float)
 
 COMMANDS = {
     "simulate": Command(
@@ -378,7 +385,7 @@ COMMANDS = {
         (_N, *_PRIOR, _GAMMA, _REPS, _SEED, _TRUNC,
          _opt("kind", "ball", choices=["ball", "interval"]),
          _opt("mu0", "cubic", choices=["cubic", "prior", "power"]), _MU0_BETA,
-         _opt("x", 0.5, type=float,
+         _opt("x", 0.5, _finite_float, type=float,
               help="point-evaluation location for intervals"),
          _opt("out"))),
     "risk": Command(

@@ -90,19 +90,12 @@ class QuadraticForm:
     """Distribution of sum w_i Z_i^2 for nonnegative weights w."""
 
     weights: CoefficientSequence
-    mean: float
-    sd: float
 
     @staticmethod
     def from_weights(weights: CoefficientSequence) -> "QuadraticForm":
-        w = weights.values
-        if np.any(w < 0):
+        if np.any(weights.values < 0):
             raise ValueError("quadratic-form weights must be nonnegative")
-        return QuadraticForm(
-            weights=weights,
-            mean=compensated_sum(w),
-            sd=math.sqrt(2.0 * compensated_sum(w**2)),
-        )
+        return QuadraticForm(weights)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from .credible import (
 from .functionals import (
     InadmissibleFunctionalError,
     LinearFunctional,
-    PriorTail,
     _point_fraction,
     admissible_truncation,
     functional_moments,
@@ -46,6 +45,7 @@ from .rng import normal_matrix, substream
 from .sequence import (
     CoefficientSequence,
     DEFAULT_TIME_HORIZON,
+    _check_time_horizon,
     active_head,
     bin_range,
     default_truncation,
@@ -155,6 +155,7 @@ class ExperimentConfig:
             raise ValueError("gamma must lie in (0, 1)")
         if self.x_grid_points < 2:
             raise ValueError("x_grid_points must be at least 2")
+        _check_time_horizon(self.time_horizon)
 
     def truncation_for(self, n: float, prior_n: PriorSpec) -> int:
         if self.trunc is not None:
@@ -166,10 +167,8 @@ class ExperimentConfig:
 class ExperimentReport:
     """Tabular per-n results of one experiment."""
 
-    kind: str
     columns: tuple
     rows: list
-    config: ExperimentConfig
 
     def column(self, name: str) -> np.ndarray:
         j = self.columns.index(name)
@@ -229,7 +228,7 @@ def run_ball_coverage(cfg: ExperimentConfig) -> ExperimentReport:
         se = math.sqrt(cov * (1.0 - cov) / cfg.replications)
         rows.append((n, cov, se, radius, r_freq, radius / r_freq,
                      *_mean_and_se(sq_err)))
-    return ExperimentReport("ball-coverage", columns, rows, cfg)
+    return ExperimentReport(columns, rows)
 
 
 def run_interval_coverage(cfg: ExperimentConfig,
@@ -256,7 +255,7 @@ def run_interval_coverage(cfg: ExperimentConfig,
         cov = np.count_nonzero(np.abs(err) <= z_half * s_n) / cfg.replications
         se = math.sqrt(cov * (1.0 - cov) / cfg.replications)
         rows.append((n, cov, se, z_half * s_n, s_n, t_n))
-    return ExperimentReport("interval-coverage", columns, rows, cfg)
+    return ExperimentReport(columns, rows)
 
 
 # the largest truncation an interval doubles to: the longest range
@@ -314,7 +313,7 @@ def run_risk_curve(cfg: ExperimentConfig) -> ExperimentReport:
                      dec.posterior_spread,
                      dec.sq_bias + dec.estimator_variance,
                      dec.total, *_mean_and_se(sq_err)))
-    return ExperimentReport("risk-curve", columns, rows, cfg)
+    return ExperimentReport(columns, rows)
 
 
 @dataclass(frozen=True)
@@ -363,8 +362,7 @@ def render_panel(cfg: ExperimentConfig, spec: PanelSpec) -> PanelData:
     band, and posterior draw curves on the x grid."""
     prior_n = cfg.scaling.resolve(spec.prior, spec.n, FunctionalMode.FUNCTIONAL)
     nn = max(cfg.truncation_for(spec.n, prior_n), admissible_truncation(prior_n))
-    # arrays for the active head only; the prior-only tail up to N is summed
-    # in closed form
+    # arrays for the active head only; the prior-only tail to N in closed form
     nh = active_head(cfg.time_horizon, nn)
     kappa = heat_eigenvalues(cfg.time_horizon, nh)
     mu0 = cfg.mu0.realize(nh)
@@ -376,7 +374,7 @@ def render_panel(cfg: ExperimentConfig, spec: PanelSpec) -> PanelData:
                               ("panel", spec.data_stream, "draw"), spec.draws)
     mean_x, sd_x, extra, curves = point_evaluation_curves(
         w, y, x, extra_coefficients=mu0.values[:, None], draw_normals=draws,
-        tail=PriorTail(prior_n, nn, (cfg.mu0.sums,)))
+        prior=prior_n, truncation_level=nn, extra_sums=(cfg.mu0.sums,))
     z_half = -NormalDist().inv_cdf(cfg.gamma / 2.0)
     return PanelData(
         label=spec.label or f"{prior_n.kind.value}-a{prior_n.alpha:g}-n{spec.n:g}",

@@ -108,22 +108,6 @@ class FunctionalPosterior:
         return math.sqrt(self.spread_sq)
 
 
-@dataclass(frozen=True)
-class PriorTail:
-    """The coordinates N_h < i <= N past an active head of N_h posterior
-    weights, where kappa_i = 0 and the posterior is the prior: g = 0,
-    w = 0, s = lambda_i, t = 0.
-
-    `extra` holds, for each extra coefficient column given with the head
-    (a truth), the function (first, last, period) -> its sums over
-    first <= i <= last, binned as sequence.bin_range bins them.
-    """
-
-    prior: PriorSpec
-    truncation_level: int
-    extra: tuple = ()
-
-
 def _last_decade(mass, nn: int, what: str) -> float:
     """The total mass(1) of a nonnegative series over i <= N, where
     mass(first) sums it over first <= i <= N; raises
@@ -151,15 +135,6 @@ def check_admissible(L: LinearFunctional, prior: PriorSpec) -> float:
     weighted = L.l.values**2 * prior.variance_values(nn)
     return _last_decade(lambda first: compensated_sum(weighted[first - 1:]),
                         nn, "sum l_i^2 lambda_i")
-
-
-def _tail_level(tail: PriorTail, extra_coefficients) -> int:
-    """N, once the tail has one sum function per extra coefficient column."""
-    columns = 0 if extra_coefficients is None else extra_coefficients.shape[1]
-    if len(tail.extra) != columns:
-        raise ValueError(f"the tail sums {len(tail.extra)} extra columns, "
-                         f"the head has {columns}")
-    return tail.truncation_level
 
 
 def _point_fraction(L: LinearFunctional, tail_length: int) -> Fraction | None:
@@ -281,7 +256,8 @@ def credible_interval(fp: FunctionalPosterior, gamma: float) -> tuple[float, flo
 
 def point_evaluation_curves(weights: PosteriorWeights, y_values: np.ndarray,
                             x_grid, extra_coefficients: np.ndarray | None = None,
-                            draw_normals=None, tail: PriorTail | None = None):
+                            draw_normals=None, *, prior: PriorSpec | None = None,
+                            truncation_level: int | None = None, extra_sums=()):
     """Fused per-x marginal posterior over a grid, over all N coordinates.
 
     Returns (mean_x, sd_x, extra_x, draws_x): the point-evaluation posterior
@@ -291,14 +267,17 @@ def point_evaluation_curves(weights: PosteriorWeights, y_values: np.ndarray,
     `draw_normals`, if given, maps the bin count b to a (draws, b) matrix of
     standard normals, for instance functools.partial(rng.normal_matrix,
     seed, path, draws), whose row j is stream (*path, j).
-    `weights`, `y_values` and the extra columns cover the head i <= N_h;
-    `tail` adds the coordinates N_h < i <= N, where w = 0 (the mean needs
-    only the head) and s = lambda.  On the grid linspace(0, 1, M + 1) the
-    coefficients fold exactly onto 2M residue bins, and the tail's bins of
-    lambda and of the extra columns are closed-form sums; a draw takes one
-    normal per bin, the bin sum being N(sum of means, sum of variances), so
-    it is exact in law.  Other grids are synthesized directly, with one
-    term and one normal per coordinate.
+    `weights`, `y_values` and the extra columns cover the head i <= N_h; a
+    `truncation_level` N adds the coordinates N_h < i <= N, where w = 0
+    (the mean needs only the head) and s = lambda_i of `prior`, and then
+    `extra_sums` holds, per extra column, the function (first, last,
+    period) -> its sums as sequence.bin_range bins them (ValueError without
+    a prior or unless one per column).  On the grid linspace(0, 1, M + 1)
+    the coefficients fold exactly onto 2M residue bins, and the tail's bins
+    of lambda and of the extra columns are closed-form sums; a draw takes
+    one normal per bin, the bin sum being N(sum of means, sum of
+    variances), so it is exact in law.  Other grids are synthesized
+    directly, with one term and one normal per coordinate.
 
     Admissibility of the whole family is checked against its envelope: the
     last-decade mass of sum 2 lambda_i over i <= N (which dominates
@@ -309,22 +288,24 @@ def point_evaluation_curves(weights: PosteriorWeights, y_values: np.ndarray,
     """
     syn = GridSynthesis(x_grid)
     nh = weights.lam.size
-    nn = nh if tail is None else _tail_level(tail, extra_coefficients)
+    extra = [] if extra_coefficients is None else list(extra_coefficients.T)
+    nn = nh if truncation_level is None else truncation_level
+    if truncation_level is not None and (
+            prior is None or len(extra_sums) != len(extra)):
+        raise ValueError("a tail needs a prior and one sum per extra column")
 
     def prior_mass(first):  # sum of lambda_i over first <= i <= N
         out = compensated_sum(weights.lam[first - 1:])
         if nn > nh:
-            lo = max(first, nh + 1)
-            out += float(tail.prior.variance_sums(lo, nn, 1)[0])
+            out += float(prior.variance_sums(max(first, nh + 1), nn, 1)[0])
         return out
 
     _last_decade(prior_mass, nn, "point-evaluation family, prior mass")
-    extra = [] if extra_coefficients is None else list(extra_coefficients.T)
     lam_t = mean_t = None
     extra_t = [None] * len(extra)
     if nn > nh:
-        lam_t = tail.prior.variance_sums(nh + 1, nn, syn.period)
-        extra_t = [sums(nh + 1, nn, syn.period) for sums in tail.extra]
+        lam_t = prior.variance_sums(nh + 1, nn, syn.period)
+        extra_t = [sums(nh + 1, nn, syn.period) for sums in extra_sums]
         if syn.period is None:  # one bin per index; w = 0 past the head
             mean_t = np.zeros(nn - nh)
     mean_b = syn.bins(weights.mean_weight * y_values, mean_t)

@@ -122,35 +122,31 @@ def rate_matched_tau(alpha: float, beta: float, n: float,
     return math.log(n) ** expo
 
 
-class ScalingKind(enum.Enum):
-    FIXED = "fixed"
-    RATE_MATCHED = "matched"
-
-
 @dataclass(frozen=True)
 class ScalingRule:
-    """How the polynomial scale tau is chosen as n varies."""
+    """How the polynomial scale tau is chosen as n varies: fixed without a
+    beta_target, else rate_matched_tau against a truth in S^beta_target."""
 
-    kind: ScalingKind
     beta_target: float | None = None
 
     def __post_init__(self):
-        if self.kind is ScalingKind.RATE_MATCHED:
-            if self.beta_target is None or not self.beta_target > 0:
-                raise ValueError("rate-matched scaling needs a positive beta_target")
+        if self.beta_target is not None and not self.beta_target > 0:
+            raise ValueError("rate-matched scaling needs a positive beta_target")
 
     @staticmethod
     def fixed() -> "ScalingRule":
-        return ScalingRule(ScalingKind.FIXED)
+        return ScalingRule()
 
     @staticmethod
     def rate_matched(beta_target: float) -> "ScalingRule":
-        return ScalingRule(ScalingKind.RATE_MATCHED, beta_target)
+        if beta_target is None:
+            raise ValueError("rate-matched scaling needs a positive beta_target")
+        return ScalingRule(beta_target)
 
     def resolve(self, prior: PriorSpec, n: float,
                 mode: FunctionalMode = FunctionalMode.FULL) -> PriorSpec:
         """Prior with tau resolved at signal-to-noise n."""
-        if self.kind is ScalingKind.FIXED:
+        if self.beta_target is None:
             return prior
         if prior.kind is PriorFamily.EXPONENTIAL:
             raise ValueError("the exponential family cannot be rescaled")

@@ -68,34 +68,6 @@ class CoefficientSequence:
     def __len__(self) -> int:
         return self.truncation_level
 
-    def norm(self) -> float:
-        return math.sqrt(compensated_sum(self.values**2))
-
-
-@dataclass(frozen=True)
-class HeatOperator:
-    """Diagonal forward operator of the heat semigroup at time T > 0.
-
-    Eigenvalue i is exp(-i^2 pi^2 T); log_eigenvalues carries the exact
-    logs, which stay finite where the values themselves underflow.
-    """
-
-    time_horizon: float
-    truncation_level: int
-
-    def __post_init__(self):
-        if not self.time_horizon > 0:
-            raise ValueError("time horizon T must be positive")
-        if self.truncation_level < 1:
-            raise ValueError("truncation_level must be a positive integer")
-
-    def log_eigenvalues(self) -> np.ndarray:
-        i = np.arange(1, self.truncation_level + 1, dtype=float)
-        return -(i**2) * math.pi**2 * self.time_horizon
-
-    def eigenvalues(self) -> CoefficientSequence:
-        return heat_eigenvalues(self.time_horizon, self.truncation_level)
-
 
 @dataclass(frozen=True)
 class ObservationSet:
@@ -110,12 +82,6 @@ class ObservationSet:
             raise ValueError("signal-to-noise parameter n must be positive")
 
 
-@dataclass(frozen=True)
-class SobolevNorm:
-    beta: float
-    value: float
-
-
 def default_truncation(n: float, tau: float = 1.0,
                        time_horizon: float = DEFAULT_TIME_HORIZON) -> int:
     """Default truncation level for a problem at signal-to-noise n.
@@ -126,6 +92,7 @@ def default_truncation(n: float, tau: float = 1.0,
     """
     if not n > 0 or not tau > 0:
         raise ValueError("n and tau must be positive")
+    _check_time_horizon(time_horizon)
     eff = max(n * tau * tau, n)
     if eff <= 1.0:
         return 100
@@ -133,14 +100,27 @@ def default_truncation(n: float, tau: float = 1.0,
         math.log(eff) / (math.pi**2 * time_horizon))))
 
 
+def _check_time_horizon(time_horizon: float) -> None:
+    if not time_horizon > 0:
+        raise ValueError("time horizon T must be positive")
+
+
+def heat_log_eigenvalues(time_horizon: float, truncation_level: int) -> np.ndarray:
+    """log kappa_i = -i^2 pi^2 T, i = 1..N: finite where kappa_i underflows."""
+    _check_time_horizon(time_horizon)
+    if truncation_level < 1:
+        raise ValueError("truncation_level must be a positive integer")
+    i = np.arange(1, truncation_level + 1, dtype=float)
+    return -(i**2) * math.pi**2 * time_horizon
+
+
 def heat_eigenvalues(time_horizon: float, truncation_level: int) -> CoefficientSequence:
     """kappa_i = exp(-i^2 pi^2 T), i = 1..N, strictly decreasing in i.
 
     Entries below the double-precision underflow threshold come out as
-    exact zeros; HeatOperator.log_eigenvalues keeps the full information.
+    exact zeros; heat_log_eigenvalues keeps the full information.
     """
-    op = HeatOperator(time_horizon, truncation_level)
-    vals = np.exp(op.log_eigenvalues())
+    vals = np.exp(heat_log_eigenvalues(time_horizon, truncation_level))
     p = math.pi**2 * time_horizon
     nn = truncation_level
     # geometric-in-i^2 bound on the discarded sum of eigenvalues
@@ -156,11 +136,11 @@ def active_head(time_horizon: float, truncation_level: int) -> int:
     sqrt(746 / (pi^2 T)) + 2 eigenvalues are evaluated, exactly as
     heat_eigenvalues forms them.
     """
-    op = HeatOperator(time_horizon, truncation_level)  # validates T and N
+    _check_time_horizon(time_horizon)  # before dividing by T
     last = math.sqrt(746.0 / (math.pi**2 * time_horizon)) + 2.0
-    if last < truncation_level:
-        op = HeatOperator(time_horizon, int(last))
-    return max(1, int(np.count_nonzero(np.exp(op.log_eigenvalues()))))
+    head = truncation_level if last >= truncation_level else int(last)
+    logs = heat_log_eigenvalues(time_horizon, head)  # validates N
+    return max(1, int(np.count_nonzero(np.exp(logs))))
 
 
 def bin_range(first: int, values, period: int | None = None) -> np.ndarray:
@@ -262,7 +242,7 @@ def _shifted_power_sums(s: float, q: np.ndarray, count: np.ndarray) -> np.ndarra
 
 def _grid(x_grid) -> np.ndarray:
     x = np.asarray(x_grid, dtype=float)
-    if np.any((x < 0.0) | (x > 1.0)):
+    if not np.all((x >= 0.0) & (x <= 1.0)):
         raise ValueError("grid points must lie in [0, 1]")
     return x
 
@@ -405,7 +385,7 @@ def forward_solution(mu: CoefficientSequence, t: float, x_grid) -> np.ndarray:
     u(x, t) = sum_i mu_i exp(-i^2 pi^2 t) e_i(x), truncated at the level
     of mu; t = 0 reproduces the plain basis synthesis.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError("time t must be nonnegative")
     i = np.arange(1, mu.truncation_level + 1, dtype=float)
     return GridSynthesis(x_grid).series(
@@ -438,10 +418,9 @@ def simulate_observations(mu0: CoefficientSequence, kappa: CoefficientSequence,
     )
 
 
-def sobolev_norm(mu: CoefficientSequence, beta: float) -> SobolevNorm:
-    """||mu||_beta with value^2 = sum mu_i^2 i^{2 beta}, exact on the truncation."""
-    if beta < 0:
+def sobolev_norm(mu: CoefficientSequence, beta: float) -> float:
+    """||mu||_beta = sqrt(sum mu_i^2 i^{2 beta}), exact on the truncation."""
+    if not beta >= 0:
         raise ValueError("beta must be nonnegative")
     i = np.arange(1, mu.truncation_level + 1, dtype=float)
-    sq = compensated_sum(mu.values**2 * i ** (2.0 * beta))
-    return SobolevNorm(beta=beta, value=math.sqrt(sq))
+    return math.sqrt(compensated_sum(mu.values**2 * i ** (2.0 * beta)))

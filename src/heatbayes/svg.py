@@ -21,6 +21,8 @@ to the new bytes, and a failed write leaving the prefix written.
 
 from __future__ import annotations
 
+from html import escape
+
 import numpy as np
 
 from .io import _write_bytes
@@ -133,7 +135,7 @@ def render_static_plot(panel, path) -> str:
         parts.append(f'<text x="{MARGIN_L - 6}" y="{ty + 4:.2f}" '
                      'font-family="monospace" font-size="11" '
                      f'text-anchor="end">{yv:.2f}</text>')
-    label = getattr(panel, "label", "")
+    label = escape(getattr(panel, "label", ""), quote=False)
     if label:
         parts.append(f'<text x="{MARGIN_L + 6}" y="{MARGIN_T + 14}" '
                      f'font-family="monospace" font-size="11">{label}</text>')

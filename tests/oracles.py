@@ -1,8 +1,9 @@
 """Independent oracles shared by the module and acceptance tests.
 
 Everything here deliberately avoids the closed forms under test: Bayes by
-quadrature, quantiles by gamma-function inversion (scipy), synthesis by the
-defining polynomial.
+quadrature, quantiles by gamma-function inversion (scipy), the Gaussian-tail
+integrals by 30-digit quadrature (mpmath), synthesis by the defining
+polynomial.
 """
 
 import math
@@ -294,7 +295,9 @@ def dataset_bytes_reference(columns, rows) -> bytes:
 
 def svg_bytes_reference(panel) -> bytes:
     """The SVG file of a panel, curve by curve, with each pixel coordinate
-    formatted on its own as format(v, ".2f")."""
+    formatted on its own as format(v, ".2f"), and the label escaped."""
+    from xml.sax.saxutils import escape
+
     from heatbayes.svg import HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, \
         MARGIN_T, WIDTH, _Frame
 
@@ -346,7 +349,7 @@ def svg_bytes_reference(panel) -> bytes:
     if panel.label:
         parts.append(f'<text x="{MARGIN_L + 6}" y="{MARGIN_T + 14}" '
                      f'font-family="monospace" font-size="11">'
-                     f'{panel.label}</text>')
+                     f'{escape(panel.label)}</text>')
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")
 
@@ -364,24 +367,30 @@ def crossover_index_lambertw(N, u, p):
 
 def integral_ratios_quad(gamma, zeta_, K):
     """(growth, tail) ratios of the two Gaussian-tail integrals to their
-    envelopes by scipy's adaptive quad, after factoring out e^{+-zeta K^2}:
+    envelopes by 30-digit mpmath quadrature, after factoring out
+    e^{+-zeta K^2}:
     2 zeta K int_0^{K-1} e^{zeta(y^2 - 2Ky)} (1 - y/K)^gamma dy and
-    2 zeta K int_0^inf e^{-zeta(y^2 + 2Ky)} (1 + y/K)^-gamma dy."""
-    from scipy.integrate import quad
+    2 zeta K int_0^inf e^{-zeta(y^2 + 2Ky)} (1 + y/K)^-gamma dy.
+    Both integrands fall by e at y ~ 1/(2 zeta K), so the range is split
+    at that scale times 1, 4, 16, ...: up to K - 1 for the first, and for
+    the second while the exponent stays above -200, then on to infinity."""
+    import mpmath
 
-    width = max(50.0 / (2.0 * zeta_ * K), 1e-3)
+    with mpmath.workdps(30):
+        g, z, k = mpmath.mpf(gamma), mpmath.mpf(zeta_), mpmath.mpf(K)
+        scale = 1 / (2 * z * k)
 
-    def grow(y):
-        return math.exp(zeta_ * (y * y - 2.0 * K * y)) * (1.0 - y / K) ** gamma
+        def splits(stop, end):
+            points, y = [mpmath.mpf(0)], scale
+            while stop(y):
+                points.append(y)
+                y *= 4
+            return points + [end]
 
-    upper = K - 1.0
-    cut = min(width, upper)
-    j1 = quad(grow, 0.0, cut, epsabs=0.0, epsrel=1e-11)[0]
-    if cut < upper:
-        j1 += quad(grow, cut, upper, epsabs=1e-300, epsrel=1e-11)[0]
-
-    def decay(y):
-        return math.exp(-zeta_ * (y * y + 2.0 * K * y)) * (1.0 + y / K) ** -gamma
-
-    j2 = quad(decay, 0.0, np.inf, epsabs=0.0, epsrel=1e-11)[0]
-    return 2.0 * zeta_ * K * j1, 2.0 * zeta_ * K * j2
+        j1 = mpmath.quad(
+            lambda y: mpmath.exp(z * (y * y - 2 * k * y)) * (1 - y / k) ** g,
+            splits(lambda y: y < k - 1, k - 1))
+        j2 = mpmath.quad(
+            lambda y: mpmath.exp(-z * (y * y + 2 * k * y)) * (1 + y / k) ** -g,
+            splits(lambda y: z * (y * y + 2 * k * y) < 200, mpmath.inf))
+        return float(2 * z * k * j1), float(2 * z * k * j2)

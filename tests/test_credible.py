@@ -39,12 +39,6 @@ def test_exponential_integral_bound():
     assert np.all(np.exp(-y) * np.log1p(1.0 / y) >= exp1(y))
 
 class TestQuadraticForm:
-    def test_mean_and_sd_closed_forms(self):
-        q = form([0.5, 0.25, 0.125])
-        assert q.mean == 0.875
-        assert q.sd == pytest.approx(math.sqrt(2 * (0.25 + 0.0625 + 0.015625)),
-                                     rel=1e-15)
-
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError):
             form([1.0, -0.1])

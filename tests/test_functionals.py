@@ -391,5 +391,5 @@ class TestFunctionalBias:
         i = np.arange(1, nn + 1, dtype=float)
         rhs_series = float((L.l.values**2 * i ** (-2 * beta)
                             * w.one_minus_gain**2).sum())
-        bound = sobolev_norm(mu0, beta).value ** 2 * rhs_series
+        bound = sobolev_norm(mu0, beta) ** 2 * rhs_series
         assert bias**2 <= bound

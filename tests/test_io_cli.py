@@ -28,6 +28,26 @@ from heatbayes.io import RunManifest, read_dataset, write_dataset
 from heatbayes.svg import render_static_plot
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.fixture(autouse=True)
+def _strict_json_manifests(monkeypatch):
+    """Every manifest the tests here write, through the command line or
+    not, is strict JSON: no NaN or Infinity, which strict parsers reject."""
+    write = RunManifest.write
+
+    def checked(self, path):
+        checksum = write(self, path)
+        if os.path.isfile(path):
+            with open(path, encoding="utf-8") as fh:
+                json.loads(fh.read(), parse_constant=_no_constant)
+        return checksum
+
+    monkeypatch.setattr(RunManifest, "write", checked)
+
+
 class TestWriteDataset:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -394,6 +414,20 @@ class TestSvg:
         assert c1 == c2
         assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
 
+    def test_label_is_escaped(self, tmp_path):
+        """A label with XML markup characters parses back as itself, and
+        the file matches the oracle's bytes."""
+        import dataclasses
+        import xml.etree.ElementTree as ET
+        label = "tau<1 & n>1e4"
+        panel = dataclasses.replace(self._panel(), label=label)
+        render_static_plot(panel, tmp_path / "p.svg")
+        raw = (tmp_path / "p.svg").read_bytes()
+        assert raw == svg_bytes_reference(panel)
+        texts = [el.text for el in ET.fromstring(raw).iter()
+                 if el.tag.endswith("text")]
+        assert label in texts
+
     def test_legend_conventions_present(self, tmp_path):
         from heatbayes.svg import render_static_plot
         render_static_plot(self._panel(), tmp_path / "p.svg")
@@ -629,6 +663,27 @@ class TestCli:
         ):
             assert main(argv) == EXIT_CONFIG, argv
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("flag,value", [
+        ("alpha", "nan"), ("tau", "-inf"), ("beta", "nan"), ("gamma", "nan"),
+        ("mu0_beta", "inf"), ("x", "nan")])
+    def test_non_finite_float_option_is_named(self, tmp_path, monkeypatch,
+                                              capsys, flag, value):
+        """Each float option must be finite, also where the command does not
+        use it (risk's --beta without matched scaling), so that no manifest
+        records NaN or Infinity; a flag and a config-file value alike exit 2
+        naming the flag, before anything is written."""
+        monkeypatch.chdir(tmp_path)
+        command = "coverage" if flag == "x" else "risk"
+        argv = [command, "--n", "1e4", "--reps", "5", "--out", "r.csv"]
+        assert main(argv + [f"{_flag(flag)}={value}"]) == EXIT_CONFIG
+        assert f"{_flag(flag)}: must be finite" in capsys.readouterr().err
+        (tmp_path / "cfg.json").write_text(f'{{"{flag}": {float(value)}}}'
+                                           .replace("inf", "Infinity")
+                                           .replace("nan", "NaN"))
+        assert main(argv + ["--config", "cfg.json"]) == EXIT_CONFIG
+        assert f"{_flag(flag)}: must be finite" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
     def test_arithmetic_error_is_numeric_failure(self, tmp_path, monkeypatch,
                                                  capsys):

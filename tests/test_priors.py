@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from heatbayes import PriorFamily, PriorSpec, prior_variances, rate_matched_tau
-from heatbayes.priors import FunctionalMode, ScalingKind, ScalingRule
+from heatbayes.priors import FunctionalMode, ScalingRule
 
 
 class TestPriorVariances:
@@ -89,8 +89,12 @@ class TestScalingRule:
             rule.resolve(PriorSpec.exponential(1.0), 1e8)
 
     def test_needs_beta(self):
-        with pytest.raises(ValueError):
-            ScalingRule(ScalingKind.RATE_MATCHED)
+        for bad in (lambda: ScalingRule.rate_matched(None),
+                    lambda: ScalingRule.rate_matched(0.0),
+                    lambda: ScalingRule(-1.0), lambda: ScalingRule(math.nan)):
+            with pytest.raises(ValueError):
+                bad()
+        assert ScalingRule() == ScalingRule.fixed()
 
 
 class TestLowSnrWarning:

@@ -1,8 +1,10 @@
 """The package's public surface: every exported name resolves, so that a
 deleted function cannot stay exported; no file of it imports scipy, and
-pyproject.toml declares exactly what it imports."""
+pyproject.toml declares exactly what it imports; NaN fails its domain
+guards."""
 
 import ast
+import math
 import os
 import re
 import subprocess
@@ -11,6 +13,12 @@ import sys
 import pytest
 
 import heatbayes
+from heatbayes.asymptotics import (
+    LemmaParams,
+    crossover_index,
+    lemma_norm_sup,
+    lemma_series_value,
+)
 
 
 def test_every_exported_name_resolves():
@@ -58,7 +66,7 @@ def test_no_module_level_scipy_import():
 
 def test_declared_dependencies_match_imports():
     """[project] dependencies name exactly the third-party modules that the
-    package imports; the test extra adds scipy and pytest."""
+    package imports; the test extra adds scipy, mpmath and pytest."""
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     root = os.path.dirname(os.path.dirname(os.path.dirname(heatbayes.__file__)))
     with open(os.path.join(root, "pyproject.toml"), "rb") as f:
@@ -73,7 +81,7 @@ def test_declared_dependencies_match_imports():
                 for module, _ in _imported_modules(path)}
     third_party = imported - set(sys.stdlib_module_names) - {"heatbayes"}
     assert names(project["dependencies"]) == third_party
-    assert {"scipy", "pytest"} <= names(
+    assert {"scipy", "mpmath", "pytest"} <= names(
         project["optional-dependencies"]["test"])
 
 
@@ -130,3 +138,45 @@ def test_lemma_suite_and_command_load_no_scipy(tmp_path):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert cli.main(['lemmas', '--out', {out!r}]) == 0\n"
     ) == "[]"
+
+
+def _posterior_summary():
+    nn = 50
+    kappa = heatbayes.heat_eigenvalues(0.1, nn)
+    mu0 = heatbayes.true_signal_coefficients(nn)
+    obs = heatbayes.simulate_observations(mu0, kappa, 1e4, 0)
+    return heatbayes.compute_posterior(heatbayes.PriorSpec.polynomial(1.0),
+                                       kappa, 1e4, obs)
+
+
+NAN = math.nan
+MU = heatbayes.true_signal_coefficients(20)
+NAN_CALLS = {
+    "posterior_mean_function-x": lambda: heatbayes.posterior_mean_function(
+        _posterior_summary(), [0.5, NAN]),
+    "forward_solution-t": lambda: heatbayes.forward_solution(MU, NAN, [0.3]),
+    "sobolev_norm-beta": lambda: heatbayes.sobolev_norm(MU, NAN),
+    "crossover_index-u": lambda: crossover_index(1e4, NAN, 1.0),
+    "lemma_series_value-t": lambda: lemma_series_value(
+        LemmaParams(t=NAN, r=1, p=2, v=2), 1e4),
+    "lemma_norm_sup-q": lambda: lemma_norm_sup(
+        LemmaParams(q=NAN, p=2, v=2), 1e4),
+    **{f"default_truncation-T{T}": (
+        lambda T=T: heatbayes.default_truncation(1e4, 1.0, T))
+       for T in (0.0, -1.0, NAN)},
+    **{f"ExperimentConfig-T{T}": (
+        lambda T=T: heatbayes.ExperimentConfig(
+            prior=heatbayes.PriorSpec.polynomial(1.0), n_grid=(1e4,),
+            time_horizon=T))
+       for T in (0.0, -1.0, NAN)},
+}
+
+
+@pytest.mark.parametrize("name,call", NAN_CALLS.items(), ids=NAN_CALLS.keys())
+def test_invalid_domain_raises_value_error(name, call):
+    """NaN fails every guard (none is written as x < 0, which NaN passes),
+    and a time horizon T <= 0 is refused as such, before anything divides
+    by it or takes its log."""
+    match = "time horizon" if "-T" in name else None
+    with pytest.raises(ValueError, match=match):
+        call()

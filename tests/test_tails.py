@@ -39,7 +39,6 @@ from heatbayes.experiments import Mu0Kind, PanelSpec, figure_three_panels
 from heatbayes.functionals import (
     ADMISSIBLE_TAIL,
     InadmissibleFunctionalError,
-    PriorTail,
     functional_moments,
     point_evaluation_curves,
 )
@@ -258,7 +257,10 @@ def test_tail_needs_one_sum_per_extra_column():
     with pytest.raises(ValueError):
         point_evaluation_curves(w, np.zeros(nh), np.linspace(0.0, 1.0, 5),
                                 extra_coefficients=np.zeros((nh, 1)),
-                                tail=PriorTail(prior, 300))
+                                prior=prior, truncation_level=300)
+    with pytest.raises(ValueError, match="prior"):  # and a prior
+        point_evaluation_curves(w, np.zeros(nh), np.linspace(0.0, 1.0, 5),
+                                truncation_level=300)
 
 
 def test_non_uniform_grid_tail_is_per_index():
@@ -272,7 +274,7 @@ def test_non_uniform_grid_tail_is_per_index():
     y = np.linspace(-1.0, 1.0, nn)
     got = point_evaluation_curves(
         w, y[:nh], x, truth.realize(nh).values[:, None],
-        tail=PriorTail(prior, nn, (truth.sums,)))
+        prior=prior, truncation_level=nn, extra_sums=(truth.sums,))
     want = point_evaluation_curves(full, y, x, truth.realize(nn).values[:, None])
     assert np.abs(got[0] - want[0]).max() <= 1e-15
     _assert_rel(got[1], want[1], 1e-12)
