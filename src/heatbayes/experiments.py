@@ -273,24 +273,31 @@ def _interval_moments(cfg: ExperimentConfig, L: LinearFunctional,
     like x^2 while the last decade does not.  A point x = p/q, whose tail
     is summed over the residues mod 2q at O(N_h + q) cost, then doubles N
     until the check passes, up to _MAX_INTERVAL_TRUNCATION; past that, and
-    for any other x, the check's error stands.  The exponential family sums
-    its tail term by term up to min(N, sqrt(746 / alpha)), where
-    exp(-alpha i^2) underflows (PriorSpec.variance_sums), so it stops
-    doubling once that sum would pass MAX_HEAD terms.
+    for any other x, the check's error stands.  The head's arrays are built
+    once, and again only if doubling N moves N_h (while N is below it).
+    The exponential family sums its tail term by term up to min(N,
+    sqrt(746 / alpha)), where exp(-alpha i^2) underflows
+    (PriorSpec.variance_sums), so it stops doubling once that sum would pass
+    MAX_HEAD terms.
     """
-    nh = active_head(cfg.time_horizon, nn)
-    w = posterior_weights(prior_n, heat_eigenvalues(cfg.time_horizon, nh), n)
-    truth = () if cfg.mu0.is_random else (cfg.mu0.realize(nh).values,
-                                          cfg.mu0.sums)
-    try:
-        return functional_moments(L, w, prior_n, nn, *truth)
-    except InadmissibleFunctionalError:
-        if (2 * nn > _MAX_INTERVAL_TRUNCATION
-                or _point_fraction(L, nn - nh) is None
-                or (prior_n.kind is PriorFamily.EXPONENTIAL and min(
-                    2 * nn, math.sqrt(746.0 / prior_n.alpha)) > MAX_HEAD)):
-            raise
-    return _interval_moments(cfg, L, prior_n, n, 2 * nn)
+    nh = None
+    while True:
+        head = active_head(cfg.time_horizon, nn)
+        if head != nh:
+            nh = head
+            w = posterior_weights(prior_n, heat_eigenvalues(cfg.time_horizon,
+                                                            nh), n)
+            truth = () if cfg.mu0.is_random else (cfg.mu0.realize(nh).values,
+                                                  cfg.mu0.sums)
+        try:
+            return functional_moments(L, w, prior_n, nn, *truth)
+        except InadmissibleFunctionalError:
+            if (2 * nn > _MAX_INTERVAL_TRUNCATION
+                    or _point_fraction(L, nn - nh) is None
+                    or (prior_n.kind is PriorFamily.EXPONENTIAL and min(
+                        2 * nn, math.sqrt(746.0 / prior_n.alpha)) > MAX_HEAD)):
+                raise
+        nn *= 2
 
 
 def run_risk_curve(cfg: ExperimentConfig) -> ExperimentReport:

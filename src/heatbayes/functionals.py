@@ -11,11 +11,14 @@ Past the active head i <= N_h (sequence.active_head), kappa_i = 0 and the
 posterior of mu_i is its prior, so every sum over N_h < i <= N involves
 only lambda_i, the truth and l_i.  `point_evaluation_curves` on the grid
 x_k = k/M and `functional_moments` for a point evaluation at x = p/q take
-those sums, the admissibility totals and last decades among them, over
-the residues of i mod 2M or mod 2q, on which l_i depends, in closed form.
-They cover the same N coordinates as an N-term sum and equal it up to
-rounding, at O(N_h + 2M) or O(N_h + 2q) cost.  Other grids and points
-keep one term per coordinate.
+those sums over the residues of i mod 2M or mod 2q, on which l_i
+depends, in closed form.  They cover the same N coordinates as an N-term
+sum and equal it up to rounding, at O(N_h + 2M) or O(N_h + 2q) cost.
+The prior's tail and its last decade come from one sequence.power_sums
+call with two starts (`_prior_tail`), and past the head s_i = lambda_i,
+so that tail is also the tail of the posterior variance and of the
+admissibility total.  Other grids and points keep one term per
+coordinate, the decade being a suffix of the tail.
 
 In the infinite model the value L mu is defined prior-almost-surely (and
 set to 0 on the null set where the partial sums fail to converge); on a
@@ -108,20 +111,38 @@ class FunctionalPosterior:
         return math.sqrt(self.spread_sq)
 
 
-def _last_decade(mass, nn: int, what: str) -> float:
-    """The total mass(1) of a nonnegative series over i <= N, where
-    mass(first) sums it over first <= i <= N; raises
-    InadmissibleFunctionalError unless the last decade, i > 0.9 N, holds
-    less than ADMISSIBLE_TAIL of a nonzero total."""
-    total = mass(1)
-    decade = mass(int(math.floor(0.9 * nn)) + 1)
+def _decade_start(nn: int) -> int:
+    """The first index of the last decade, i > 0.9 N, of a truncation N."""
+    return int(math.floor(0.9 * nn)) + 1
+
+
+def _check_decade(total: float, decade: float, nn: int, what: str) -> None:
+    """Raises InadmissibleFunctionalError unless `decade`, the mass of a
+    nonnegative series over the last decade of i <= N, is less than
+    ADMISSIBLE_TAIL of its nonzero `total` over i <= N."""
     if total != 0.0 and not decade < ADMISSIBLE_TAIL * total:
         raise InadmissibleFunctionalError(
             f"{what}: last-decade mass {decade / total:.3e} exceeds "
             f"{ADMISSIBLE_TAIL:.1e}; raise the truncation level "
             f"(currently {nn}) or smooth the representer"
         )
-    return total
+
+
+def _prior_tail(prior: PriorSpec, weight, first: int, decade: int,
+                last: int, period: int | None):
+    """(bins, mass, decade mass) of the prior-only tail first <= i <= last:
+    lambda_i binned at `period` as sequence.bin_range bins it, and the sums
+    of weight * lambda_i over the whole tail and over its part i >= decade,
+    `weight` a scalar or one value per bin.  With a period both sums come
+    from one variance_sums call with two starts; without one, the decade is
+    a suffix of the per-index bins."""
+    d = max(decade, first)
+    if period is None:
+        lam = prior.variance_sums(first, last)
+        mass = weight * lam
+        return lam, float(mass.sum()), float(mass[d - first:].sum())
+    lam, lam_d = prior.variance_sums((first, d), last, period)
+    return lam, float((weight * lam).sum()), float((weight * lam_d).sum())
 
 
 def check_admissible(L: LinearFunctional, prior: PriorSpec) -> float:
@@ -133,8 +154,10 @@ def check_admissible(L: LinearFunctional, prior: PriorSpec) -> float:
     """
     nn = L.l.truncation_level
     weighted = L.l.values**2 * prior.variance_values(nn)
-    return _last_decade(lambda first: compensated_sum(weighted[first - 1:]),
-                        nn, "sum l_i^2 lambda_i")
+    total = compensated_sum(weighted)
+    _check_decade(total, compensated_sum(weighted[_decade_start(nn) - 1:]),
+                  nn, "sum l_i^2 lambda_i")
+    return total
 
 
 def _point_fraction(L: LinearFunctional, tail_length: int) -> Fraction | None:
@@ -186,28 +209,25 @@ def functional_moments(L: LinearFunctional, weights: PosteriorWeights,
     top = nn if L.x is not None else min(nn, L.l.truncation_level)
     frac = _point_fraction(L, nn - nh)
     period = None if frac is None else 2 * frac.denominator
+    decade = _decade_start(nn)
     l = _representer(L, 1, nh)
     lsq = l * l
     head_mass = lsq * weights.lam
-    lt = _representer(L, nh + 1, top, frac) if top > nh else np.zeros(0)
-
-    def mass(first):  # sum of l_i^2 lambda_i over first <= i <= N
-        out = compensated_sum(head_mass[first - 1:])
-        lo = max(first, nh + 1)
-        if top >= lo:
-            lb = lt if frac is not None else lt[lo - nh - 1:]
-            out += float((lb * lb * prior.variance_sums(
-                lo, top, period)).sum())
-        return out
-
-    _last_decade(mass, nn, "sum l_i^2 lambda_i")
+    total = compensated_sum(head_mass)
+    decade_mass = compensated_sum(head_mass[decade - 1:])
     s2 = float((lsq * weights.variance).sum())
     t2 = float((lsq * weights.shrink_var).sum())
+    if top > nh:  # past the head s_i = lambda_i: the tail of s_n^2 is its mass
+        lt = _representer(L, nh + 1, top, frac)
+        _, tail, tail_decade = _prior_tail(prior, lt * lt, nh + 1, decade,
+                                           top, period)
+        total += tail
+        decade_mass += tail_decade
+        s2 += tail
+    _check_decade(total, decade_mass, nn, "sum l_i^2 lambda_i")
     bias = 0.0 if truth is None else -float((l * weights.one_minus_gain) @ truth)
-    if top > nh:
-        s2 += float((lt * lt * prior.variance_sums(nh + 1, top, period)).sum())
-        if truth is not None:
-            bias -= float(lt @ truth_sums(nh + 1, top, period))
+    if truth is not None and top > nh:
+        bias -= float(lt @ truth_sums(nh + 1, top, period))
     return s2, t2, bias
 
 
@@ -294,28 +314,33 @@ def point_evaluation_curves(weights: PosteriorWeights, y_values: np.ndarray,
             prior is None or len(extra_sums) != len(extra)):
         raise ValueError("a tail needs a prior and one sum per extra column")
 
-    def prior_mass(first):  # sum of lambda_i over first <= i <= N
-        out = compensated_sum(weights.lam[first - 1:])
-        if nn > nh:
-            out += float(prior.variance_sums(max(first, nh + 1), nn, 1)[0])
-        return out
-
-    _last_decade(prior_mass, nn, "point-evaluation family, prior mass")
+    decade = _decade_start(nn)
+    total = compensated_sum(weights.lam)
+    decade_mass = compensated_sum(weights.lam[decade - 1:])
     lam_t = mean_t = None
     extra_t = [None] * len(extra)
     if nn > nh:
-        lam_t = prior.variance_sums(nh + 1, nn, syn.period)
+        lam_t, tail, tail_decade = _prior_tail(prior, 1.0, nh + 1, decade,
+                                               nn, syn.period)
+        total += tail
+        decade_mass += tail_decade
         extra_t = [sums(nh + 1, nn, syn.period) for sums in extra_sums]
         if syn.period is None:  # one bin per index; w = 0 past the head
             mean_t = np.zeros(nn - nh)
+    _check_decade(total, decade_mass, nn, "point-evaluation family, prior mass")
     mean_b = syn.bins(weights.mean_weight * y_values, mean_t)
     var_b = syn.bins(weights.variance, lam_t)
     sd_b = np.sqrt(var_b)
-    z = () if draw_normals is None else draw_normals(var_b.size)
-    # one 1-D column per draw keeps the stacked columns C-ordered
-    columns = np.column_stack(
-        [mean_b] + [syn.bins(c, t) for c, t in zip(extra, extra_t)]
-        + [mean_b + sd_b * row for row in z])
+    z = (np.zeros((0, var_b.size)) if draw_normals is None
+         else draw_normals(var_b.size))
+    # mean, extra and draw columns side by side in one C-ordered matrix
+    columns = np.empty((var_b.size, 1 + len(extra) + z.shape[0]))
+    columns[:, 0] = mean_b
+    for j, (c, t) in enumerate(zip(extra, extra_t), start=1):
+        columns[:, j] = syn.bins(c, t)
+    draws = columns[:, 1 + len(extra):]
+    np.multiply(sd_b[:, None], z.T, out=draws)
+    draws += mean_b[:, None]
     curves, s2_x = syn.curves(columns, var_b)
     return (curves[:, 0], np.sqrt(s2_x), curves[:, 1:1 + len(extra)],
             curves[:, 1 + len(extra):].T)

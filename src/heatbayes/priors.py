@@ -67,16 +67,22 @@ class PriorSpec:
         """lambda_1..lambda_N in linear space, one value per index."""
         return self.variance_sums(1, truncation_level)
 
-    def variance_sums(self, first: int, last: int,
+    def variance_sums(self, first, last: int,
                       period: int | None = None) -> np.ndarray:
         """lambda_first..lambda_last summed over the residues of i mod period
         (one bin per index when period is None; see sequence.bin_range):
         tau^2 times a Hurwitz-zeta power sum for the polynomial family, and
         for the exponential family a direct sum that stops where
-        exp(-alpha i^2) underflows to 0."""
+        exp(-alpha i^2) underflows to 0.  With a period, `first` may be a
+        sequence of starts, for one row of bins per start (as power_sums)."""
         if self.kind is PriorFamily.POLYNOMIAL:
             return (self.tau * self.tau) * power_sums(
                 1.0 + 2.0 * self.alpha, first, last, period)
+        if np.ndim(first):
+            if period is None:
+                raise ValueError("several starts need a period")
+            return np.stack([self.variance_sums(f, last, period)
+                             for f in first])
         cap = math.sqrt(746.0 / self.alpha)
         stop = last if period is None or cap >= last else int(cap) + 1
         i = np.arange(first, stop + 1, dtype=float)

@@ -31,7 +31,12 @@ from heatbayes.functionals import (
     point_evaluation_curves,
 )
 from heatbayes.posterior import PosteriorWeights
-from heatbayes.sequence import AliasingFold, basis_matrix, bin_range
+from heatbayes.sequence import (
+    AliasingFold,
+    GridSynthesis,
+    basis_matrix,
+    bin_range,
+)
 
 
 def zero_obs(nn, n):
@@ -349,6 +354,31 @@ class TestAliasingFold:
         expect = mean_x + fold.table @ (
             np.sqrt(bin_range(1, w.variance, fold.period)) * z)
         assert np.abs(draws[0] - expect).max() <= 1e-12 * np.abs(expect).max()
+
+    @pytest.mark.parametrize("x", [np.linspace(0.0, 1.0, 21),
+                                   np.array([0.0, 0.13, 0.5, 0.77, 1.0])])
+    def test_draw_columns_bitwise_as_row_by_row(self, x):
+        """The draw columns, written in one broadcast, give the curves of
+        one mean + sd * z column per draw stacked beside the mean and the
+        extra columns, bit for bit."""
+        nn = 5000
+        w = synthetic_weights(nn, seed=11)
+        y = np.cos(np.arange(nn))
+        extra = true_signal_coefficients(nn).values[:, None]
+        z = np.random.default_rng(6).standard_normal(
+            (20, nn if x.size == 5 else 40))
+        got = point_evaluation_curves(w, y, x, extra, lambda b: z)
+        syn = GridSynthesis(x)
+        mean_b = syn.bins(w.mean_weight * y)
+        var_b = syn.bins(w.variance)
+        sd_b = np.sqrt(var_b)
+        columns = np.column_stack([mean_b, syn.bins(extra[:, 0])]
+                                  + [mean_b + sd_b * row for row in z])
+        curves, s2 = syn.curves(columns, var_b)
+        assert np.array_equal(got[0], curves[:, 0])
+        assert np.array_equal(got[1], np.sqrt(s2))
+        assert np.array_equal(got[2], curves[:, 1:2])
+        assert np.array_equal(got[3], curves[:, 2:].T)
 
 
 def moments_bias(L, prior, kappa, n, mu0):

@@ -382,6 +382,14 @@ class TestCoefficientSequence:
         with pytest.raises(ValueError):
             CoefficientSequence(np.array([1.0, np.inf]), 2)
 
+    def test_tail_tol_invariant(self):
+        """A tail bound must be a nonnegative number: NaN fails it too."""
+        for bad in (-1.0, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                CoefficientSequence(np.ones(2), 2, tail_tol=bad)
+        for ok in (None, 0.0, 1e-300, math.inf):
+            assert CoefficientSequence(np.ones(2), 2, tail_tol=ok).tail_tol == ok
+
 
 class TestDefaultTruncation:
     def test_floor_applies(self):

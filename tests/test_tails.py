@@ -42,8 +42,14 @@ from heatbayes.functionals import (
     functional_moments,
     point_evaluation_curves,
 )
+from heatbayes import experiments, sequence
 from heatbayes.rng import substream
-from heatbayes.sequence import GridSynthesis, active_head, power_sums
+from heatbayes.sequence import (
+    GridSynthesis,
+    _shifted_power_sums,
+    active_head,
+    power_sums,
+)
 
 PRIORS = ([PriorSpec.polynomial(a, tau) for a in (0.5, 1.0, 3.0)
            for tau in (1.0, 2.5)]
@@ -135,6 +141,120 @@ def test_power_sums_to_infinity_against_hurwitz_zeta(s):
             _assert_rel(power_sums(s, first, math.inf, period), want, 1e-14)
     with pytest.raises(ValueError):
         power_sums(s, 1, math.inf)
+
+# the grid of the _shifted_power_sums docstring: exponents, shifts and
+# counts, where counts above 1e3 take a difference of 40-digit zeta values
+KERNEL_EXPONENTS = (-1.0, -0.5, 0.0, 0.5, 0.81, 1.0, 1.0 + 1e-9, 1.5, 2.0,
+                    3.0, 7.0, 11.0)
+KERNEL_SHIFTS = (0.0025, 0.3, 1.0, 17.5, 1234.5678, 2.5e6)
+KERNEL_COUNTS = (1, 2, 15, 16, 17, 40, 1000, 10**5, 10**7, 10**9, math.inf)
+
+
+def _kernel_reference(s, q, count):
+    """sum_{k < count} (q + k)^-s to 40 digits: term by term for counts up
+    to 1e3 (where a zeta difference can be off by 1e-14), by digamma at
+    s = 1 and by Hurwitz zeta values otherwise."""
+    import mpmath
+    with mpmath.workdps(40):
+        ms, mq = mpmath.mpf(s), mpmath.mpf(q)
+        if count <= 1000:
+            return mpmath.fsum((mq + k) ** -ms for k in range(count))
+        if math.isinf(count):
+            return mpmath.zeta(ms, mq)
+        if s == 1.0:
+            return mpmath.digamma(mq + count) - mpmath.digamma(mq)
+        return mpmath.zeta(ms, mq) - mpmath.zeta(ms, mq + count)
+
+
+@pytest.mark.parametrize("s", KERNEL_EXPONENTS)
+def test_shifted_power_sums_against_40_digits(s):
+    """The kernel's accuracy claim: within 2.5e-15 relative (1.9e-15 at
+    worst, at s = -0.5) over the docstring's grid; infinite counts for
+    s > 1 only, and q + count <= 1e6 for s < 0, where a 40-digit zeta at
+    large integer arguments takes seconds."""
+    import mpmath
+    for q in KERNEL_SHIFTS:
+        counts = [c for c in KERNEL_COUNTS
+                  if (s > 1 or not math.isinf(c)) and (s >= 0 or q + c <= 1e6)]
+        got = _shifted_power_sums(s, np.full(len(counts), q),
+                                  np.array(counts, dtype=float))
+        for value, count in zip(got, counts):
+            want = _kernel_reference(s, q, count)
+            err = abs((mpmath.mpf(float(value)) - want) / want)
+            assert err <= 2.5e-15, (q, count, float(err))
+
+
+def test_power_sums_with_several_starts():
+    """Several starts that share last and period give one row per start,
+    each the bins of its own range (to rounding), from one kernel call;
+    the exponential family's rows are its direct sums row by row."""
+    for s in (0.5, 2.0, 3.0):
+        for period in (1, 4, 40, 400):
+            starts = (28, 9_118_908, 10_132_119)
+            rows = power_sums(s, starts, 10_132_119, period)
+            assert rows.shape == (3, period)
+            for row, first in zip(rows, starts):
+                _assert_rel(row, power_sums(s, first, 10_132_119, period),
+                            1e-14)
+    rows = power_sums(3.0, (28, 91), 100, 400)  # shorter than the period
+    assert np.array_equal(rows, [power_sums(3.0, 28, 100, 400),
+                                 power_sums(3.0, 91, 100, 400)])
+    prior = PriorSpec.exponential(0.5)
+    rows = prior.variance_sums((28, 31), 40, 4)
+    assert np.array_equal(rows, [prior.variance_sums(28, 40, 4),
+                                 prior.variance_sums(31, 40, 4)])
+    for bad in (lambda: power_sums(2.0, (1, 5), 10),
+                lambda: prior.variance_sums((1, 5), 10)):
+        with pytest.raises(ValueError, match="need a period"):
+            bad()
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = []
+    kernel = sequence._shifted_power_sums
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(sequence, "_shifted_power_sums", counted)
+    return calls
+
+
+def test_rough_panel_and_interval_make_three_kernel_calls(monkeypatch):
+    """The fig3 alpha = 0.5 panel on 21 points, and the interval at x = 1/2
+    per n, each take admissible_truncation's zeta, one call for the prior
+    tail and its last decade, and one for the truth's tail."""
+    spec = next(s for s in figure_three_panels()
+                if s.prior.alpha == 0.5 and s.n == 1e4)
+    calls = _count_kernel_calls(monkeypatch)
+    render_panel(ExperimentConfig(prior=spec.prior, n_grid=(1e4,),
+                                  replications=1, x_grid_points=21), spec)
+    assert len(calls) <= 3
+    calls.clear()
+    run_interval_coverage(
+        ExperimentConfig(prior=spec.prior, n_grid=(1e4, 1e8), replications=2),
+        LinearFunctional.point_evaluation(0.5, 100))
+    assert len(calls) <= 2 * 3
+
+
+def test_interval_doubling_builds_its_head_once(monkeypatch):
+    """x = 0.01 under poly alpha = 1 doubles N from 3826 to 61,216 with
+    N_h = 27 throughout: posterior_weights runs once per n."""
+    calls = []
+    weights = experiments.posterior_weights
+
+    def counted(*args):
+        calls.append(args)
+        return weights(*args)
+
+    monkeypatch.setattr(experiments, "posterior_weights", counted)
+    cfg = ExperimentConfig(prior=PriorSpec.polynomial(1.0),
+                           n_grid=(1e4, 1e8), replications=2)
+    rows = run_interval_coverage(
+        cfg, LinearFunctional.point_evaluation(0.01, 100)).rows
+    assert len(rows) == len(calls) == 2
+
 
 def test_truth_sums_against_direct_bins():
     """Every truth's sums; the cubic's need an even period (the 2M of a grid
