@@ -11,7 +11,14 @@ law of the form, found by safeguarded Newton steps on its density:
 * central forms, sum w_i Z_i^2 (the credible radius): the Laplace
   transform L(s)/s of the distribution function, with
   L(s) = prod (1 + 2 w_i s)^(-1/2), is inverted by the Fourier series of
-  Abate & Whitt (1995) with Euler summation.  The discretisation error is
+  Abate & Whitt (1995) with Euler summation.  L is evaluated in real
+  arithmetic, as a log-modulus and a phase: at the nodes
+  s_k = (A + 2 pi i k) / (2x), 1 + 2 s_k w_i = a_i (1 + i r_ki) with a_i
+  and r_ki real, so each evaluation takes one log per coordinate and one
+  log1p and one arctan per node and coordinate, and no complex
+  arithmetic per coordinate: a quantile of poly alpha = 1, n = 1e4 takes
+  0.3-0.4 ms at N = 100 and 4-6 ms at N = 3826 on one core of a 2-core
+  x86 host.  The discretisation error is
   at most e^-A / (1 - e^-A); the Euler sum's own error is estimated by
   the change from one more term, and twice their sum is reported.  Newton
   starts from Wilson & Hilferty's cube-root normal quantile of the gamma
@@ -78,10 +85,26 @@ _EULER_N = 38
 _EULER_M = 11
 _EULER_MEAN = np.array([math.comb(_EULER_M, j) for j in range(_EULER_M + 1)],
                        dtype=float) / 2.0**_EULER_M
+# the series' nodes k and frequencies 2 pi k; the terms of the series of F
+# and of x f are Re[L(s_k) _EULER_TERMS], with s_k = (A + 2 pi i k) / (2x):
+# the signs (-1)^k e^(A/2), halved at k = 0, times x / s_k for F
+_EULER_NODES = np.arange(_EULER_N + _EULER_M + 2)
+_EULER_FREQ = 2.0 * math.pi * _EULER_NODES
+_EULER_TERMS = (np.where(_EULER_NODES == 0, 0.5, (-1.0) ** _EULER_NODES)
+                * math.exp(0.5 * _EULER_A)
+                * np.stack((2.0 / (_EULER_A + 1j * _EULER_FREQ),
+                            np.ones(_EULER_NODES.size))))
+# the sums of log1p(r^2) and of arctan r to log |L| and arg L
+_LAPLACE_SCALE = np.array([[-0.25], [-0.5]])
 # Davies: tail mass allowed beyond each end of the aliasing period and in
 # the truncated sum; sd of the convergence factor in units of the form's sd
 _TAIL = 1e-12
 _SMOOTH = 2e-3
+# Davies: Chernoff points in units of 1 / (2 max v), below it and up to it,
+# and absolute points, used below 1 / (2 max v) and negated
+_CHERNOFF_BELOW = np.geomspace(1e-4, 0.5, 32)
+_CHERNOFF_UP = -np.expm1(np.linspace(math.log(0.5), -20.0, 32))
+_CHERNOFF_SPAN = np.geomspace(1e-3, 1e6, 64)
 _NEWTON_STEPS = 100
 
 
@@ -125,6 +148,8 @@ class CredibleBall:
             raise ValueError("credible radius must be positive")
 
     def contains(self, mu: CoefficientSequence) -> bool:
+        if mu.truncation_level != self.center.truncation_level:
+            raise ValueError("truncation mismatch between mu and the ball's center")
         return float(np.linalg.norm(mu.values - self.center.values)) <= self.radius
 
 
@@ -163,16 +188,45 @@ def _form_draws(var: np.ndarray, bias: np.ndarray | None, mc_draws: int,
 
 def _coordinate_sum(term, nodes: np.ndarray, *coords: np.ndarray) -> np.ndarray:
     """sum over all coordinates of term(nodes[:, None], coords[None, :]), in
-    bounded blocks; term returns the sum over its block's coordinates, and
-    may stack several such sums in front of the nodes."""
+    bounded blocks; term returns a new array of the sums over its block's
+    coordinates, and may stack several such sums in front of the nodes."""
     cols = min(coords[0].size, _CELLS)
     rows = max(1, _CELLS // cols)
     out = []
     for r in range(0, nodes.size, rows):
         node = nodes[r:r + rows, None]
-        out.append(sum(term(node, *(c[k:k + cols] for c in coords))
-                       for k in range(0, coords[0].size, cols)))
-    return np.concatenate(out, axis=-1)
+        total = term(node, *(c[:cols] for c in coords))
+        for k in range(cols, coords[0].size, cols):
+            total += term(node, *(c[k:k + cols] for c in coords))
+        out.append(total)
+    return out[0] if len(out) == 1 else np.concatenate(out, axis=-1)
+
+
+def _laplace_log(w: np.ndarray, x: float) -> tuple[np.ndarray, np.ndarray]:
+    """log |L(s_k)| and arg L(s_k) of L(s) = prod (1 + 2 w_i s)^(-1/2) at
+    Abate & Whitt's nodes s_k = (A + 2 pi i k) / (2x), k < _EULER_N +
+    _EULER_M + 2, in real arithmetic.
+
+    1 + 2 s_k w_i = a_i (1 + i r_ki), with a_i = 1 + A w_i / x and
+    r_ki = 2 pi k w_i / (a_i x), so
+    log L(s_k) = -1/2 [sum log a_i + 1/2 sum log1p(r_ki^2) + i sum arctan r_ki].
+    """
+    c = w / (x + _EULER_A * w)  # r_ki = 2 pi k c_i
+
+    def term(node, c):
+        # rows log1p(r^2) and arctan r, built in place
+        out = np.empty((2, node.size, c.size))
+        modulus, phase = out
+        np.multiply(node, c, out=phase)
+        np.square(phase, out=modulus)
+        np.log1p(modulus, out=modulus)
+        np.arctan(phase, out=phase)
+        return out.sum(axis=-1)
+
+    logs = _coordinate_sum(term, _EULER_FREQ, c)
+    logs *= _LAPLACE_SCALE
+    logs[0] -= 0.5 * float(np.log1p(_EULER_A / x * w).sum())
+    return logs[0], logs[1]
 
 
 def _euler_law(w: np.ndarray):
@@ -182,29 +236,20 @@ def _euler_law(w: np.ndarray):
     F and the density f are the Laplace inverses of L(s)/s and L(s), by
     Abate & Whitt's Fourier series at s_k = (A + 2 pi i k) / (2x).
     """
-    k = np.arange(_EULER_N + _EULER_M + 2)
-    sign = np.where(k % 2 == 0, 1.0, -1.0)
-    sign[0] = 0.5
     stop = _EULER_N + _EULER_M + 1
     discrete = math.exp(-_EULER_A) / -math.expm1(-_EULER_A)
 
-    def euler(terms):
-        partial = np.cumsum(terms)
-        now = _EULER_MEAN @ partial[_EULER_N:stop]
-        later = _EULER_MEAN @ partial[_EULER_N + 1:stop + 1]
-        rounding = _EPS * float(np.abs(terms).sum())
-        return later, abs(later - now) + rounding, rounding
-
     def law(x):
-        s = (_EULER_A + 2j * math.pi * k) / (2.0 * x)
-        lt = np.exp(-0.5 * _coordinate_sum(
-            lambda s, w: np.log1p(2.0 * s * w).sum(axis=1), s, w))
-        scale = sign * math.exp(0.5 * _EULER_A) / x
-        cdf, cdf_err, rounding = euler(scale * (lt / s).real)
-        pdf, _, _ = euler(scale * lt.real)
+        log_modulus, phase = _laplace_log(w, x)
+        # rows: the terms of the series of F, and of x f
+        terms = (np.exp(log_modulus + 1j * phase) * _EULER_TERMS).real
+        partial = np.cumsum(terms, axis=1)
+        cdf, pdf = partial[:, _EULER_N + 1:stop + 1] @ _EULER_MEAN
+        now = partial[0, _EULER_N:stop] @ _EULER_MEAN
+        rounding = _EPS * float(np.abs(terms[0]).sum())
         # twice the sum: the Euler term is an estimate, not a bound
-        err = 2.0 * (cdf_err + discrete)
-        return cdf, pdf, err, max(0.1 * err, rounding)
+        err = 2.0 * (abs(cdf - now) + rounding + discrete)
+        return cdf, pdf / x, err, max(0.1 * err, rounding)
 
     return law
 
@@ -238,9 +283,8 @@ def _davies_law(v: np.ndarray, b2: np.ndarray):
     # absolute points reach the optimum s (about 7 at unit sd) wherever it
     # lies below top
     top = 0.5 / v.max()
-    span = np.geomspace(1e-3, 1e6, 64)
-    s = np.concatenate((top * np.geomspace(1e-4, 0.5, 32),
-                        top * -np.expm1(np.linspace(math.log(0.5), -20.0, 32)),
+    span = _CHERNOFF_SPAN
+    s = np.concatenate((top * _CHERNOFF_BELOW, top * _CHERNOFF_UP,
                         span[span < top], -span))
     bound = (_coordinate_sum(centred_cumulant, s, v, b2)
              - math.log(_TAIL)) / s

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import empirical_quantile, imhof_cdf
+from oracles import empirical_quantile, imhof_cdf, laplace_transform_reference
 from scipy.special import exp1
 from scipy.stats import chi2, ncx2
 
@@ -147,6 +147,17 @@ class TestCredibleBall:
         p_hat = hits / reps
         assert abs(p_hat - 0.95) <= 3 * math.sqrt(0.95 * 0.05 / reps) + 0.004
 
+    def test_contains_rejects_truncation_mismatch(self):
+        """A truth of another truncation is an error, not a broadcast: a
+        one-coefficient mu against a three-coefficient center used to be
+        inside."""
+        center = CoefficientSequence(np.array([0.0, 0.0, 0.0]), 3)
+        ball = credible.CredibleBall(center, radius=1.0, level=0.05,
+                                     radius_stderr=0.0)
+        assert ball.contains(CoefficientSequence(np.array([0.5, 0.0, 0.0]), 3))
+        with pytest.raises(ValueError, match="truncation"):
+            ball.contains(CoefficientSequence(np.array([0.5]), 1))
+
 
 class TestFrequentistRadius:
     @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -261,6 +272,16 @@ class TestExactQuantiles:
             for x in (0.5, 1.0, 2.0):
                 assert imhof_cdf(x * (1 + d2), np.ones(1), [math.sqrt(d2)]) == \
                     pytest.approx(ncx2.cdf(x * (1 + d2), 1, d2), abs=1e-13)
+
+    def test_oracle_lower_tail(self):
+        """Far below the mean, where the integrand's mass lies decades
+        below the cut of the Fourier tail, so that one quadrature over
+        [0, cut] misses it and returns about 0.5 + F: chi-square_k for
+        k = 1, 2, 3."""
+        for k in (1, 2, 3):
+            for x in (1e-8, 1e-6, 1e-4):
+                assert imhof_cdf(x, np.ones(k)) == pytest.approx(
+                    chi2.cdf(x, k), abs=1e-12), (k, x)
 
     def test_monte_carlo_agrees(self):
         """The second oracle: 200,000 draws of the form from its defining
@@ -531,3 +552,54 @@ class TestEulerStop:
         assert len(calls) <= 5, calls
         _assert_bracketed(lambda x: imhof_cdf(x, w.variance), est.value,
                           est.stderr, 0.99, square=False)
+
+
+def _central_forms() -> list:
+    """Variances of the 7 distinct central forms of `_coverage_forms`
+    (the coverage workload's 8 credible radii: poly alpha = 1, n = 1e4
+    serves twice), then of poly alpha = 1, n = 1e4 at N = 3826."""
+    forms = [var for var, bias in _coverage_forms() if bias is None]
+    forms.append(_grid_form("poly", 1.0, 1e4, 3826)[-1].variance)
+    return forms
+
+
+CENTRAL_FORMS = range(8)
+SWEEP = (1e-6, 1e-5, 1e-4, 0.05, 0.5, 0.95, 1.0 - 1e-6)
+
+
+class TestLaplaceTransform:
+    """The real modulus-and-phase evaluation of L(s) at the Euler nodes
+    against the 30-digit product of tests/oracles.py, at the quantiles of
+    p = 1e-4, 0.5 and 0.95 of unit-scale central forms."""
+
+    @pytest.mark.parametrize("index", CENTRAL_FORMS)
+    def test_against_30_digit_product(self, index):
+        var = _central_forms()[index]
+        active, _ = credible._split(var, None)
+        w = var[active] / var[active].max()
+        for p in (1e-4, 0.5, 0.95):
+            x = _form_quantile(w, None, p).value
+            log_modulus, phase = credible._laplace_log(w, x)
+            ref_modulus, ref_phase = laplace_transform_reference(
+                w, x, credible._EULER_A, credible._EULER_NODES.size)
+            assert np.all(np.abs(np.expm1(log_modulus - ref_modulus)) <= 1e-13), p
+            assert np.all(np.abs(phase - ref_phase)
+                          <= 1e-13 * (1.0 + np.abs(ref_phase))), p
+
+
+class TestCentralSweep:
+    """Central quantiles from p = 1e-6 to 1 - 1e-6 against Imhof's
+    distribution function, each within at most 20 evaluations of the law
+    (the lower-tail cap of TestBoundedInversion)."""
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("index", CENTRAL_FORMS)
+    def test_bracketed_by_imhof(self, index, monkeypatch):
+        var = _central_forms()[index]
+        calls = _count_law_calls(monkeypatch)
+        for p in SWEEP:
+            calls.clear()
+            est = _form_quantile(var, None, p)
+            assert len(calls) <= 20, (p, len(calls))
+            _assert_bracketed(lambda x: imhof_cdf(x, var), est.value,
+                              est.stderr, p, square=False)
