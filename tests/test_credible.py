@@ -451,6 +451,104 @@ class TestHonestInversion:
                           est.stderr, 0.95, square=False)
 
 
+class TestHonestSweep:
+    """Honest quantiles at p = 0.05, 0.5, 0.95 and 1 - 1e-6 against Imhof's
+    distribution function, each within at most 8 evaluations of the law,
+    those at either width of the convergence factor together.  Lower
+    levels are left out: on poly alpha = 1, n = 1e8 the inversion stops
+    after one evaluation at p = 1e-6 and 1e-5 with a stderr that misses
+    the quantile, and on exp alpha = 5, n = 1e4 the oracle fails below the
+    Davies lower end."""
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("fam,alpha,n", COVERAGE_HONEST)
+    def test_bracketed_by_imhof(self, fam, alpha, n, monkeypatch):
+        *_, t, bias = _honest_problem(fam, alpha, n)
+        calls = _count_law_calls(monkeypatch)
+        for p in (0.05, 0.5, 0.95, 1.0 - 1e-6):
+            calls.clear()
+            est = _form_quantile(t, bias, p)
+            assert len(calls) <= 8, (p, len(calls))
+            if (fam, alpha, n, p) == ("poly", 1.0, 1e8, 0.05):
+                # the law's own error bound is 3.1e-5 here (the smoothing
+                # term at _SMOOTH), so F at the quantile may miss p by more
+                # than 1e-8; the stderr must still bracket the quantile
+                f_lo = imhof_cdf(est.value - est.stderr, t, bias)
+                f_hi = imhof_cdf(est.value + est.stderr, t, bias)
+                assert f_lo <= p <= f_hi, (f_lo, p, f_hi)
+                continue
+            _assert_bracketed(lambda y: imhof_cdf(y, t, bias), est.value,
+                              est.stderr, p, square=False)
+
+
+class TestDaviesWidth:
+    """The honest inversion starts from the law at twice _SMOOTH, about
+    half the nodes, and rebuilds it at _SMOOTH only where the smoothing
+    term of the error bound at the root exceeds _SMOOTH_ERR."""
+
+    @staticmethod
+    def _builds(monkeypatch) -> list:
+        """The list of (sigma, nodes) of each Davies law built from here to
+        the end of the test, its nodes counted through np.fft.fft."""
+        builds, nodes = [], []
+        fft, make = np.fft.fft, credible._davies_law
+
+        def spy(a, n=None):
+            nodes.append(a.size)
+            return fft(a, n)
+
+        def recorded(v, b2, sigma=credible._SMOOTH, *rest):
+            made = make(v, b2, sigma, *rest)
+            nodes.clear()
+            made[1](0.5)
+            builds.append((sigma, nodes[0]))
+            return made
+
+        monkeypatch.setattr(np.fft, "fft", spy)
+        monkeypatch.setattr(credible, "_davies_law", recorded)
+        return builds
+
+    @staticmethod
+    def _nodes_today(builds, t, bias):
+        """Nodes of the law at _SMOOTH alone."""
+        active, _ = credible._split(t, bias)
+        credible._davies_law(t[active], bias[active] ** 2)
+        return builds.pop()[1]
+
+    def test_wide_at_the_coverage_level(self, monkeypatch):
+        """p = 0.95, the level of every honest radius of `coverage`: the
+        three node-heavy forms end with at most 60 % of the nodes at
+        _SMOOTH, and the three cut on |phi| keep 19, 73 and 19."""
+        builds = self._builds(monkeypatch)
+        cut = {("poly", 3.0, 1e4): 19, ("poly", 3.0, 1e8): 73,
+               ("exp", 5.0, 1e8): 19}
+        for fam, alpha, n in COVERAGE_HONEST:
+            *_, t, bias = _honest_problem(fam, alpha, n)
+            today = self._nodes_today(builds, t, bias)
+            _form_quantile(t, bias, 0.95)
+            (sigma, nodes), = builds
+            builds.clear()
+            assert sigma == 2.0 * credible._SMOOTH, (fam, alpha, n)
+            if (fam, alpha, n) in cut:
+                assert nodes == today == cut[fam, alpha, n], (fam, alpha, n)
+            else:
+                assert nodes <= 0.6 * today, (fam, alpha, n, nodes, today)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_falls_back_where_smoothing_dominates(self, monkeypatch):
+        """poly alpha = 1, n = 1e8 at p = 0.05: the smoothing term at twice
+        _SMOOTH is 1.9e-3, so the quantile comes from the law at _SMOOTH,
+        with its 15289 nodes, and misses Imhof's F by no more than 6.8e-6,
+        the miss of that law inverted from its own start."""
+        builds = self._builds(monkeypatch)
+        *_, t, bias = _honest_problem("poly", 1.0, 1e8)
+        est = _form_quantile(t, bias, 0.05)
+        assert [sigma for sigma, _ in builds] == [2.0 * credible._SMOOTH,
+                                                 credible._SMOOTH]
+        assert builds[-1][1] == 15289
+        assert abs(imhof_cdf(est.value, t, bias) - 0.05) <= 6.8e-6
+
+
 def _unbounded_invert(law, p, x, lo, hi):
     """credible._invert, with its stop, as it was before its steps were
     bounded: any Newton step inside the bracket, else bisection, or
