@@ -27,14 +27,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .numeric import LOG_TINY, MAX_HEAD, log1pexp
+from .numeric import LOG_TINY, MAX_HEAD, UNDERFLOW, log1pexp
 from .sequence import CoefficientSequence, power_sums
 
 DEFAULT_N_GRID = (1e4, 1e8, 1e12, 1e16)
 
 _CHUNK = 262144
-# e^-746 rounds to exactly 0 in double precision
-_UNDERFLOW = 746.0
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 # the tail integral stops where its exponent passes -40: it drops O(e^-40)
 _TAIL_CUT = 40.0
@@ -153,7 +151,7 @@ def _capped(root: float, name: str, value: float) -> int:
 def _head(params: LemmaParams, logN: float) -> int:
     """K past which the damping N i^-u e^{-p i^2} underflows to exactly 0,
     so that every term past K is exactly i^-t e^{-r i^2}."""
-    return _capped(math.sqrt((max(logN, 0.0) + _UNDERFLOW) / params.p),
+    return _capped(math.sqrt((max(logN, 0.0) + UNDERFLOW) / params.p),
                    "p", params.p)
 
 
@@ -184,7 +182,7 @@ def lemma_series_value(params: LemmaParams, N: float) -> float:
     logN = math.log(N)
     K = _head(params, logN)
     if params.r > 0:  # past sqrt(746/r) the terms underflow to 0 as well
-        K = max(K, _capped(math.sqrt(_UNDERFLOW / params.r), "r", params.r))
+        K = max(K, _capped(math.sqrt(UNDERFLOW / params.r), "r", params.r))
     parts = []
     for i in _blocks(K):
         lt = _log_terms(i, params, logN)

@@ -33,24 +33,19 @@ law of the form, found by safeguarded Newton steps on its density:
   form's mean, so that a mean far above the sd does not cancel them away;
   a Gaussian convergence factor with a second-order correction ends the
   sum at a tail bounded through E1(y) < e^-y log(1 + 1/y) (Abramowitz &
-  Stegun 5.1.20), and leaves an error of about
-  (sigma^4 / 8) f'''(x), which is estimated from the same sum.  The width
-  follows that smoothing term: the sum is built first at sigma = 4e-3 sd,
-  about half the nodes of 2e-3, and its root is kept where the smoothing
-  term there is at most 1e-11 in probability; otherwise the sum is built
-  again at 2e-3 and Newton goes on from that root.  At p = 0.95, the level
-  of the honest radii of the coverage experiments, the wide sum serves
-  every form tried: 3081-9016 nodes where 2e-3 needs 5966-15289, and
-  0.9-2.6 ms a quantile where it took 1.7-5.3 ms on one core of a 2-core
-  x86 host; the forms whose sum ends on |phi| keep their 19-73 nodes.
-  The characteristic function is evaluated once per form, and the sum stops
-  at the exact node where the tail bound first holds; the bound falls
-  monotonically there, as |phi| does not increase.  On a grid over the
-  aliasing period the whole sum is one zero-padded FFT, and Newton starts
-  from its interpolated crossing of the level: two or three evaluations
-  of the law then suffice.  The error bound also counts the rounding of
-  the form's mean and of x minus it, which moves the law as a shift of x
-  would.
+  Stegun 5.1.20), and leaves an error of about (sigma^4 / 8) f'''(x),
+  which is estimated from the same sum.  Each form has one law, whose
+  evaluations pick the width from that smoothing term: the sum at
+  sigma = 4e-3 sd, and at 2e-3 only where the first one's term exceeds
+  1e-11 in probability (at p = 0.95, the coverage experiments' level, on
+  none of the forms tried).  Both sums share the nodes, at the wide sum's
+  spacing, and phi is evaluated once per node; each sum stops at the
+  exact node where its tail bound, monotone as |phi| does not increase,
+  first holds.  On a grid over the aliasing period the wide sum is one
+  zero-padded FFT, and Newton starts from its interpolated crossing of
+  the level: two or three evaluations of the law then suffice.  The
+  error bound also counts the rounding of the form's mean and of x minus
+  it, which moves the law as a shift of x would.
 
 The Laplace-Euler series fails on forms with a large noncentrality, whose
 terms keep oscillating, and the midpoint sum needs many nodes on central
@@ -267,21 +262,20 @@ def _euler_law(w: np.ndarray):
     return law
 
 
-def _davies_law(v: np.ndarray, b2: np.ndarray, sigma: float = _SMOOTH,
-                smoothing: list | None = None):
+def _davies_law(v: np.ndarray, b2: np.ndarray):
     """(law, start, lo, hi) for the form sum (b_i + sqrt(v_i) Z_i)^2, with
-    b2 the squared biases and sigma the sd of the convergence factor in
-    units of the form's sd: law(x) = (F(x), f(x), bound on |error of F|,
+    b2 the squared biases: law(x) = (F(x), f(x), bound on |error of F|,
     |F(x) - p| that resolves p, a tenth of that bound),
     start(p) is near the root of F(x) = p, and outside [lo, hi] each tail
-    of the form holds at most _TAIL.  Each evaluation of the law appends
-    the smoothing term of its error bound to the list ``smoothing``, if
-    one is given.
+    of the form holds at most _TAIL.
 
     On the form centred and scaled to unit sd,
     F(x) = 1/2 - (1/pi) int_0^inf Im[phi(u) e^{-iux}] / u du is summed at
     the midpoints u_k = (k + 1/2) delta, with the period 2 pi / delta just
-    above hi - lo so that the aliased mass lies in the tails.
+    above hi - lo so that the aliased mass lies in the tails.  Each
+    evaluation sums with the convergence factor at twice _SMOOTH, and at
+    _SMOOTH where that sum's smoothing term exceeds _SMOOTH_ERR, over the
+    same nodes extended once past the first sum's stop.
     """
     # correctly rounded: the law charges its rounding to the error below
     centre = math.fsum(np.concatenate((v, b2)).tolist())
@@ -307,8 +301,8 @@ def _davies_law(v: np.ndarray, b2: np.ndarray, sigma: float = _SMOOTH,
              - math.log(_TAIL)) / s
     hi = float(bound[s > 0].min())
     lo = max(float(bound[s < 0].max()), -mean)
-    # the convergence factor spreads the law by a few multiples of sigma
-    delta = 2.0 * math.pi / (hi - lo + 20.0 * sigma)
+    # the convergence factor spreads the law by a few multiples of its sd
+    delta = 2.0 * math.pi / (hi - lo + 20.0 * (2.0 * _SMOOTH))
 
     def log_phi(u, v, b2):
         # rows log|phi(u)| and arg phi(u) + u mean, built in place and
@@ -330,48 +324,58 @@ def _davies_law(v: np.ndarray, b2: np.ndarray, sigma: float = _SMOOTH,
         phase -= drift
         return out @ np.ones(v.size)
 
-    # sum the nodes up to the first whose tail is within _TAIL: |phi| is
-    # nonincreasing, and the factor c(u) = e^-y (1 + y), y = (sigma u)^2/2,
-    # integrates against du/u to (E1(Y) + e^-Y) / 2 beyond Y, with
-    # E1(Y) < e^-Y log(1 + 1/Y), so the bound falls as u grows
-    parts = []
+    rows = np.empty((2, 0))  # log_phi at the nodes taken so far
     most = max(1, min(4096, _CELLS // v.size))
-    first, block = 0, min(256, most)
-    while True:
-        u = (np.arange(first, first + block) + 0.5) * delta
-        parts.append(_coordinate_sum(log_phi, u, v, b2))
+    sums = {}  # the terms of the sum at each width taken so far
+
+    def terms(sigma):
+        # the nodes up to the first whose tail is within _TAIL, from the rows
+        # held on, then in blocks of doubling size: |phi| is nonincreasing,
+        # and the factor e^-y (1 + y), y = (sigma u)^2/2, integrates against
+        # du/u beyond Y to (E1(Y) + e^-Y)/2 < e^-Y (log(1 + 1/Y) + 1)/2
+        nonlocal rows
+        if sigma in sums:
+            return sums[sigma]
+        parts, first, last = [rows], 0, rows.shape[1] or min(256, most)
+        while True:
+            u = (np.arange(first, last) + 0.5) * delta
+            if last > rows.shape[1]:
+                parts.append(_coordinate_sum(log_phi, u, v, b2))
+            y = 0.5 * (sigma * u) ** 2
+            met = (np.exp(parts[-1][0] - y) * (np.log1p(1.0 / y) + 1.0)
+                   <= 2.0 * math.pi * _TAIL)
+            if met[-1]:
+                break
+            first, last = last, last + min(last + 256, most)
+        rows = np.concatenate(parts, axis=1)
+        log_modulus, phase = rows[:, :first + int(np.argmax(met)) + 1]
+        k = np.arange(phase.size) + 0.5
+        u = k * delta
         y = 0.5 * (sigma * u) ** 2
-        met = (np.exp(parts[-1][0] - y) * (np.log1p(1.0 / y) + 1.0)
-               <= 2.0 * math.pi * _TAIL)
-        if met[-1]:
-            parts[-1] = parts[-1][:, :int(np.argmax(met)) + 1]
-            break
-        first, block = first + block, min(2 * block, most)
-    log_modulus, phase = np.concatenate(parts, axis=1)
-    k = np.arange(phase.size) + 0.5
-    u = k * delta
-    y = 0.5 * (sigma * u) ** 2
-    amp = np.exp(log_modulus - y) * (1.0 + y)
-    weight = amp / k
-    cube = amp * u**3
-    # rounding: each term carries the error of its phase, phase - u shift
-    phase_rounding = _EPS * float(weight @ (1.0 + np.abs(phase)))
-    shift_rounding = _EPS * float(weight @ u)
+        amp = np.exp(log_modulus - y) * (1.0 + y)
+        weight = amp / k
+        # rounding: each term carries the error of its phase, phase - u shift
+        sums[sigma] = (u, phase, amp, weight, amp * u**3,
+                       _EPS * float(weight @ (1.0 + np.abs(phase))),
+                       _EPS * float(weight @ u))
+        return sums[sigma]
 
     def law(x):
         shift = (x - centre) / sd
-        arg = u * -shift
-        arg += phase
-        sin = np.sin(arg)
-        cdf = 0.5 - float(weight @ sin) / math.pi
-        pdf = delta * float(amp @ np.cos(arg)) / (math.pi * sd)
-        d4 = delta * float(cube @ sin) / math.pi  # -f'''(x)
+        for sigma in (2.0 * _SMOOTH, _SMOOTH):
+            u, phase, amp, weight, cube, phase_rounding, shift_rounding = terms(sigma)
+            arg = u * -shift
+            arg += phase
+            sin = np.sin(arg)
+            cdf = 0.5 - float(weight @ sin) / math.pi
+            pdf = delta * float(amp @ np.cos(arg)) / (math.pi * sd)
+            d4 = delta * float(cube @ sin) / math.pi  # -f'''(x)
+            smoothed = 2.0 * sigma**4 / 8.0 * abs(d4)
+            if smoothed <= _SMOOTH_ERR:
+                break
         # the rounding of centre (of b^2 and of the sum, eps / 2 each) and
         # of x - centre (eps / 2) moves the law as a shift of x would
         moved = _EPS * (centre + 0.5 * abs(x - centre)) * abs(pdf)
-        smoothed = 2.0 * sigma**4 / 8.0 * abs(d4)
-        if smoothing is not None:
-            smoothing.append(smoothed)
         err = (smoothed + 3.0 * _TAIL + phase_rounding
                + shift_rounding * abs(shift) + moved)
         return cdf, pdf, err, 0.1 * err
@@ -381,7 +385,8 @@ def _davies_law(v: np.ndarray, b2: np.ndarray, sigma: float = _SMOOTH,
         # S_j) / pi, S the FFT of the node terms at shift lo zero-padded to
         # size, the rotation that of the half node; bisection on j finds a
         # crossing of p, and the start interpolates it
-        size = max(4096, 1 << (k.size - 1).bit_length())
+        u, phase, _, weight, *_ = terms(2.0 * _SMOOTH)
+        size = max(4096, 1 << (phase.size - 1).bit_length())
         node = np.fft.fft(weight * np.exp(1j * (phase - u * lo)), size)
 
         def grid_cdf(j):
@@ -441,14 +446,8 @@ def _form_quantile(var: np.ndarray, bias: np.ndarray | None,
     active, mass = _split(var, bias)
     v = var[active]
     if bias is not None and np.any(bias[active]):
-        # about half the nodes at twice the width; where the smoothing term
-        # at that root exceeds _SMOOTH_ERR, Newton goes on from it at _SMOOTH
-        b2, smoothing = bias[active] ** 2, []
-        law, start, lo, hi = _davies_law(v, b2, 2.0 * _SMOOTH, smoothing)
+        law, start, lo, hi = _davies_law(v, bias[active] ** 2)
         est = _invert(law, p, start(p), lo, hi)
-        if smoothing[-1] > _SMOOTH_ERR:
-            law, _, lo, hi = _davies_law(v, b2, _SMOOTH)
-            est = _invert(law, p, est.value, lo, hi)
         return QuantileEstimate(mass + est.value, est.stderr)
     # central: invert at unit scale, so that c w gives c times the quantile
     scale = v.max()

@@ -38,7 +38,7 @@ from .functionals import (
     functional_moments,
     point_evaluation_curves,
 )
-from .numeric import MAX_HEAD
+from .numeric import MAX_HEAD, UNDERFLOW
 from .posterior import posterior_weights, risk_decomposition
 from .priors import FunctionalMode, PriorFamily, PriorSpec, ScalingRule
 from .rng import normal_matrix, substream
@@ -295,7 +295,7 @@ def _interval_moments(cfg: ExperimentConfig, L: LinearFunctional,
             if (2 * nn > _MAX_INTERVAL_TRUNCATION
                     or _point_fraction(L, nn - nh) is None
                     or (prior_n.kind is PriorFamily.EXPONENTIAL and min(
-                        2 * nn, math.sqrt(746.0 / prior_n.alpha)) > MAX_HEAD)):
+                        2 * nn, math.sqrt(UNDERFLOW / prior_n.alpha)) > MAX_HEAD)):
                 raise
         nn *= 2
 

@@ -14,6 +14,8 @@ import numpy as np
 
 # exp underflows to 0 below this; used for early exits in log-space sums.
 LOG_TINY = -745.0
+# e^-UNDERFLOW rounds to exactly 0: the cut of sums of exponentials
+UNDERFLOW = 746.0
 # longest series summed term by term: about a second of work
 MAX_HEAD = 2 ** 24
 # |log a| beyond which a/(1+a) saturates at double precision.

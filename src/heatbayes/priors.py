@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numeric import LOG_TINY, UNDERFLOW
 from .sequence import CoefficientSequence, bin_range, power_sums
 
 
@@ -83,7 +84,7 @@ class PriorSpec:
                 raise ValueError("several starts need a period")
             return np.stack([self.variance_sums(f, last, period)
                              for f in first])
-        cap = math.sqrt(746.0 / self.alpha)
+        cap = math.sqrt(UNDERFLOW / self.alpha)
         stop = last if period is None or cap >= last else int(cap) + 1
         i = np.arange(first, stop + 1, dtype=float)
         return bin_range(first, np.exp(-self.alpha * i**2), period)
@@ -104,7 +105,7 @@ def prior_variances(spec: PriorSpec, truncation_level: int) -> CoefficientSequen
     else:
         # geometric-in-i^2 bound
         a = spec.alpha
-        tail = math.exp(max(-a * (nn + 1) ** 2, -745.0)) / -math.expm1(-a * (2 * nn + 3))
+        tail = math.exp(max(-a * (nn + 1) ** 2, LOG_TINY)) / -math.expm1(-a * (2 * nn + 3))
     return CoefficientSequence(vals, truncation_level, tail_tol=tail)
 
 

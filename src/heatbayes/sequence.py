@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric import compensated_sum, sinpi
+from .numeric import LOG_TINY, UNDERFLOW, compensated_sum, sinpi
 from .rng import substream
 
 DEFAULT_TIME_HORIZON = 0.1
@@ -127,7 +127,7 @@ def heat_eigenvalues(time_horizon: float, truncation_level: int) -> CoefficientS
     p = math.pi**2 * time_horizon
     nn = truncation_level
     # geometric-in-i^2 bound on the discarded sum of eigenvalues
-    tail = math.exp(max(-(nn + 1) ** 2 * p, -745.0)) / -math.expm1(-(2 * nn + 3) * p)
+    tail = math.exp(max(-(nn + 1) ** 2 * p, LOG_TINY)) / -math.expm1(-(2 * nn + 3) * p)
     return CoefficientSequence(vals, truncation_level, tail_tol=tail)
 
 
@@ -140,7 +140,7 @@ def active_head(time_horizon: float, truncation_level: int) -> int:
     heat_eigenvalues forms them.
     """
     _check_time_horizon(time_horizon)  # before dividing by T
-    last = math.sqrt(746.0 / (math.pi**2 * time_horizon)) + 2.0
+    last = math.sqrt(UNDERFLOW / (math.pi**2 * time_horizon)) + 2.0
     head = truncation_level if last >= truncation_level else int(last)
     logs = heat_log_eigenvalues(time_horizon, head)  # validates N
     return max(1, int(np.count_nonzero(np.exp(logs))))

@@ -482,71 +482,107 @@ class TestHonestSweep:
 
 
 class TestDaviesWidth:
-    """The honest inversion starts from the law at twice _SMOOTH, about
-    half the nodes, and rebuilds it at _SMOOTH only where the smoothing
-    term of the error bound at the root exceeds _SMOOTH_ERR."""
+    """One Davies law per honest quantile: each evaluation sums with the
+    convergence factor at twice _SMOOTH, and again at _SMOOTH only where
+    the first sum's smoothing term exceeds _SMOOTH_ERR; that second sum
+    extends the first's nodes once, and log phi is taken once per node."""
 
     @staticmethod
-    def _builds(monkeypatch) -> list:
-        """The list of (sigma, nodes) of each Davies law built from here to
-        the end of the test, its nodes counted through np.fft.fft."""
-        builds, nodes = [], []
-        fft, make = np.fft.fft, credible._davies_law
+    def _events(monkeypatch) -> list:
+        """The list of (kind, nodes) from here to the end of the test, in
+        order: "chernoff" for each Chernoff pass, "phi" for each block of
+        nodes at which log phi is taken, "fft" for each FFT start and "sum"
+        for each midpoint sum evaluated, with its node count."""
+        events = []
+        coordinate_sum, sin, fft = credible._coordinate_sum, np.sin, np.fft.fft
+        kinds = {"centred_cumulant": "chernoff", "log_phi": "phi"}
 
-        def spy(a, n=None):
-            nodes.append(a.size)
+        def spied_sum(term, nodes, *coords):
+            if term.__name__ in kinds:
+                events.append((kinds[term.__name__], nodes.copy()))
+            return coordinate_sum(term, nodes, *coords)
+
+        def spied_sin(a):
+            events.append(("sum", a.size))
+            return sin(a)
+
+        def spied_fft(a, n=None):
+            events.append(("fft", a.size))
             return fft(a, n)
 
-        def recorded(v, b2, sigma=credible._SMOOTH, *rest):
-            made = make(v, b2, sigma, *rest)
-            nodes.clear()
-            made[1](0.5)
-            builds.append((sigma, nodes[0]))
-            return made
-
-        monkeypatch.setattr(np.fft, "fft", spy)
-        monkeypatch.setattr(credible, "_davies_law", recorded)
-        return builds
+        monkeypatch.setattr(credible, "_coordinate_sum", spied_sum)
+        monkeypatch.setattr(np, "sin", spied_sin)
+        monkeypatch.setattr(np.fft, "fft", spied_fft)
+        return events
 
     @staticmethod
-    def _nodes_today(builds, t, bias):
-        """Nodes of the law at _SMOOTH alone."""
-        active, _ = credible._split(t, bias)
-        credible._davies_law(t[active], bias[active] ** 2)
-        return builds.pop()[1]
+    def _taken(events, kind) -> list:
+        return [nodes for k, nodes in events if k == kind]
+
+    def _check_one_pass(self, events):
+        """One Chernoff pass, and log phi at each node at most once."""
+        assert len(self._taken(events, "chernoff")) == 1
+        nodes = np.concatenate(self._taken(events, "phi"))
+        assert np.unique(nodes).size == nodes.size
 
     def test_wide_at_the_coverage_level(self, monkeypatch):
-        """p = 0.95, the level of every honest radius of `coverage`: the
-        three node-heavy forms end with at most 60 % of the nodes at
-        _SMOOTH, and the three cut on |phi| keep 19, 73 and 19."""
-        builds = self._builds(monkeypatch)
+        """p = 0.95, the level of every honest radius of `coverage`: no
+        evaluation needs the sum at _SMOOTH or extends the nodes; the three
+        node-heavy forms keep at most 60 % of the nodes of the sum at
+        _SMOOTH alone, and the three cut on |phi| keep 19, 73 and 19."""
+        events = self._events(monkeypatch)
+        calls = _count_law_calls(monkeypatch)
+        smooth_err = credible._SMOOTH_ERR
         cut = {("poly", 3.0, 1e4): 19, ("poly", 3.0, 1e8): 73,
                ("exp", 5.0, 1e8): 19}
         for fam, alpha, n in COVERAGE_HONEST:
             *_, t, bias = _honest_problem(fam, alpha, n)
-            today = self._nodes_today(builds, t, bias)
+            # every evaluation at _SMOOTH as well: that sum's node count
+            monkeypatch.setattr(credible, "_SMOOTH_ERR", -1.0)
+            events.clear()
             _form_quantile(t, bias, 0.95)
-            (sigma, nodes), = builds
-            builds.clear()
-            assert sigma == 2.0 * credible._SMOOTH, (fam, alpha, n)
+            narrow = max(self._taken(events, "sum"))
+            monkeypatch.setattr(credible, "_SMOOTH_ERR", smooth_err)
+            events.clear()
+            calls.clear()
+            _form_quantile(t, bias, 0.95)
+            self._check_one_pass(events)
+            (wide,) = self._taken(events, "fft")
+            assert self._taken(events, "sum") == [wide] * len(calls)
+            started = events.index(("fft", wide))
+            assert "phi" not in [kind for kind, _ in events[started:]]
             if (fam, alpha, n) in cut:
-                assert nodes == today == cut[fam, alpha, n], (fam, alpha, n)
+                assert wide == narrow == cut[fam, alpha, n], (fam, alpha, n)
             else:
-                assert nodes <= 0.6 * today, (fam, alpha, n, nodes, today)
+                assert wide <= 0.6 * narrow, (fam, alpha, n, wide, narrow)
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_falls_back_where_smoothing_dominates(self, monkeypatch):
         """poly alpha = 1, n = 1e8 at p = 0.05: the smoothing term at twice
-        _SMOOTH is 1.9e-3, so the quantile comes from the law at _SMOOTH,
-        with its 15289 nodes, and misses Imhof's F by no more than 6.8e-6,
-        the miss of that law inverted from its own start."""
-        builds = self._builds(monkeypatch)
+        _SMOOTH is 1.9e-3, so each evaluation also sums at _SMOOTH, over
+        15305 nodes at the wide sum's spacing; the 9016 nodes of the wide
+        sum are extended once, and the quantile misses Imhof's F by no more
+        than 6.8e-6, the miss of the law at _SMOOTH alone."""
+        events = self._events(monkeypatch)
         *_, t, bias = _honest_problem("poly", 1.0, 1e8)
         est = _form_quantile(t, bias, 0.05)
-        assert [sigma for sigma, _ in builds] == [2.0 * credible._SMOOTH,
-                                                 credible._SMOOTH]
-        assert builds[-1][1] == 15289
+        self._check_one_pass(events)
+        assert self._taken(events, "fft") == [9016]
+        assert set(self._taken(events, "sum")) == {9016, 15305}
+        kinds = "".join(kind[0] for kind, _ in events)  # c, p, f and s
+        assert kinds.count("sp") == 1, kinds
         assert abs(imhof_cdf(est.value, t, bias) - 0.05) <= 6.8e-6
+
+    @pytest.mark.parametrize("fam,alpha,n", COVERAGE_HONEST)
+    def test_one_pass_at_every_sweep_level(self, fam, alpha, n, monkeypatch):
+        """At each level of TestHonestSweep a quantile makes one Chernoff
+        pass and takes log phi at most once per node."""
+        *_, t, bias = _honest_problem(fam, alpha, n)
+        events = self._events(monkeypatch)
+        for p in (0.05, 0.5, 0.95, 1.0 - 1e-6):
+            events.clear()
+            _form_quantile(t, bias, p)
+            self._check_one_pass(events)
 
 
 def _unbounded_invert(law, p, x, lo, hi):
