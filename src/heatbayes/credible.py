@@ -305,8 +305,9 @@ def _davies_law(v: np.ndarray, b2: np.ndarray):
     delta = 2.0 * math.pi / (hi - lo + 20.0 * (2.0 * _SMOOTH))
 
     def log_phi(u, v, b2):
-        # rows log|phi(u)| and arg phi(u) + u mean, built in place and
-        # summed over the coordinates as one product with ones
+        # rows log|phi(u)| and arg phi(u) + u mean, built in place on
+        # (coordinates, nodes) blocks, nodes inner, summed over coordinates
+        u, v, b2 = u.T, v[:, None], b2[:, None]
         z = (2.0 * v) * u
         q = z * z
         out = np.empty((2,) + z.shape)
@@ -322,7 +323,7 @@ def _davies_law(v: np.ndarray, b2: np.ndarray):
         phase *= 0.5
         drift *= z
         phase -= drift
-        return out @ np.ones(v.size)
+        return out.sum(axis=1)
 
     rows = np.empty((2, 0))  # log_phi at the nodes taken so far
     most = max(1, min(4096, _CELLS // v.size))

@@ -284,19 +284,21 @@ def point_evaluation_curves(weights: PosteriorWeights, y_values: np.ndarray,
     N(mean(x), sd(x)^2) at every grid point, optional extra coefficient
     columns (the true curve) and one posterior draw per row of the draw
     matrix, all synthesized against the same basis (GridSynthesis).
-    `draw_normals`, if given, maps the bin count b to a (draws, b) matrix of
-    standard normals, for instance functools.partial(rng.normal_matrix,
-    seed, path, draws), whose row j is stream (*path, j).
+    `draw_normals`, if given, maps the bin count b (M - 1 on the uniform
+    grid below) to a (draws, b) matrix of standard normals, for instance
+    functools.partial(rng.normal_matrix, seed, path, draws), whose row j
+    is stream (*path, j).
     `weights`, `y_values` and the extra columns cover the head i <= N_h; a
     `truncation_level` N adds the coordinates N_h < i <= N, where w = 0
     (the mean needs only the head) and s = lambda_i of `prior`, and then
     `extra_sums` holds, per extra column, the function (first, last,
     period) -> its sums as sequence.bin_range bins them (ValueError without
     a prior or unless one per column).  On the grid linspace(0, 1, M + 1)
-    the coefficients fold exactly onto 2M residue bins, and the tail's bins
-    of lambda and of the extra columns are closed-form sums; a draw takes
-    one normal per bin, the bin sum being N(sum of means, sum of
-    variances), so it is exact in law.  Other grids are synthesized
+    the coefficients fold exactly onto 2M residue bins, whose tail bins of
+    lambda and of the extra columns are closed-form sums, and those onto
+    the M - 1 interior residues (GridSynthesis.bins); a draw takes one
+    normal per interior residue r, the folded bin being N(its mean,
+    v_r + v_(2M-r)), so it is exact in law.  Other grids are synthesized
     directly, with one term and one normal per coordinate.
 
     Admissibility of the whole family is checked against its envelope: the
@@ -329,7 +331,7 @@ def point_evaluation_curves(weights: PosteriorWeights, y_values: np.ndarray,
             mean_t = np.zeros(nn - nh)
     _check_decade(total, decade_mass, nn, "point-evaluation family, prior mass")
     mean_b = syn.bins(weights.mean_weight * y_values, mean_t)
-    var_b = syn.bins(weights.variance, lam_t)
+    var_b = syn.bins(weights.variance, lam_t, squared=True)
     sd_b = np.sqrt(var_b)
     z = (np.zeros((0, var_b.size)) if draw_normals is None
          else draw_normals(var_b.size))

@@ -293,30 +293,38 @@ def basis_columns(x: np.ndarray, start: int, stop: int) -> np.ndarray:
 
 
 class AliasingFold:
-    """The sine table of the uniform grid x_k = k/M.
+    """The sine table of the uniform grid x_k = k/M on its interior residues.
 
-    sin(i pi k/M) depends on i only through i mod 2M, so for any number of
-    coefficients sum_i c_i e_i(x_k) = (table @ bin_range(1, c, 2M))[k], with
-    table[k, r] = sqrt(2) sin(pi (r k mod 2M)/M) gathered from 2M sine values
-    at exact integer residues, so that its rows at x = 0 and x = 1 are exact
-    zeros.  `square` is table * table, the basis squared for variances.
-    Both are read-only: GridSynthesis shares one fold per M (`_shared_fold`).
+    sin(i pi k/M) depends on i only through r = i mod 2M, vanishes at r = 0
+    and r = M, and changes sign from r to 2M - r.  So for any number of
+    coefficients sum_i c_i e_i(x_k) = (table @ interior(b))[k], b =
+    bin_range(1, c, 2M), with table[k, r - 1] = sqrt(2) sin(pi (r k mod
+    2M)/M), r = 1..M-1, gathered from 2M sine values at exact integer
+    residues, so that its rows at x = 0 and x = 1 are exact zeros.
+    `square` is table * table, the basis squared for variances.  Both are
+    read-only: GridSynthesis shares one fold per M (`_shared_fold`).
     """
 
     def __init__(self, m: int):
         self.period = 2 * m
-        r = np.arange(self.period)
-        values = math.sqrt(2.0) * sinpi(r / m)
-        self.table = values[np.outer(np.arange(m + 1), r) % self.period]
+        values = math.sqrt(2.0) * sinpi(np.arange(self.period) / m)
+        k, r = np.arange(m + 1), np.arange(1, m)  # points, interior residues
+        self.table = values[np.outer(k, r) % self.period]
         self.square = self.table * self.table
         self.table.setflags(write=False)
         self.square.setflags(write=False)
+
+    def interior(self, bins: np.ndarray, squared: bool = False) -> np.ndarray:
+        """b_r - b_(2M-r), r = 1..M-1, of 2M residue bins b; b_r + b_(2M-r)
+        for the bins of squared basis terms (variances)."""
+        m = self.period // 2
+        return (np.add if squared else np.subtract)(bins[1:m], bins[:m:-1])
 
 
 @functools.lru_cache(maxsize=4)
 def _shared_fold(m: int) -> AliasingFold:
     """The fold of M, built once for the few grid sizes in use; table and
-    square hold 32 (M + 1) M bytes, 1.3 MB at M = 200."""
+    square hold 16 (M + 1) (M - 1) bytes, 0.64 MB at M = 200."""
     return AliasingFold(m)
 
 
@@ -325,11 +333,12 @@ class GridSynthesis:
     coefficients, without a grid x N basis matrix.
 
     On the grid linspace(0, 1, M + 1) the coefficients fold exactly onto
-    their 2M residue bins (bin_range) and a series is the sine table of
-    AliasingFold times its bins; that fold, table and square, is built
-    once per M and shared read-only by every synthesis on the grid.  On
-    other grids the bins are the coefficients themselves and the series is
-    summed over blocks of _CHUNK basis columns.
+    their 2M residue bins (bin_range), and those onto the M - 1 interior
+    residues (AliasingFold.interior); a series is the sine table times the
+    folded bins.  That fold, table and square, is built once per M and
+    shared read-only by every synthesis on the grid.  On other grids the
+    bins are the coefficients themselves and the series is summed over
+    blocks of _CHUNK basis columns.
     """
 
     def __init__(self, x_grid):
@@ -340,13 +349,14 @@ class GridSynthesis:
         # the period of the bins: 2M on the uniform grid, else None
         self.period = None if self.fold is None else self.fold.period
 
-    def bins(self, coefficients, tail=None) -> np.ndarray:
+    def bins(self, coefficients, tail=None, squared=False) -> np.ndarray:
         """Bins of c_1..c_h, plus `tail`, the bins (at self.period) of the
-        coefficients h < i <= N."""
+        coefficients h < i <= N; on the uniform grid folded, with a plus
+        sign when `squared` (variances)."""
         b = bin_range(1, coefficients, self.period)
-        if tail is None:
-            return b
-        return np.concatenate([b, tail]) if self.period is None else b + tail
+        if self.fold is None:
+            return b if tail is None else np.concatenate([b, tail])
+        return self.fold.interior(b if tail is None else b + tail, squared)
 
     def curves(self, columns: np.ndarray, variances: np.ndarray | None = None):
         """(E @ columns, (E * E) @ variances) from binned columns and binned

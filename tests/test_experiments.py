@@ -319,6 +319,19 @@ class TestPanels:
                                             data_stream=1, draws=3))
         assert not np.array_equal(panel.draw_curves[0], panel.draw_curves[1])
 
+    def test_first_draw_values_pinned(self):
+        """The first points of a panel's draws, frozen when the draws moved
+        to one normal per interior residue (M - 1 = 19 per draw here): a
+        change to the draw layout or its streams fails here."""
+        cfg = ExperimentConfig(prior=PriorSpec.polynomial(1.0), n_grid=(1e4,),
+                               seed=7, x_grid_points=21)
+        panel = render_panel(cfg, PanelSpec(prior=cfg.prior, n=1e4,
+                                            data_stream=3, draws=2))
+        np.testing.assert_allclose(panel.draw_curves[:, 1:4], [
+            [0.7496259947983539, 1.1965565127921465, 1.6246022128227797],
+            [0.0992036439943949, 0.33733167019907373, 0.26975549493010226]],
+            rtol=1e-13, atol=0.0)
+
     def test_two_stream_constructions_per_panel(self, monkeypatch):
         """One 20-draw panel builds the obs stream and one draw batch: two
         SeedSequences and two Philox generators, not one per draw."""

@@ -310,8 +310,8 @@ class TestAliasingFold:
         nn = admissible_truncation(PriorSpec.polynomial(0.5))
         x = np.linspace(0.0, 1.0, m + 1)
         fold = AliasingFold(m)
-        truth = fold.table @ bin_range(
-            1, true_signal_coefficients(nn).values, fold.period)
+        truth = fold.table @ fold.interior(bin_range(
+            1, true_signal_coefficients(nn).values, fold.period))
         assert np.abs(truth - true_signal_function(x)).max() <= 1e-14
 
     def test_non_uniform_grid_direct_path(self):
@@ -329,31 +329,50 @@ class TestAliasingFold:
                 [np.random.default_rng(k).standard_normal(b) for k in range(3)]))[3]
         assert draws.shape == (3, x.size) and np.all(np.isfinite(draws))
 
-    @pytest.mark.parametrize("m,nn", [(2, 3), (20, 1000), (50, 4321)])
+    @pytest.mark.parametrize("m,nn", [(1, 5), (2, 3), (2, 37), (20, 1000),
+                                      (50, 4321)])
     def test_draw_bins_exact_in_distribution(self, m, nn):
-        """A draw on the fold path has covariance T diag(S) T^T, which must
-        equal the full posterior covariance E diag(s) E^T."""
+        """A draw on the fold path has covariance T diag(S) T^T, T the
+        table of the M - 1 interior residues and S their folded variances
+        v_r + v_(2M-r), which must equal the full posterior covariance
+        E diag(s) E^T."""
         x = np.linspace(0.0, 1.0, m + 1)
         s = synthetic_weights(nn, seed=m).variance
         fold = AliasingFold(m)
         T = fold.table
+        assert T.shape == (m + 1, m - 1)
         E = basis_matrix(x, nn)
-        folded = T @ np.diag(bin_range(1, s, fold.period)) @ T.T
+        S = fold.interior(bin_range(1, s, fold.period), squared=True)
+        folded = T @ np.diag(S) @ T.T
         full = (E * s) @ E.T
         assert np.abs(folded - full).max() <= 1e-12 * np.abs(full).max()
 
     def test_draws_take_one_normal_per_bin(self):
-        m, nn = 10, 5000
-        x = np.linspace(0.0, 1.0, m + 1)
+        """A draw asks for one normal per interior residue, M - 1 of them,
+        and is the synthesis of mean_r + sqrt(v_r + v_(2M-r)) z_r; at M = 1
+        no column is asked for and the draws equal the mean."""
+        nn = 5000
         w = synthetic_weights(nn, seed=9)
-        mean_x, _, _, draws = point_evaluation_curves(
-            w, np.ones(nn), x,
-            draw_normals=lambda b: np.random.default_rng(4).standard_normal((1, b)))
-        fold = AliasingFold(m)
-        z = np.random.default_rng(4).standard_normal(2 * m)
-        expect = mean_x + fold.table @ (
-            np.sqrt(bin_range(1, w.variance, fold.period)) * z)
-        assert np.abs(draws[0] - expect).max() <= 1e-12 * np.abs(expect).max()
+        for m in (1, 2, 10):
+            x = np.linspace(0.0, 1.0, m + 1)
+            asked = []
+
+            def normals(b):
+                asked.append(b)
+                return np.random.default_rng(4).standard_normal((2, b))
+
+            mean_x, _, _, draws = point_evaluation_curves(
+                w, np.ones(nn), x, draw_normals=normals)
+            assert asked == [m - 1] and draws.shape == (2, m + 1)
+            fold = AliasingFold(m)
+            z = np.random.default_rng(4).standard_normal((2, m - 1))
+            sd = np.sqrt(fold.interior(bin_range(1, w.variance, fold.period),
+                                       squared=True))
+            expect = mean_x + (sd * z) @ fold.table.T
+            assert (np.abs(draws - expect).max()
+                    <= 1e-12 * np.abs(expect).max())
+            if m == 1:
+                assert np.array_equal(draws, np.tile(mean_x, (2, 1)))
 
     @pytest.mark.parametrize("x", [np.linspace(0.0, 1.0, 21),
                                    np.array([0.0, 0.13, 0.5, 0.77, 1.0])])
@@ -366,11 +385,11 @@ class TestAliasingFold:
         y = np.cos(np.arange(nn))
         extra = true_signal_coefficients(nn).values[:, None]
         z = np.random.default_rng(6).standard_normal(
-            (20, nn if x.size == 5 else 40))
+            (20, nn if x.size == 5 else 19))
         got = point_evaluation_curves(w, y, x, extra, lambda b: z)
         syn = GridSynthesis(x)
         mean_b = syn.bins(w.mean_weight * y)
-        var_b = syn.bins(w.variance)
+        var_b = syn.bins(w.variance, squared=True)
         sd_b = np.sqrt(var_b)
         columns = np.column_stack([mean_b, syn.bins(extra[:, 0])]
                                   + [mean_b + sd_b * row for row in z])

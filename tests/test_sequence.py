@@ -473,16 +473,33 @@ class TestSharedFold:
         with pytest.raises(ValueError):
             fold.table += 1.0
 
+    def test_tables_keep_interior_residues(self):
+        """Only the M - 1 interior residues are kept: 0.64 MB at M = 200."""
+        fold = _shared_fold(200)
+        assert fold.table.shape == fold.square.shape == (201, 199)
+        assert fold.table.nbytes + fold.square.nbytes == 16 * 201 * 199
+
     @pytest.mark.parametrize("m", [1, 20, 200])
     def test_curves_match_fresh_fold(self, m):
         syn = GridSynthesis(np.linspace(0.0, 1.0, m + 1))
         rng = np.random.default_rng(m)
-        columns = rng.standard_normal((2 * m, 3))
-        variances = rng.random(2 * m)
+        columns = rng.standard_normal((m - 1, 3))
+        variances = rng.random(m - 1)
         fresh = AliasingFold(m).table
         got_curves, got_s2 = syn.curves(columns, variances)
         assert np.array_equal(got_curves, fresh @ columns)
         assert np.array_equal(got_s2, (fresh * fresh) @ variances)
+
+    @pytest.mark.parametrize("m", [1, 2, 7])
+    def test_fold_pairs_mirror_residues(self, m):
+        """interior(b)_r = b_r - b_(2M-r), and b_r + b_(2M-r) when squared,
+        for r = 1..M-1: residues 0 and M, whose sines vanish, are dropped."""
+        b = np.random.default_rng(m).standard_normal(2 * m)
+        fold = _shared_fold(m)
+        r = np.arange(1, m)
+        assert np.array_equal(fold.interior(b), b[r] - b[2 * m - r])
+        assert np.array_equal(fold.interior(b, squared=True),
+                              b[r] + b[2 * m - r])
 
     def test_cache_bounded(self):
         maxsize = _shared_fold.cache_info().maxsize

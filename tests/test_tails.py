@@ -291,24 +291,29 @@ def test_power_law_truth_must_be_square_summable():
 @pytest.mark.parametrize("time_horizon", TIMES)
 @pytest.mark.parametrize("prior", PRIORS, ids=PRIOR_IDS)
 def test_grid_bins_and_curves(prior, time_horizon):
-    """Variance and truth bins (head fold plus closed-form tail) and the sd
-    and truth curves on x_k = k/M, for N around N_h and well past it."""
+    """Variance and truth bins (head fold plus closed-form tail, folded
+    onto the interior residues r = 1..M-1 as v_r + v_(2M-r) and
+    b_r - b_(2M-r)) and the sd and truth curves on x_k = k/M, for N around
+    N_h and well past it."""
     for nn in _levels(time_horizon, 2_000, 100_003):
         nh, w = _head(prior, time_horizon, nn)
         i = np.arange(1, nn + 1, dtype=float)
         f = model_factors_reference(prior, SNR, time_horizon, i)
         for m in (1, 2, 20, 200):
             syn = GridSynthesis(np.linspace(0.0, 1.0, m + 1))
+            r = np.arange(1, m)
             var_b = syn.bins(w.variance,
-                             prior.variance_sums(nh + 1, nn, syn.period))
-            _assert_rel(var_b, residue_bins_reference(f["s"], syn.period),
-                        1e-12)
+                             prior.variance_sums(nh + 1, nn, syn.period),
+                             squared=True)
+            want_v = residue_bins_reference(f["s"], syn.period)
+            _assert_rel(var_b, want_v[r] + want_v[2 * m - r], 1e-12)
             for source, coefficients in TRUTHS + ROUGH_TRUTHS:
                 truth = coefficients(i)
                 truth_b = syn.bins(source.realize(nh).values,
                                    source.sums(nh + 1, nn, syn.period))
                 want_b = residue_bins_reference(truth, syn.period)
-                assert np.abs(truth_b - want_b).max() <= 1e-12
+                want_b = want_b[r] - want_b[2 * m - r]
+                assert np.abs(truth_b - want_b).max(initial=0.0) <= 1e-12
                 curves, s2 = syn.curves(truth_b[:, None], var_b)
                 sd, truth_x = grid_curves_reference(f, truth, m)
                 _assert_rel(np.sqrt(s2), sd, 1e-12)
