@@ -29,6 +29,9 @@ and the nearest doubles below 1e-3 ... 1e17 lie at least 8.3e-17 below.
 The cells with D outside, and 0, -0.0, nan, +-inf and |v| outside the
 range, take their text from "%.17g" % v, as cells with their own text
 take theirs: byte strings kept by their length, so that a NUL stays.
+A cell's text is one column of a byte array: the digits are written in
+quads of four, a row below their place, and the integer digits of
+|v| >= 1 then move back a row to make room for the point.
 
 Every CLI run that writes files also writes a manifest recording the
 config digest, seed, and a checksum per output.
@@ -114,21 +117,18 @@ def _counts(a: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 def _digits(d: np.ndarray, text: np.ndarray) -> None:
     """Write the 17 ASCII digits of each d in [1e16, 1e17) down its column
-    of text, rows 0 ... 16."""
+    of text, rows 0 ... 16 of a C-contiguous block."""
     n = d.size
-    # d = d0 1e16 + (q0 1e4 + q1) 1e8 + q2 1e4 + q3, halves below 1e8, so
-    # that a float quotient by 1e4 floors exactly
-    top = d // 10 ** 8
-    d0 = top // 10 ** 8
-    halves = np.empty((2, n))
-    halves[0] = top - d0 * 10 ** 8
-    halves[1] = d - top * 10 ** 8
-    high = np.floor(halves / 1e4)
-    quads = np.empty((n, 2, 2), dtype=np.intp)
-    quads[..., 0] = high.T
-    quads[..., 1] = (halves - 1e4 * high).T
-    text[0] = d0 + ord("0")
-    text[1:17] = _QUADS[quads.reshape(n, 4)].view(np.uint8).T
+    # d = d0 1e16 + q0 1e12 + q1 1e8 + q2 1e4 + q3, the quads below 1e4
+    quads = np.empty((4, n), dtype=np.intp)
+    for j in (3, 2, 1, 0):
+        high = d // 10 ** 4
+        quads[j] = d - high * 10 ** 4
+        d = high
+    text[0] = d + ord("0")
+    # quad j's four bytes go down rows 4 j + 1 ... 4 j + 4
+    text[1:17].reshape(4, 4, n)[...] = _QUADS[quads].view(np.uint8).reshape(
+        4, n, 4).transpose(0, 2, 1)
 
 
 def _matrix_lines(m: np.ndarray, own: dict) -> bytes:
@@ -153,14 +153,14 @@ def _matrix_lines(m: np.ndarray, own: dict) -> bytes:
     # "%.17g" text is at most 24 bytes: "-2.2250738585072014e-308"
     width = max(24, size.max(initial=0))
     text = np.empty((width + 1, n), dtype=np.uint8)
-    _digits(d, text[6:23])
-    last = (_NTH * (text[6:23] != ord("0"))).max(axis=0)  # nonzero digit
-    # the point follows the first E + 1 digits of v >= 1, and the digits
-    # after it move one row on; v < 1 has it in "0." and puts it after all
-    # digits, unkept
-    point = np.where(e >= 0, e + 1, 17)
-    np.copyto(text[7:24], text[6:23].copy(), where=_PLACE[1:] > point)
-    text[6 + point, np.arange(n)] = ord(".")
+    _digits(d, text[7:24])
+    last = (_NTH * (text[7:24] != ord("0"))).max(axis=0)  # nonzero digit
+    # the digits sit a row down, so that the first E + 1 of v >= 1 move back
+    # a row and the point follows them; v < 1 has its point in "0."
+    for p in np.flatnonzero(np.bincount(e[e >= 0], minlength=1)):
+        group = np.flatnonzero(e == p)
+        text[6:7 + p, group] = text[7:8 + p, group]
+        text[7 + p, group] = ord(".")
     text[0] = ord("-")
     text[1:6] = np.frombuffer(b"0.000", dtype=np.uint8)[:, None]
     text[-1] = ord(",")
@@ -169,8 +169,9 @@ def _matrix_lines(m: np.ndarray, own: dict) -> bytes:
     keep[0] = np.signbit(v)
     keep[1:6] = _LEAD <= np.where(e < 0, 1 - e, 0)  # "0." and -E - 1 zeros
     # the integer digits, and the point and fraction up to its last
-    # nonzero digit if it has one
-    keep[6:24] = _PLACE <= np.where(last > e, last + (e >= 0), e)
+    # nonzero digit if it has one; row 6 is empty below 1
+    keep[6:24] = _PLACE <= np.where(last > e, last + 1, e)
+    keep[6] = e >= 0
     keep[24:-1] = False  # the rows of wider own text
     keep[-1] = True
     # kept by length: a cell's own text may hold NULs
@@ -237,9 +238,11 @@ def write_dataset(table, path) -> str:
 def read_dataset(path) -> tuple[list, list]:
     """Reparse a dataset written by write_dataset; numeric cells become floats."""
     with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
+        text = fh.read()
+    if not text:
         raise ValueError(f"{path} is empty")
+    # lines end in "\n" alone: a str cell may hold "\f", "\x85", "\u2028" ...
+    lines = text.removesuffix("\n").split("\n")
     columns = lines[0].split(",")
     rows = []
     for line in lines[1:]:

@@ -7,9 +7,10 @@ curve black, posterior mean red, credible band green, posterior draws
 dashed gray.
 
 The polylines of a file are formatted together, as integer cent counts
-k = rint(100 v) turned into digit bytes, and the result is exactly
-format(v, ".2f").  That needs the pixel coordinates in [0, 1e6), where
-fl(100 v) lies within half an ulp of 1e8, 7.5e-9, of 100 v: so rint
+k = rint(100 v) turned into digit bytes (one column per coordinate, as
+many digit rows as the largest count has digits), and the result is
+exactly format(v, ".2f").  That needs the pixel coordinates in [0, 1e6),
+where fl(100 v) lies within half an ulp of 1e8, 7.5e-9, of 100 v: so rint
 picks the correctly rounded cent count unless fl(100 v) lies within 1e-6
 of a half, and those few coordinates (exact binary ties such as 0.125,
 which round half-even, among them) take their count from "%.2f" % v.  A
@@ -29,13 +30,6 @@ from .io import _write_bytes
 
 WIDTH, HEIGHT = 640, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 56, 16, 16, 40
-
-# a cent count up to 1e8 has 7 integer and 2 decimal digits, written to
-# these columns of a coordinate's 11 bytes; column 7 holds the point and
-# column 10 what follows: "," after x, " " after y, "\n" after a row's end
-_POW10 = 10 ** np.arange(8, -1, -1, dtype=np.int32)
-_COLUMNS = (0, 1, 2, 3, 4, 5, 6, 8, 9)
-
 
 class _Frame:
     def __init__(self, x, y_min: float, y_max: float):
@@ -62,22 +56,25 @@ def _points(xy: np.ndarray) -> list[str]:
     k = np.rint(t).astype(np.int32)
     ties = np.flatnonzero(np.abs(t - np.floor(t) - 0.5) < 1e-6)
     k[ties] = [int(("%.2f" % u).replace(".", "")) for u in v[ties].tolist()]
-    text = np.empty((v.size, 11), dtype=np.uint8)
-    # leading zeros are dropped: integer digits above the first nonzero
-    # one, bar the units
+    # a byte row per character: the digits of the largest count, at least
+    # "0.00", with the point before the last two, then what follows: ","
+    # after x, " " after y, "\n" after a row's end; leading zeros (integer
+    # digits above the units) are dropped
+    places = max(3, len(str(k.max(initial=0))))
+    text = np.empty((places + 2, v.size), dtype=np.uint8)
     keep = np.ones(text.shape, dtype=bool)
-    above = 0  # k // (10 p), the digits above the one at p
-    for col, p in zip(_COLUMNS, _POW10):
-        q = k // p
-        text[:, col] = q - 10 * above + ord("0")
-        if col < 6:
-            keep[:, col] = q > 0
+    above = 0  # the digits above this row's, as one number
+    for row in range(places):
+        q = k // 10 ** (places - 1 - row)
+        text[row + (row >= places - 2)] = q - 10 * above + ord("0")
+        if row < places - 3:
+            keep[row] = q > 0
         above = q
-    text[:, 7] = ord(".")
-    text[0::2, 10] = ord(",")
-    text[1::2, 10] = ord(" ")
-    text.reshape(xy.shape + (11,))[:, -1, 1, 10] = ord("\n")
-    return text[keep].tobytes().decode("ascii").split("\n")[:-1]
+    text[places - 2] = ord(".")
+    text[-1, 0::2] = ord(",")
+    text[-1, 1::2] = ord(" ")
+    text[-1].reshape(xy.shape)[:, -1, 1] = ord("\n")
+    return text.T[keep.T].tobytes().decode("ascii").split("\n")[:-1]
 
 
 def render_static_plot(panel, path) -> str:

@@ -147,6 +147,18 @@ class TestWriteDataset:
         assert path.read_bytes() == expected
         assert checksum == hashlib.sha256(expected).hexdigest()
 
+    @pytest.mark.parametrize("brk", ["\v", "\f", "\x1c", "\x1d", "\x1e",
+                                     "\x85", "\u2028", "\u2029"])
+    def test_other_line_breaks_read_back_in_their_cell(self, tmp_path, brk):
+        """Only "\n" ends a line: a str cell or a column name holding
+        another character that str.splitlines breaks on reads back whole."""
+        columns = (f"a{brk}b", "c")
+        rows = [(f"page{brk}break", 1.0), (brk, f"{brk}x{brk}")]
+        path = tmp_path / "b.csv"
+        write_dataset((columns, rows), path)
+        assert path.read_bytes() == dataset_bytes_reference(columns, rows)
+        assert read_dataset(path) == (list(columns), rows)
+
     @pytest.mark.parametrize("rows", [[(), ()], []])
     def test_table_without_columns_rejected(self, tmp_path, rows):
         path = tmp_path / "none.csv"
@@ -274,6 +286,22 @@ class TestMatrixKernel:
             write_dataset((("a", "b"), matrix), path)
         assert not path.exists()
 
+    @pytest.mark.parametrize("case", ["below-one", "from-one", "one-each"])
+    def test_point_shift_paths(self, tmp_path, case):
+        """Cells with |v| < 1, whose point is in "0.", and cells with
+        |v| >= 1, whose point follows their E + 1 integer digits: a matrix
+        of each kind alone, and one with a column of each."""
+        rng = np.random.default_rng(16)
+        sign = rng.choice([-1.0, 1.0], size=(400, 2))
+        below = sign * 10.0 ** rng.uniform(-4.0, 0.0, size=(400, 2))
+        below[:4, 0] = [0.5, np.nextafter(1.0, 0.0), 1e-4, 0.1]
+        above = sign * 10.0 ** rng.uniform(0.0, 17.0, size=(400, 2))
+        above[:4, 0] = [1.0, 9.5, 1e16, np.nextafter(1e17, 0.0)]
+        assert (np.abs(below) < 1.0).all() and (np.abs(above) >= 1.0).all()
+        matrix = {"below-one": below, "from-one": above,
+                  "one-each": np.column_stack([below[:, 0], above[:, 0]])}[case]
+        _check_matrix(matrix, tmp_path)
+
     @pytest.mark.parametrize("points,draws", [
         (2, 3), (21, 20), (201, 20), (57, 0)])
     def test_panel_bytes_match_oracle(self, tmp_path, points, draws):
@@ -399,10 +427,10 @@ def test_single_write_path():
 
 
 class TestSvg:
-    def _panel(self, draws=2):
+    def _panel(self, draws=2, points=41):
         from heatbayes import ExperimentConfig, PanelSpec, PriorSpec, render_panel
         cfg = ExperimentConfig(prior=PriorSpec.exponential(1.0), n_grid=(1e4,),
-                               seed=1, x_grid_points=41)
+                               seed=1, x_grid_points=points)
         return render_panel(cfg, PanelSpec(prior=cfg.prior, n=1e4,
                                            data_stream=0, draws=draws))
 
@@ -483,28 +511,38 @@ class TestSvg:
         return PanelData(label="ties", x=x, truth=y, post_mean=y[::-1].copy(),
                          lower=y * 0.5, upper=y, draw_curves=np.vstack([y, x]))
 
-    @pytest.mark.parametrize("which", ["draws", "no-draws", "ties"])
+    @pytest.mark.parametrize("which", ["draws", "no-draws", "ties",
+                                       "protocols-shape"])
     def test_bytes_match_per_point_oracle(self, tmp_path, which):
         from heatbayes.svg import render_static_plot
         panel = (self._tie_panel() if which == "ties"
+                 else self._panel(draws=20, points=201)
+                 if which == "protocols-shape"
                  else self._panel(draws=3 if which == "draws" else 0))
         checksum = render_static_plot(panel, tmp_path / "a.svg")
         expected = svg_bytes_reference(panel)
         assert (tmp_path / "a.svg").read_bytes() == expected
         assert checksum == hashlib.sha256(expected).hexdigest()
 
-    def test_points_kernel_matches_format(self):
+    @pytest.mark.parametrize("limit", [1.0, 10.0, 1000.0, 1e6],
+                             ids=["below-1", "below-10", "below-1000",
+                                  "below-1e6"])
+    def test_points_kernel_matches_format(self, limit):
+        """Every coordinate below limit px, so that the layout has as many
+        digit rows as the largest cent count needs, and at least "0.00"'s."""
         from heatbayes.svg import _points
         rng = np.random.default_rng(5)
         k = np.arange(400_000, dtype=float)
+        ties = np.concatenate([k / 200, rng.integers(0, 200 * limit, 50_000)
+                               / 200])  # exact in binary or not
         values = np.concatenate([
-            10.0 ** rng.uniform(0.0, 6.0, 100_000) * 0.999999,
-            k / 200,  # every tie, exact in binary or not
-            k / 200 + 1e-12, np.abs(k / 200 - 1e-12),
             [0.0, 999999.99, 9.995, 99.995, 999.995, 9999.995, 99999.995,
              999999.995, 0.005, 0.995, 9.994999999999999, 1e6 - 1e-10,
-             1.0, 0.01, 0.125, 1e5]])
-        xy = values.reshape(-1, 4, 2)
+             1.0, 0.01, 0.125, 1e5, 0.994, 9.99, 999.99],
+            limit * 10.0 ** rng.uniform(-6.0, 0.0, 100_000) * 0.999999,
+            ties, ties + 1e-12, np.abs(ties - 1e-12)])
+        values = values[values < limit]
+        xy = values[:values.size // 8 * 8].reshape(-1, 4, 2)
         expected = [" ".join(f"{format(a, '.2f')},{format(b, '.2f')}"
                              for a, b in row) for row in xy]
         assert _points(xy) == expected
