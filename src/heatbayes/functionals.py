@@ -28,6 +28,7 @@ it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -231,6 +232,12 @@ def functional_moments(L: LinearFunctional, weights: PosteriorWeights,
     return s2, t2, bias
 
 
+@functools.lru_cache(maxsize=8)
+def _zeta(s: float) -> float:
+    """zeta(s) = sum_{i >= 1} i^-s, s > 1, once per exponent in use."""
+    return power_sums(s, 1, math.inf, 1)[0]
+
+
 def admissible_truncation(prior: PriorSpec) -> int:
     """Truncation level at which bounded representers (|l_i| <~ 1, q = -1/2)
     pass the admissibility check under the given prior.
@@ -243,7 +250,7 @@ def admissible_truncation(prior: PriorSpec) -> int:
     if prior.kind is PriorFamily.EXPONENTIAL:
         return TRUNCATION_FLOOR
     a = prior.alpha
-    zeta = power_sums(1.0 + 2.0 * a, 1, math.inf, 1)[0]
+    zeta = _zeta(1.0 + 2.0 * a)
     frac = (0.9 ** (-2.0 * a) - 1.0) * 1.5 / (2.0 * a * zeta)
     need = (frac / ADMISSIBLE_TAIL) ** (1.0 / (2.0 * a))
     return max(TRUNCATION_FLOOR, int(math.ceil(need)))

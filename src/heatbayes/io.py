@@ -193,9 +193,11 @@ def table_cells(table) -> tuple[list, np.ndarray, dict]:
     else:
         columns, rows = table
     columns = [str(c) for c in columns]
-    for c in columns:
-        _check_text(c, f"column name {c!r}", ",\n\r")
     width, own = len(columns), {}
+    header = "\n".join(columns)  # one scan; then name the bad column
+    if "," in header or "\r" in header or header.count("\n") != width - 1:
+        for c in columns:
+            _check_text(c, f"column name {c!r}", ",\n\r")
     if not isinstance(rows, np.ndarray):
         cells, r = [], -1
         for r, row in enumerate(rows):

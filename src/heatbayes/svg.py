@@ -7,8 +7,8 @@ curve black, posterior mean red, credible band green, posterior draws
 dashed gray.
 
 The polylines of a file are formatted together, as integer cent counts
-k = rint(100 v) turned into digit bytes (one column per coordinate, as
-many digit rows as the largest count has digits), and the result is
+k = rint(100 v) turned into digit bytes (one byte row per coordinate, as
+many digit columns as the largest count has digits), and the result is
 exactly format(v, ".2f").  That needs the pixel coordinates in [0, 1e6),
 where fl(100 v) lies within half an ulp of 1e8, 7.5e-9, of 100 v: so rint
 picks the correctly rounded cent count unless fl(100 v) lies within 1e-6
@@ -39,16 +39,17 @@ class _Frame:
 
     def px(self, x):
         w = WIDTH - MARGIN_L - MARGIN_R
-        return MARGIN_L + (np.asarray(x) - self.x0) / (self.x1 - self.x0) * w
+        return MARGIN_L + (x - self.x0) / (self.x1 - self.x0) * w
 
     def py(self, y):
         h = HEIGHT - MARGIN_T - MARGIN_B
-        return MARGIN_T + (self.y1 - np.asarray(y)) / (self.y1 - self.y0) * h
+        return MARGIN_T + (self.y1 - y) / (self.y1 - self.y0) * h
 
 
 def _points(xy: np.ndarray) -> list[str]:
     """The polyline points "x,y x,y ..." of each row of a (rows, points, 2)
-    array of pixel coordinates, every coordinate as format(v, ".2f")."""
+    array of pixel coordinates, every coordinate as format(v, ".2f"),
+    built row-major (a byte row per coordinate) to compact contiguously."""
     v = xy.ravel()
     if np.any(np.signbit(v) | ~(v < 1e6)):
         raise ValueError("cannot render pixel coordinates outside [0, 1e6)")
@@ -56,25 +57,25 @@ def _points(xy: np.ndarray) -> list[str]:
     k = np.rint(t).astype(np.int32)
     ties = np.flatnonzero(np.abs(t - np.floor(t) - 0.5) < 1e-6)
     k[ties] = [int(("%.2f" % u).replace(".", "")) for u in v[ties].tolist()]
-    # a byte row per character: the digits of the largest count, at least
-    # "0.00", with the point before the last two, then what follows: ","
-    # after x, " " after y, "\n" after a row's end; leading zeros (integer
-    # digits above the units) are dropped
+    # a byte row per coordinate, text[:, j] its j-th character: the digits
+    # of the largest count, at least "0.00", with the point before the last
+    # two, then what follows: "," after x, " " after y, "\n" after a row's
+    # end; leading zeros (integer digits above the units) are dropped
     places = max(3, len(str(k.max(initial=0))))
-    text = np.empty((places + 2, v.size), dtype=np.uint8)
+    text = np.empty((v.size, places + 2), dtype=np.uint8)
     keep = np.ones(text.shape, dtype=bool)
-    above = 0  # the digits above this row's, as one number
-    for row in range(places):
-        q = k // 10 ** (places - 1 - row)
-        text[row + (row >= places - 2)] = q - 10 * above + ord("0")
-        if row < places - 3:
-            keep[row] = q > 0
+    above = 0  # the digits above this place's, as one number
+    for j in range(places):
+        q = k // 10 ** (places - 1 - j)
+        text[:, j + (j >= places - 2)] = q - 10 * above + ord("0")
+        if j < places - 3:
+            keep[:, j] = q > 0
         above = q
-    text[places - 2] = ord(".")
-    text[-1, 0::2] = ord(",")
-    text[-1, 1::2] = ord(" ")
-    text[-1].reshape(xy.shape)[:, -1, 1] = ord("\n")
-    return text.T[keep.T].tobytes().decode("ascii").split("\n")[:-1]
+    text[:, places - 2] = ord(".")
+    text[0::2, -1] = ord(",")
+    text[1::2, -1] = ord(" ")
+    text.reshape(xy.shape + (-1,))[:, -1, 1, -1] = ord("\n")
+    return text[keep].tobytes().decode("ascii").split("\n")[:-1]
 
 
 def render_static_plot(panel, path) -> str:
@@ -120,7 +121,7 @@ def render_static_plot(panel, path) -> str:
               f'stroke-width="{width}"{dash} points="{points}"/>'
               for points, (stroke, width, dash) in zip(_points(xy), styles)]
     for tick in (0.0, 0.5, 1.0):
-        tx = float(frame.px(np.array([tick]))[0])
+        tx = frame.px(tick)
         parts.append(f'<line x1="{tx:.2f}" y1="{HEIGHT - MARGIN_B}" '
                      f'x2="{tx:.2f}" y2="{HEIGHT - MARGIN_B + 5}" '
                      'stroke="#000" stroke-width="1"/>')
@@ -128,7 +129,7 @@ def render_static_plot(panel, path) -> str:
                      'font-family="monospace" font-size="11" '
                      f'text-anchor="middle">{tick:g}</text>')
     for yv in (frame.y0, frame.y1):
-        ty = float(frame.py(np.array([yv]))[0])
+        ty = frame.py(yv)
         parts.append(f'<text x="{MARGIN_L - 6}" y="{ty + 4:.2f}" '
                      'font-family="monospace" font-size="11" '
                      f'text-anchor="end">{yv:.2f}</text>')

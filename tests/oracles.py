@@ -303,11 +303,14 @@ def dataset_bytes_reference(columns, rows) -> bytes:
 
 def svg_bytes_reference(panel) -> bytes:
     """The SVG file of a panel, curve by curve, with each pixel coordinate
-    formatted on its own as format(v, ".2f"), and the label escaped."""
+    formatted on its own as format(v, ".2f"), and the label escaped.  The
+    frame is its own: the x span, and the y span of all curves padded by
+    5 % of it each way (by 1 if it is empty), mapped onto the plot area
+    over NumPy arrays, the ticks and labels as one-element arrays."""
     from xml.sax.saxutils import escape
 
     from heatbayes.svg import HEIGHT, MARGIN_B, MARGIN_L, MARGIN_R, \
-        MARGIN_T, WIDTH, _Frame
+        MARGIN_T, WIDTH
 
     def f2(v):
         return format(v, ".2f")
@@ -316,11 +319,21 @@ def svg_bytes_reference(panel) -> bytes:
     series = [panel.truth, panel.post_mean, panel.lower, panel.upper,
               panel.draw_curves]
     allv = np.concatenate([np.asarray(s, dtype=float).ravel() for s in series])
-    frame = _Frame(x, float(allv.min()), float(allv.max()))
+    x0, x1 = float(x.min()), float(x.max())
+    pad = 0.05 * (float(allv.max()) - float(allv.min())) or 1.0
+    y0, y1 = float(allv.min()) - pad, float(allv.max()) + pad
+
+    def px(u):
+        return MARGIN_L + (np.asarray(u) - x0) / (x1 - x0) * (
+            WIDTH - MARGIN_L - MARGIN_R)
+
+    def py(u):
+        return MARGIN_T + (y1 - np.asarray(u)) / (y1 - y0) * (
+            HEIGHT - MARGIN_T - MARGIN_B)
 
     def polyline(y, stroke, width, dashed=False):
         pts = " ".join(f"{f2(a)},{f2(b)}"
-                       for a, b in zip(frame.px(x), frame.py(y)))
+                       for a, b in zip(px(x), py(y)))
         dash = ' stroke-dasharray="4,3"' if dashed else ""
         return (f'<polyline fill="none" stroke="{stroke}" '
                 f'stroke-width="{width}"{dash} points="{pts}"/>')
@@ -342,15 +355,15 @@ def svg_bytes_reference(panel) -> bytes:
               polyline(panel.post_mean, "#cc2222", 1.5),
               polyline(panel.truth, "#000000", 1.8)]
     for tick in (0.0, 0.5, 1.0):
-        tx = f2(float(frame.px(tick)))
+        tx = f2(float(px(np.array([tick]))[0]))
         parts.append(f'<line x1="{tx}" y1="{HEIGHT - MARGIN_B}" x2="{tx}" '
                      f'y2="{HEIGHT - MARGIN_B + 5}" stroke="#000" '
                      'stroke-width="1"/>')
         parts.append(f'<text x="{tx}" y="{HEIGHT - MARGIN_B + 18}" '
                      'font-family="monospace" font-size="11" '
                      f'text-anchor="middle">{tick:g}</text>')
-    for yv in (frame.y0, frame.y1):
-        ty = f2(float(frame.py(yv)) + 4)
+    for yv in (y0, y1):
+        ty = f2(float(py(np.array([yv]))[0]) + 4)
         parts.append(f'<text x="{MARGIN_L - 6}" y="{ty}" '
                      'font-family="monospace" font-size="11" '
                      f'text-anchor="end">{f2(yv)}</text>')

@@ -24,8 +24,10 @@ from heatbayes import (
     true_signal_coefficients,
     true_signal_function,
 )
+from heatbayes import sequence
 from heatbayes.functionals import (
     FunctionalPosterior,
+    _zeta,
     check_admissible,
     functional_moments,
     point_evaluation_curves,
@@ -36,6 +38,7 @@ from heatbayes.sequence import (
     GridSynthesis,
     basis_matrix,
     bin_range,
+    power_sums,
 )
 
 
@@ -75,6 +78,27 @@ class TestAdmissibility:
     ])
     def test_recommended_levels_pinned(self, prior, level):
         assert admissible_truncation(prior) == level
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+    def test_zeta_cached(self, monkeypatch, alpha):
+        """The zeta(1 + 2 alpha) of admissible_truncation is the kernel's
+        bit for bit, and a repeated call for the same alpha takes it from the
+        cache."""
+        prior = PriorSpec.polynomial(alpha)
+        first = admissible_truncation(prior)
+        calls = []
+        kernel = sequence._shifted_power_sums
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(sequence, "_shifted_power_sums", counted)
+        assert admissible_truncation(prior) == first
+        assert calls == []
+        want = power_sums(1.0 + 2.0 * alpha, 1, math.inf, 1)[0]
+        assert len(calls) == 1  # the spy sees an uncached call
+        assert _zeta(1.0 + 2.0 * alpha).tobytes() == want.tobytes()
 
     def test_zero_functional_trivially_admissible(self):
         L = LinearFunctional.from_coefficients(np.zeros(50))

@@ -121,8 +121,14 @@ class TestWriteDataset:
 
     @pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb"])
     def test_separator_in_column_name_rejected(self, tmp_path, name):
-        with pytest.raises(ValueError, match="column"):
-            write_dataset((("x", name), [(1.0, 2.0)]), tmp_path / "c.csv")
+        """Of three names, the second and third holding the same separator,
+        the error names the second."""
+        path, third = tmp_path / "c.csv", "c" + name[1:]
+        with pytest.raises(ValueError) as info:
+            write_dataset((("x", name, third), [(1.0, 2.0, 3.0)]), path)
+        assert f"column name {name!r}" in str(info.value)
+        assert repr(third) not in str(info.value)
+        assert not path.exists()
 
     def test_empty_string_cells_kept(self, tmp_path):
         path = tmp_path / "e.csv"
