@@ -31,5 +31,5 @@ print("\ninterval coverage for point evaluation at x = 0.5 (truth ~ prior):")
 cfg = hb.ExperimentConfig(prior=hb.PriorSpec.exponential(1.0), n_grid=(1e4,),
                           gamma=0.05, replications=300,
                           mu0=hb.Mu0Source.prior_draw(), seed=4)
-L = hb.LinearFunctional.point_evaluation(0.5, 100)
+L = hb.LinearFunctional.point_evaluation(0.5)
 print(f"  coverage {hb.run_interval_coverage(cfg, L).column('coverage')[0]:.3f}")

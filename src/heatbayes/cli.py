@@ -304,8 +304,7 @@ def _cmd_coverage(opt: _Options) -> int:
     cfg = _experiment_config(opt, replications=int(opt.get("reps")),
                              mu0=_mu0_from(opt))
     if opt.get("kind") == "interval":
-        # the experiment rebuilds the representer at its own truncation
-        L = LinearFunctional.point_evaluation(opt.get("x"), 100)
+        L = LinearFunctional.point_evaluation(opt.get("x"))
         _report(opt, run_interval_coverage(cfg, L))
     else:
         _report(opt, run_ball_coverage(cfg))

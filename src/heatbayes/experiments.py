@@ -47,7 +47,6 @@ from .sequence import (
     DEFAULT_TIME_HORIZON,
     _check_time_horizon,
     active_head,
-    bin_range,
     default_truncation,
     heat_eigenvalues,
     power_sums,
@@ -58,7 +57,6 @@ from .sequence import (
 
 class Mu0Kind(enum.Enum):
     TEST_CUBIC = "cubic"          # the 4x(x-1)(8x-5) benchmark signal
-    EXPLICIT = "explicit"
     POWER_LAW = "power-law"       # mu_i = i^(-1/2-beta-eps)
     PRIOR_DRAW = "prior-draw"     # fresh draw from the prior per replication
 
@@ -66,7 +64,6 @@ class Mu0Kind(enum.Enum):
 @dataclass(frozen=True)
 class Mu0Source:
     kind: Mu0Kind = Mu0Kind.TEST_CUBIC
-    coefficients: tuple = ()
     beta: float = 2.0
     eps: float = 0.01
 
@@ -79,10 +76,6 @@ class Mu0Source:
     @staticmethod
     def test_cubic() -> "Mu0Source":
         return Mu0Source(Mu0Kind.TEST_CUBIC)
-
-    @staticmethod
-    def explicit(values) -> "Mu0Source":
-        return Mu0Source(Mu0Kind.EXPLICIT, coefficients=tuple(float(v) for v in values))
 
     @staticmethod
     def power_law(beta: float, eps: float = 0.01) -> "Mu0Source":
@@ -103,9 +96,8 @@ class Mu0Source:
         if self.kind is Mu0Kind.PRIOR_DRAW:
             raise ValueError("a prior-draw truth is realized per replication, "
                              "not deterministically")
-        tail = 0.0 if self.kind is Mu0Kind.EXPLICIT else (
-            truncation_level ** (-self.beta - self.eps)
-            / math.sqrt(2.0 * (self.beta + self.eps)))
+        tail = (truncation_level ** (-self.beta - self.eps)
+                / math.sqrt(2.0 * (self.beta + self.eps)))
         return CoefficientSequence(self.sums(1, truncation_level),
                                    truncation_level, tail_tol=tail)
 
@@ -115,18 +107,11 @@ class Mu0Source:
         residues of i mod period (one bin per index when period is None; see
         sequence.bin_range), without an array longer than the period: the
         cubic by parity and zeta(3, .) (even periods only), the power law
-        by sequence.power_sums at 1/2 + beta + eps, explicit coefficients
-        from their stored values."""
+        by sequence.power_sums at 1/2 + beta + eps."""
         if self.kind is Mu0Kind.TEST_CUBIC:
             return true_signal_sums(first, last, period)
         if self.kind is Mu0Kind.POWER_LAW:
             return power_sums(0.5 + self.beta + self.eps, first, last, period)
-        if self.kind is Mu0Kind.EXPLICIT:
-            vals = np.asarray(self.coefficients[first - 1:last], dtype=float)
-            if period is None:
-                vals = np.concatenate(
-                    [vals, np.zeros(last - first + 1 - vals.size)])
-            return bin_range(first, vals, period)
         raise ValueError("a prior-draw truth has no deterministic sums")
 
 
@@ -237,10 +222,11 @@ def run_interval_coverage(cfg: ExperimentConfig,
 
     The error Lhat - L mu has an exact law: N(b, t_n^2) at a fixed truth,
     with b = -sum_i l_i (1 - g_i) mu0_i, and N(0, s_n^2) for a truth drawn
-    from the prior.  Each replication draws one normal from it.  The sums
-    run over the N coordinates of the admissible truncation, doubled where
-    x near 0 or 1 needs it: arrays over the active head, closed forms past
-    it (_interval_moments).
+    from the prior.  Each replication draws one normal from it.  For a
+    point evaluation the sums run over the N coordinates of the admissible
+    truncation, doubled where x near 0 or 1 needs it, and for a
+    finite-support functional over its support: arrays over the active
+    head, closed forms past it (_interval_moments).
     """
     columns = ("n", "coverage", "coverage_se", "halfwidth", "spread", "mean_sd")
     z_half = -NormalDist().inv_cdf(cfg.gamma / 2.0)

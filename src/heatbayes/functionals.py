@@ -1,11 +1,17 @@
 """Marginal posteriors and credible intervals for linear functionals.
 
-A functional L mu = sum l_i mu_i is admissible under a prior with
-variances lambda_i when sum l_i^2 lambda_i converges.  On a truncation N
-that is checked quantitatively: the last decade of coordinates
+A functional L mu = sum l_i mu_i is one of two kinds.  A point evaluation
+mu(x) holds only x: its representer l_i = e_i(x) = sqrt(2) sin(i pi x) is
+bounded, with decay exponent -1/2, and is formed over whatever range of i a
+sum needs.  A finite-support functional holds only its values l_1..l_K,
+with l_i = 0 past them, so its sums stop at K whatever the truncation and
+it is admissible under every prior.
+
+A point evaluation is admissible under a prior with variances lambda_i when
+sum l_i^2 lambda_i converges.  On a truncation N that is checked
+quantitatively (`_checked_mass`): the last decade of coordinates
 (0.9 N < i <= N) must contribute less than ADMISSIBLE_TAIL of the total of
-l_i^2 lambda_i.  Point evaluation at x has representer
-l_i = e_i(x) = sqrt(2) sin(i pi x), bounded, with decay exponent -1/2.
+l_i^2 lambda_i.
 
 Past the active head i <= N_h (sequence.active_head), kappa_i = 0 and the
 posterior of mu_i is its prior, so every sum over N_h < i <= N involves
@@ -15,7 +21,7 @@ those sums over the residues of i mod 2M or mod 2q, on which l_i
 depends, in closed form.  They cover the same N coordinates as an N-term
 sum and equal it up to rounding, at O(N_h + 2M) or O(N_h + 2q) cost.
 The prior's tail and its last decade come from one sequence.power_sums
-call with two starts (`_prior_tail`), and past the head s_i = lambda_i,
+call with two starts (`_checked_mass`), and past the head s_i = lambda_i,
 so that tail is also the tail of the posterior variance and of the
 admissibility total.  Other grids and points keep one term per
 coordinate, the decade being a suffix of the tail.
@@ -37,14 +43,14 @@ from statistics import NormalDist
 import numpy as np
 
 from .numeric import compensated_sum, sinpi
-from .posterior import PosteriorWeights, posterior_weights
+from .posterior import PosteriorWeights, _check_observations, posterior_weights
 from .priors import PriorFamily, PriorSpec
 from .sequence import (
     CoefficientSequence,
     GridSynthesis,
     ObservationSet,
+    _grid,
     basis_columns,
-    basis_matrix,
     power_sums,
 )
 
@@ -61,33 +67,36 @@ class InadmissibleFunctionalError(ValueError):
 
 @dataclass(frozen=True)
 class LinearFunctional:
-    """Representer-based functional L mu = sum l_i mu_i.
-
-    x is set for the point evaluation at x, whose representer can be
-    rebuilt at any truncation level.
+    """L mu = sum l_i mu_i: the point evaluation mu(x), holding only x, or a
+    finite-support functional, holding only its values l_1..l_K (l_i = 0
+    for i > K).  Each representer is formed over the range a sum needs.
     """
 
-    l: CoefficientSequence
     x: float | None = None
+    values: tuple | None = None
+
+    def __post_init__(self):
+        if (self.x is None) == (self.values is None):
+            raise ValueError("a functional holds either x or its values")
+        if self.x is not None:
+            object.__setattr__(self, "x", float(_grid(self.x)))
 
     @staticmethod
-    def point_evaluation(x: float, truncation_level: int) -> "LinearFunctional":
-        vals = basis_matrix([x], truncation_level)[0]
-        return LinearFunctional(CoefficientSequence(vals, truncation_level), x)
+    def point_evaluation(x: float, truncation_level=None) -> "LinearFunctional":
+        """mu(x), x in [0, 1].  truncation_level is ignored, as l is formed
+        over the range each sum needs; bench/workloads.py still passes it."""
+        return LinearFunctional(x=x)
 
     @staticmethod
-    def coordinate(index: int, truncation_level: int) -> "LinearFunctional":
-        if not 1 <= index <= truncation_level:
-            raise ValueError(f"coordinate index must lie in 1..{truncation_level}"
-                             f", got {index}")
-        vals = np.zeros(truncation_level)
-        vals[index - 1] = 1.0
-        return LinearFunctional(l=CoefficientSequence(vals, truncation_level))
+    def coordinate(index: int) -> "LinearFunctional":
+        """mu_index, for index >= 1."""
+        if index < 1:
+            raise ValueError(f"coordinate index must be at least 1, got {index}")
+        return LinearFunctional(values=(0.0,) * (index - 1) + (1.0,))
 
     @staticmethod
     def from_coefficients(values) -> "LinearFunctional":
-        vals = np.asarray(values, dtype=float)
-        return LinearFunctional(l=CoefficientSequence(vals, vals.size))
+        return LinearFunctional(values=tuple(float(v) for v in values))
 
 
 @dataclass(frozen=True)
@@ -112,11 +121,6 @@ class FunctionalPosterior:
         return math.sqrt(self.spread_sq)
 
 
-def _decade_start(nn: int) -> int:
-    """The first index of the last decade, i > 0.9 N, of a truncation N."""
-    return int(math.floor(0.9 * nn)) + 1
-
-
 def _check_decade(total: float, decade: float, nn: int, what: str) -> None:
     """Raises InadmissibleFunctionalError unless `decade`, the mass of a
     nonnegative series over the last decade of i <= N, is less than
@@ -129,36 +133,49 @@ def _check_decade(total: float, decade: float, nn: int, what: str) -> None:
         )
 
 
-def _prior_tail(prior: PriorSpec, weight, first: int, decade: int,
-                last: int, period: int | None):
-    """(bins, mass, decade mass) of the prior-only tail first <= i <= last:
-    lambda_i binned at `period` as sequence.bin_range bins it, and the sums
-    of weight * lambda_i over the whole tail and over its part i >= decade,
-    `weight` a scalar or one value per bin.  With a period both sums come
-    from one variance_sums call with two starts; without one, the decade is
-    a suffix of the per-index bins."""
-    d = max(decade, first)
-    if period is None:
-        lam = prior.variance_sums(first, last)
-        mass = weight * lam
-        return lam, float(mass.sum()), float(mass[d - first:].sum())
-    lam, lam_d = prior.variance_sums((first, d), last, period)
-    return lam, float((weight * lam).sum()), float((weight * lam_d).sum())
+def _checked_mass(head_mass: np.ndarray, prior: PriorSpec, weight, nn: int,
+                  period: int | None, what: str):
+    """(tail bins, tail mass) of a nonnegative series over i <= N = nn, after
+    _check_decade on its last decade, i > 0.9 N.  Its terms are `head_mass`
+    on the head i <= N_h and weight * lambda_i on the prior-only tail past
+    it, `weight` a scalar or one value per bin; the tail bins are lambda_i
+    binned at `period` as sequence.bin_range bins them, (None, 0.0) for
+    N <= N_h.  With a period the tail and its decade come from one
+    variance_sums call with two starts; without one, the decade is a suffix
+    of the per-index bins."""
+    nh = head_mass.size
+    decade = int(math.floor(0.9 * nn)) + 1
+    total = compensated_sum(head_mass)
+    decade_mass = compensated_sum(head_mass[decade - 1:])
+    lam, tail = None, 0.0
+    if nn > nh:
+        d = max(decade, nh + 1)
+        if period is None:
+            lam = prior.variance_sums(nh + 1, nn)
+            mass = weight * lam
+            mass_d = mass[d - nh - 1:]
+        else:
+            lam, lam_d = prior.variance_sums((nh + 1, d), nn, period)
+            mass, mass_d = weight * lam, weight * lam_d
+        tail, tail_decade = float(mass.sum()), float(mass_d.sum())
+        total += tail
+        decade_mass += tail_decade
+    _check_decade(total, decade_mass, nn, what)
+    return lam, tail
 
 
-def check_admissible(L: LinearFunctional, prior: PriorSpec) -> float:
-    """Validate sum l_i^2 lambda_i against the last-decade tail criterion.
+# no active head: the posterior of every coordinate is its prior
+_NO_HEAD = PosteriorWeights(*(np.zeros(0),) * 6)
 
-    Returns the total of the series; raises InadmissibleFunctionalError when
-    coordinates beyond 0.9 N still hold a relative mass >= ADMISSIBLE_TAIL.
-    A zero series (zero functional) is trivially admissible.
-    """
-    nn = L.l.truncation_level
-    weighted = L.l.values**2 * prior.variance_values(nn)
-    total = compensated_sum(weighted)
-    _check_decade(total, compensated_sum(weighted[_decade_start(nn) - 1:]),
-                  nn, "sum l_i^2 lambda_i")
-    return total
+
+def check_admissible(L: LinearFunctional, prior: PriorSpec,
+                     truncation_level: int) -> float:
+    """The total of sum l_i^2 lambda_i over the coordinates L reaches: the
+    posterior variance of functional_moments with no active head, so over
+    i <= N = truncation_level for a point evaluation, whose last-decade
+    check may raise InadmissibleFunctionalError, and over the whole support
+    of a finite-support functional, admissible under every prior."""
+    return functional_moments(L, _NO_HEAD, prior, truncation_level)[0]
 
 
 def _point_fraction(L: LinearFunctional, tail_length: int) -> Fraction | None:
@@ -167,9 +184,8 @@ def _point_fraction(L: LinearFunctional, tail_length: int) -> Fraction | None:
     tail they sum), else None."""
     if L.x is None:
         return None
-    x = float(L.x)
-    f = Fraction(x).limit_denominator(max(1, tail_length // 2))
-    return f if float(f) == x else None
+    f = Fraction(L.x).limit_denominator(max(1, tail_length // 2))
+    return f if float(f) == L.x else None
 
 
 def _representer(L: LinearFunctional, first: int, last: int,
@@ -177,14 +193,14 @@ def _representer(L: LinearFunctional, first: int, last: int,
     """l_first..l_last binned as sequence.bin_range bins them.  With frac =
     p/q, l_i = sqrt(2) sin(pi i p/q) depends on i only through i mod 2q, and
     the bins hold its 2q residue values; otherwise one value per index,
-    custom representers padded with zeros."""
+    finite-support values padded with zeros."""
     if frac is not None:
         period = 2 * frac.denominator
         r = np.arange(period)
         return math.sqrt(2.0) * sinpi(r * frac.numerator % period
                                       / frac.denominator)
     if L.x is None:
-        vals = L.l.values[first - 1:last]
+        vals = np.array(L.values[first - 1:last])
         return np.concatenate([vals, np.zeros(last - first + 1 - vals.size)])
     return basis_columns(np.array([L.x]), first - 1, last)[0]
 
@@ -192,9 +208,10 @@ def _representer(L: LinearFunctional, first: int, last: int,
 def functional_moments(L: LinearFunctional, weights: PosteriorWeights,
                        prior: PriorSpec, truncation_level: int,
                        truth: np.ndarray | None = None, truth_sums=None):
-    """(s_n^2, t_n^2, bias) of L over the coordinates i <= N =
-    truncation_level, after checking its admissibility
-    (InadmissibleFunctionalError).
+    """(s_n^2, t_n^2, bias) of L over the coordinates it reaches: i <= N =
+    truncation_level for a point evaluation, after checking its
+    admissibility (InadmissibleFunctionalError), and the whole support
+    i <= K of a finite-support functional, whatever N.
 
     s_n^2 = sum l_i^2 s_i is the posterior variance, t_n^2 = sum l_i^2 t_i
     the sampling variance of the posterior mean, and bias
@@ -203,31 +220,26 @@ def functional_moments(L: LinearFunctional, weights: PosteriorWeights,
     the posterior is the prior (s = lambda, t = 0, g = 0) and
     truth_sums(first, last, period) sums mu0 over first <= i <= last as
     sequence.bin_range bins them.  For a point evaluation at x = p/q the
-    tail sums run over the residues of i mod 2q; a custom representer is
-    zero past its stored values.
+    tail sums run over the residues of i mod 2q.
     """
-    nh, nn = weights.lam.size, truncation_level
-    top = nn if L.x is not None else min(nn, L.l.truncation_level)
-    frac = _point_fraction(L, nn - nh)
+    nh = weights.lam.size
+    top = truncation_level if L.values is None else len(L.values)
+    frac = _point_fraction(L, top - nh)
     period = None if frac is None else 2 * frac.denominator
-    decade = _decade_start(nn)
     l = _representer(L, 1, nh)
     lsq = l * l
-    head_mass = lsq * weights.lam
-    total = compensated_sum(head_mass)
-    decade_mass = compensated_sum(head_mass[decade - 1:])
     s2 = float((lsq * weights.variance).sum())
     t2 = float((lsq * weights.shrink_var).sum())
-    if top > nh:  # past the head s_i = lambda_i: the tail of s_n^2 is its mass
-        lt = _representer(L, nh + 1, top, frac)
-        _, tail, tail_decade = _prior_tail(prior, lt * lt, nh + 1, decade,
-                                           top, period)
-        total += tail
-        decade_mass += tail_decade
-        s2 += tail
-    _check_decade(total, decade_mass, nn, "sum l_i^2 lambda_i")
+    # past the head s_i = lambda_i: the tail of s_n^2 is its mass
+    lt = _representer(L, nh + 1, top, frac) if top > nh else None
+    if L.values is None:
+        s2 += _checked_mass(lsq * weights.lam, prior,
+                            None if lt is None else lt * lt, top, period,
+                            "sum l_i^2 lambda_i")[1]
+    elif lt is not None:
+        s2 += float((lt * lt * prior.variance_sums(nh + 1, top)).sum())
     bias = 0.0 if truth is None else -float((l * weights.one_minus_gain) @ truth)
-    if truth is not None and top > nh:
+    if truth is not None and lt is not None:
         bias -= float(lt @ truth_sums(nh + 1, top, period))
     return s2, t2, bias
 
@@ -261,14 +273,15 @@ def functional_posterior(L: LinearFunctional, prior: PriorSpec,
                          y: ObservationSet) -> FunctionalPosterior:
     """Marginal posterior N(sum l_i w_i y_i, sum l_i^2 s_i) of L mu; s_n^2,
     t_n^2 and the admissibility check are functional_moments' over the
-    full-length weights."""
-    if L.l.truncation_level != kappa.truncation_level:
-        raise ValueError("truncation mismatch between representer and kappa")
+    full-length weights, so a finite support longer than kappa's
+    truncation adds the prior variances of the coordinates past it."""
+    _check_observations(kappa, n, y)
     w = posterior_weights(prior, kappa, n)
-    spread_sq, mean_var, _ = functional_moments(L, w, prior,
-                                                kappa.truncation_level)
+    nn = kappa.truncation_level
+    spread_sq, mean_var, _ = functional_moments(L, w, prior, nn)
     return FunctionalPosterior(
-        mean=compensated_sum(L.l.values * w.mean_weight * y.y.values),
+        mean=compensated_sum(_representer(L, 1, nn) * w.mean_weight
+                             * y.y.values),
         spread_sq=spread_sq, mean_var=mean_var)
 
 
@@ -323,20 +336,14 @@ def point_evaluation_curves(weights: PosteriorWeights, y_values: np.ndarray,
             prior is None or len(extra_sums) != len(extra)):
         raise ValueError("a tail needs a prior and one sum per extra column")
 
-    decade = _decade_start(nn)
-    total = compensated_sum(weights.lam)
-    decade_mass = compensated_sum(weights.lam[decade - 1:])
-    lam_t = mean_t = None
+    lam_t, _ = _checked_mass(weights.lam, prior, 1.0, nn, syn.period,
+                             "point-evaluation family, prior mass")
+    mean_t = None
     extra_t = [None] * len(extra)
     if nn > nh:
-        lam_t, tail, tail_decade = _prior_tail(prior, 1.0, nh + 1, decade,
-                                               nn, syn.period)
-        total += tail
-        decade_mass += tail_decade
         extra_t = [sums(nh + 1, nn, syn.period) for sums in extra_sums]
         if syn.period is None:  # one bin per index; w = 0 past the head
             mean_t = np.zeros(nn - nh)
-    _check_decade(total, decade_mass, nn, "point-evaluation family, prior mass")
     mean_b = syn.bins(weights.mean_weight * y_values, mean_t)
     var_b = syn.bins(weights.variance, lam_t, squared=True)
     sd_b = np.sqrt(var_b)
@@ -364,8 +371,7 @@ def pointwise_band(prior: PriorSpec, kappa: CoefficientSequence, n: float,
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    if y.y.truncation_level != kappa.truncation_level:
-        raise ValueError("truncation mismatch between y and kappa")
+    _check_observations(kappa, n, y)
     w = posterior_weights(prior, kappa, n)
     mean_x, sd_x, _, _ = point_evaluation_curves(w, y.y.values, x_grid)
     z = -NormalDist().inv_cdf(gamma / 2.0)

@@ -108,19 +108,21 @@ def posterior_weights(prior: PriorSpec, kappa: CoefficientSequence,
                             one_minus_gain=omg, variance=s, shrink_var=t)
 
 
+def _check_observations(kappa: CoefficientSequence, n: float,
+                        y: ObservationSet) -> None:
+    """Raises ValueError unless y has kappa's truncation and was drawn at n."""
+    if y.y.truncation_level != kappa.truncation_level:
+        raise ValueError(f"truncation mismatch: y has {y.y.truncation_level}"
+                         f", kappa has {kappa.truncation_level}")
+    if y.noise_level_n != n:
+        raise ValueError(f"observations were generated at n={y.noise_level_n}"
+                         f", posterior requested at n={n}")
+
+
 def compute_posterior(prior: PriorSpec, kappa: CoefficientSequence, n: float,
                       y: ObservationSet) -> PosteriorSummary:
     """Coordinatewise conjugate posterior given observations y."""
-    if y.y.truncation_level != kappa.truncation_level:
-        raise ValueError(
-            f"truncation mismatch: y has {y.y.truncation_level}, "
-            f"kappa has {kappa.truncation_level}"
-        )
-    if y.noise_level_n != n:
-        raise ValueError(
-            f"observations were generated at n={y.noise_level_n}, "
-            f"posterior requested at n={n}"
-        )
+    _check_observations(kappa, n, y)
     w = posterior_weights(prior, kappa, n)
     nn = kappa.truncation_level
     return PosteriorSummary(

@@ -106,7 +106,7 @@ def test_criterion_3_bayesian_self_consistency():
                                replications=1000, mu0=Mu0Source.prior_draw(),
                                seed=SEED)
         ball = run_ball_coverage(cfg).column("coverage")[0]
-        L = LinearFunctional.point_evaluation(0.5, 100)
+        L = LinearFunctional.point_evaluation(0.5)
         interval = run_interval_coverage(cfg, L).column("coverage")[0]
         rows.append((prior.kind.value, ball, interval))
     elapsed = time.perf_counter() - t0

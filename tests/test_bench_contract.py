@@ -100,3 +100,64 @@ def test_config_attributes_read_by_the_benchmark():
     assert "mc_draws" in read
     missing = {attr for attr in read if not hasattr(cfg, attr)}
     assert not missing, missing
+
+
+def _heatbayes_calls():
+    """(file:line, dotted callee, callee, positional count, keyword names)
+    of every call in bench/*.py whose callee is a heatbayes name, resolved
+    through the file's imports; starred arguments leave the count open."""
+    out = []
+    for name in sorted(os.listdir(BENCH)):
+        if not name.endswith(".py"):
+            continue
+        tree = _tree(name)
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module and (
+                    node.module.split(".")[0] == "heatbayes"):
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = (node.module,
+                                                            alias.name)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "heatbayes":
+                        imported[alias.asname or alias.name] = (alias.name,)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            chain, func = [], node.func
+            while isinstance(func, ast.Attribute):
+                chain.insert(0, func.attr)
+                func = func.value
+            if not isinstance(func, ast.Name) or func.id not in imported:
+                continue
+            module, *attrs = imported[func.id]
+            obj = importlib.import_module(module)
+            for attr in attrs + chain:
+                obj = getattr(obj, attr, None)
+            if inspect.ismodule(obj):
+                continue
+            starred = (any(isinstance(a, ast.Starred) for a in node.args)
+                       or any(k.arg is None for k in node.keywords))
+            out.append((f"{name}:{node.lineno}", ".".join([func.id] + chain),
+                        obj, None if starred else len(node.args),
+                        [k.arg for k in node.keywords if k.arg]))
+    return out
+
+
+def test_bench_calls_bind_to_the_library():
+    """Every heatbayes call in the benchmark's sources binds to its
+    callee's signature: a removed parameter or a renamed keyword fails here,
+    not only in a benchmark run."""
+    calls = _heatbayes_calls()
+    assert any(label == "functionals.LinearFunctional.point_evaluation"
+               and npos == 2 for _, label, _, npos, _ in calls)
+    for where, label, fn, npos, keywords in calls:
+        assert callable(fn), f"{where}: {label} is gone"
+        if npos is None:
+            continue
+        try:
+            inspect.signature(fn).bind(*[None] * npos,
+                                       **dict.fromkeys(keywords))
+        except TypeError as exc:
+            pytest.fail(f"{where}: {label} takes no such call: {exc}")

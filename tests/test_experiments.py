@@ -8,6 +8,7 @@ import pytest
 from oracles import replicate_errors
 
 from heatbayes import (
+    CoefficientSequence,
     ExperimentConfig,
     LinearFunctional,
     Mu0Source,
@@ -23,10 +24,13 @@ from heatbayes import (
     render_panel,
     run_ball_coverage,
     run_interval_coverage,
+    risk_decomposition,
     run_risk_curve,
     true_signal_coefficients,
 )
+from heatbayes.functionals import check_admissible
 from heatbayes.priors import PriorFamily
+from heatbayes.sequence import basis_matrix, default_truncation
 
 
 class TestMu0Source:
@@ -34,11 +38,6 @@ class TestMu0Source:
         src = Mu0Source.test_cubic()
         mu = src.realize(10)
         assert mu.values[0] == pytest.approx(0.7297689184443775, rel=1e-14)
-
-    def test_explicit_pads_with_zeros(self):
-        src = Mu0Source.explicit([1.0, -2.0])
-        mu = src.realize(5)
-        np.testing.assert_array_equal(mu.values, [1.0, -2.0, 0.0, 0.0, 0.0])
 
     def test_power_law_values(self):
         src = Mu0Source.power_law(beta=2.0, eps=0.01)
@@ -110,12 +109,13 @@ class TestSufficientStatistics:
         prior, n, nn, reps = PriorSpec.polynomial(1.0), 1e4, 3826, 2000
         cfg = ExperimentConfig(prior=prior, n_grid=(n,), replications=reps,
                                seed=5, trunc=nn)
-        L = LinearFunctional.point_evaluation(0.3, nn)
+        L = LinearFunctional.point_evaluation(0.3)
         ball = run_ball_coverage(cfg)
         interval = run_interval_coverage(cfg, L)
         sq_err, lin_err = replicate_errors(
             prior.variance_values(nn), heat_eigenvalues(cfg.time_horizon, nn).values,
-            true_signal_coefficients(nn).values, L.l.values, n, reps, seed=99)
+            true_signal_coefficients(nn).values, basis_matrix([0.3], nn)[0],
+            n, reps, seed=99)
 
         def agree(name, est, se, ref, ref_se):
             assert abs(est - ref) <= 4.0 * math.hypot(se, ref_se), (
@@ -205,7 +205,7 @@ class TestIntervalCoverage:
             cfg = ExperimentConfig(prior=prior, n_grid=(1e4,), gamma=0.05,
                                    replications=400, mu0=Mu0Source.prior_draw(),
                                    seed=11)
-            L = LinearFunctional.point_evaluation(0.5, 100)
+            L = LinearFunctional.point_evaluation(0.5)
             report = run_interval_coverage(cfg, L)
             cov = report.column("coverage")[0]
             assert abs(cov - 0.95) <= 4 * math.sqrt(0.95 * 0.05 / 400)
@@ -213,7 +213,7 @@ class TestIntervalCoverage:
     def test_halfwidth_positive_and_spread_ordering(self):
         cfg = ExperimentConfig(prior=PriorSpec.exponential(1.0), n_grid=(1e4,),
                                replications=20, seed=2)
-        report = run_interval_coverage(cfg, LinearFunctional.point_evaluation(0.3, 100))
+        report = run_interval_coverage(cfg, LinearFunctional.point_evaluation(0.3))
         assert report.column("halfwidth")[0] > 0
         assert report.column("mean_sd")[0] <= report.column("spread")[0]
 
@@ -221,7 +221,7 @@ class TestIntervalCoverage:
         cfg = ExperimentConfig(prior=PriorSpec.polynomial(1.0), n_grid=(1e4,),
                                scaling=ScalingRule.rate_matched(1.5),
                                replications=20, seed=2)
-        report = run_interval_coverage(cfg, LinearFunctional.point_evaluation(0.5, 100))
+        report = run_interval_coverage(cfg, LinearFunctional.point_evaluation(0.5))
         assert report.column("coverage")[0] >= 0.0  # runs with resolved tau
 
 
@@ -242,6 +242,26 @@ class TestIntervalCoverage:
             assert spread == pytest.approx(
                 math.sqrt(0.25 * s[0] + s[2]), rel=1e-14)
 
+    def test_support_past_the_truncation_is_summed(self):
+        """l_1 = 0.5 and l_200 = 1 under exp alpha = 1e-4: the sums run over
+        the whole support whatever the truncation, so trunc = 150 and 400
+        give the same rows, with spread sqrt(0.25 s_1 + lambda_200) (past
+        the active head the posterior is the prior), and the admissibility
+        total is exact at any N."""
+        prior, n = PriorSpec.exponential(1e-4), 1e4
+        L = LinearFunctional.from_coefficients(np.r_[0.5, np.zeros(198), 1.0])
+        rows = [run_interval_coverage(ExperimentConfig(
+            prior=prior, n_grid=(n,), trunc=trunc, replications=50, seed=3),
+            L).rows for trunc in (150, 400)]
+        assert rows[0] == rows[1]
+        s1 = posterior_weights(prior, heat_eigenvalues(0.1, 1), n).variance[0]
+        lam = prior.variance_values(200)
+        assert rows[0][0][4] == pytest.approx(
+            math.sqrt(0.25 * s1 + lam[199]), rel=1e-14)
+        for nn in (150, 400):
+            assert check_admissible(L, prior, nn) == pytest.approx(
+                0.25 * lam[0] + lam[199], rel=1e-14)
+
 
 class TestRiskCurve:
     def test_exact_risk_strictly_decreasing(self):
@@ -252,13 +272,14 @@ class TestRiskCurve:
         assert np.all(np.diff(total) < 0)
 
     def test_zero_truth_risk_is_pure_variance(self):
-        cfg = ExperimentConfig(prior=PriorSpec.exponential(1.0), n_grid=(1e4,),
-                               replications=30, seed=4,
-                               mu0=Mu0Source.explicit([]))
-        report = run_risk_curve(cfg)
-        assert report.column("sq_bias")[0] == 0.0
-        assert report.column("risk_total")[0] == pytest.approx(
-            report.column("est_var")[0] + report.column("spread")[0], rel=1e-14)
+        n = 1e4
+        nn = default_truncation(n)
+        dec = risk_decomposition(PriorSpec.exponential(1.0),
+                                 heat_eigenvalues(0.1, nn), n,
+                                 CoefficientSequence(np.zeros(nn), nn))
+        assert dec.sq_bias == 0.0
+        assert dec.total == pytest.approx(
+            dec.estimator_variance + dec.posterior_spread, rel=1e-14)
 
     def test_prior_draw_rejected(self):
         cfg = ExperimentConfig(prior=PriorSpec.polynomial(1.0), n_grid=(1e4,),

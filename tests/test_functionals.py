@@ -1,6 +1,7 @@
 """Marginal posteriors for linear functionals, credible intervals, bands."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,18 +49,49 @@ def zero_obs(nn, n):
 
 class TestAdmissibility:
     def test_exponential_prior_easy(self):
-        L = LinearFunctional.point_evaluation(0.3, 100)
-        check_admissible(L, PriorSpec.exponential(1.0))
+        L = LinearFunctional.point_evaluation(0.3)
+        check_admissible(L, PriorSpec.exponential(1.0), 100)
 
     def test_polynomial_prior_needs_depth(self):
         """At the default truncation the slowly decaying prior tail is still
         visible, so the gate rejects; at the recommended level it passes."""
         prior = PriorSpec.polynomial(1.0)
+        L = LinearFunctional.point_evaluation(0.3)
         with pytest.raises(InadmissibleFunctionalError):
-            check_admissible(LinearFunctional.point_evaluation(0.3, 100), prior)
+            check_admissible(L, prior, 100)
         nn = admissible_truncation(prior)
         assert nn > 100
-        check_admissible(LinearFunctional.point_evaluation(0.3, nn), prior)
+        check_admissible(L, prior, nn)
+
+    @pytest.mark.parametrize("x", [0.3, 1.0 / 3.0, 0.37, 0.5,
+                                   0.7071067811865476])
+    @pytest.mark.parametrize("prior", [PriorSpec.polynomial(1.0),
+                                       PriorSpec.exponential(0.5)])
+    def test_total_against_direct_series(self, prior, x):
+        """The total over the residues of i mod 2q (or one term per index
+        where x is no p/q with a small q) is the N-term series'."""
+        nn = admissible_truncation(PriorSpec.polynomial(1.0))
+        l = basis_matrix([x], nn)[0]
+        direct = math.fsum(l * l * prior.variance_values(nn))
+        got = check_admissible(LinearFunctional.point_evaluation(x), prior, nn)
+        assert got == pytest.approx(direct, rel=1e-13)
+
+    def test_rough_truncation_stays_small(self):
+        """x = 0.3 under poly alpha = 0.5 at its admissible N = 10,132,119
+        takes the residue path: no N-length array (81 MB each).  The series
+        sum_i (1 - cos(0.6 pi i)) / i^2 sums to 0.21 pi^2 over all i, and
+        its terms past N add up to less than 2 / N."""
+        prior = PriorSpec.polynomial(0.5)
+        nn = admissible_truncation(prior)
+        tracemalloc.start()
+        try:
+            total = check_admissible(LinearFunctional.point_evaluation(0.3),
+                                     prior, nn)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+        assert 0.0 < 0.21 * math.pi**2 - total < 2.0 / nn
 
     def test_recommended_levels_scale_with_smoothness(self):
         n1 = admissible_truncation(PriorSpec.polynomial(0.5))
@@ -102,21 +134,39 @@ class TestAdmissibility:
 
     def test_zero_functional_trivially_admissible(self):
         L = LinearFunctional.from_coefficients(np.zeros(50))
-        assert check_admissible(L, PriorSpec.polynomial(0.5)) == 0.0
+        assert check_admissible(L, PriorSpec.polynomial(0.5), 50) == 0.0
 
     def test_finite_support_always_admissible(self):
-        L = LinearFunctional.coordinate(3, 1000)
-        check_admissible(L, PriorSpec.polynomial(0.1))
+        """Even with its support in the last decade of N, or past N."""
+        prior = PriorSpec.polynomial(0.1)
+        for nn in (1000, 3, 2):
+            assert check_admissible(LinearFunctional.coordinate(3), prior,
+                                    nn) == prior.variance_values(3)[2]
 
 
 class TestCoordinate:
     def test_index_range(self):
         nn = 5
-        L = LinearFunctional.coordinate(nn, nn)
-        assert np.array_equal(L.l.values, np.eye(nn)[nn - 1])
-        for index in (0, -1, nn + 1):
+        L = LinearFunctional.coordinate(nn)
+        assert np.array_equal(L.values, np.eye(nn)[nn - 1])
+        for index in (0, -1):
             with pytest.raises(ValueError):
-                LinearFunctional.coordinate(index, nn)
+                LinearFunctional.coordinate(index)
+
+
+class TestPointEvaluation:
+    @pytest.mark.parametrize("x", [-1e-12, -0.5, 1.0 + 1e-12, 1.5, math.nan,
+                                   -math.inf])
+    def test_rejects_x_outside_the_unit_interval(self, x):
+        with pytest.raises(ValueError, match=r"grid points must lie in \[0, 1\]"):
+            LinearFunctional.point_evaluation(x)
+
+    def test_holds_x_or_values(self):
+        assert LinearFunctional.point_evaluation(np.float32(0.3), 100).x == float(
+            np.float32(0.3))
+        for kwargs in ({}, {"x": 0.5, "values": (1.0,)}):
+            with pytest.raises(ValueError, match="either x or its values"):
+                LinearFunctional(**kwargs)
 
 
 class TestFunctionalPosterior:
@@ -127,11 +177,28 @@ class TestFunctionalPosterior:
         kap = heat_eigenvalues(0.1, nn)
         obs = simulate_observations(true_signal_coefficients(nn), kap, n, 8)
         summ = compute_posterior(prior, kap, n, obs)
-        L = LinearFunctional.coordinate(1, nn)
+        L = LinearFunctional.coordinate(1)
         fp = functional_posterior(L, prior, kap, n, obs)
         assert fp.mean == summ.mean.values[0]
         assert fp.spread_sq == summ.variance.values[0]
         assert fp.mean_var == summ.shrink_var.values[0]
+
+    def test_support_past_kappa_adds_prior_variance(self):
+        """l = e_1 + e_150 against a kappa of truncation 100: coordinate 150
+        is unobserved, so it adds lambda_150 to the spread and nothing to
+        the mean or to its sampling variance."""
+        prior = PriorSpec.exponential(1e-4)
+        nn, n = 100, 1e4
+        kap = heat_eigenvalues(0.1, nn)
+        obs = simulate_observations(true_signal_coefficients(nn), kap, n, 8)
+        summ = compute_posterior(prior, kap, n, obs)
+        L = LinearFunctional.from_coefficients(np.r_[1.0, np.zeros(148), 1.0])
+        fp = functional_posterior(L, prior, kap, n, obs)
+        assert fp.mean == summ.mean.values[0]
+        assert fp.mean_var == summ.shrink_var.values[0]
+        assert fp.spread_sq == pytest.approx(
+            summ.variance.values[0] + prior.variance_values(150)[149],
+            rel=1e-14)
 
     def test_point_evaluation_zero_data(self):
         """Y = 0: mean 0; spread is the direct series
@@ -139,7 +206,7 @@ class TestFunctionalPosterior:
         prior = PriorSpec.exponential(1.0)
         nn, n = 100, 1e4
         kap = heat_eigenvalues(0.1, nn)
-        L = LinearFunctional.point_evaluation(0.5, nn)
+        L = LinearFunctional.point_evaluation(0.5)
         fp = functional_posterior(L, prior, kap, n, zero_obs(nn, n))
         assert fp.mean == 0.0
         w = posterior_weights(prior, kap, n)
@@ -152,10 +219,10 @@ class TestFunctionalPosterior:
         nn, n = 80, 1e4
         kap = heat_eigenvalues(0.1, nn)
         obs = simulate_observations(true_signal_coefficients(nn), kap, n, 4)
-        l1 = LinearFunctional.point_evaluation(0.3, nn)
-        l2 = LinearFunctional.point_evaluation(0.7, nn)
-        combo = LinearFunctional.from_coefficients(
-            2.0 * l1.l.values - 0.5 * l2.l.values)
+        l1 = LinearFunctional.point_evaluation(0.3)
+        l2 = LinearFunctional.point_evaluation(0.7)
+        e = basis_matrix([0.3, 0.7], nn)
+        combo = LinearFunctional.from_coefficients(2.0 * e[0] - 0.5 * e[1])
         m1 = functional_posterior(l1, prior, kap, n, obs).mean
         m2 = functional_posterior(l2, prior, kap, n, obs).mean
         mc = functional_posterior(combo, prior, kap, n, obs).mean
@@ -165,7 +232,7 @@ class TestFunctionalPosterior:
         prior = PriorSpec.polynomial(1.0)
         nn = admissible_truncation(prior)
         kap = heat_eigenvalues(0.1, nn)
-        L = LinearFunctional.point_evaluation(0.25, nn)
+        L = LinearFunctional.point_evaluation(0.25)
         for n in (1e2, 1e4, 1e6, 1e8):
             fp = functional_posterior(L, prior, kap, n, zero_obs(nn, n))
             assert fp.mean_var <= fp.spread_sq
@@ -180,7 +247,7 @@ class TestFunctionalPosterior:
         prior = PriorSpec.polynomial(1.0)
         nn = admissible_truncation(prior)
         kap = heat_eigenvalues(0.1, nn)
-        L = LinearFunctional.point_evaluation(0.37, nn)
+        L = LinearFunctional.point_evaluation(0.37)
         ratios = []
         for n in (1e2, 1e4, 1e6, 1e8):
             fp = functional_posterior(L, prior, kap, n, zero_obs(nn, n))
@@ -193,9 +260,9 @@ class TestFunctionalPosterior:
         nn, n, reps = 100, 1e4, 20_000
         kap = heat_eigenvalues(0.1, nn)
         mu0 = true_signal_coefficients(nn)
-        L = LinearFunctional.point_evaluation(0.5, nn)
+        L = LinearFunctional.point_evaluation(0.5)
         w = posterior_weights(prior, kap, n)
-        proj = L.l.values * w.mean_weight
+        proj = basis_matrix([0.5], nn)[0] * w.mean_weight
         means = np.empty(reps)
         for r in range(reps):
             obs = simulate_observations(mu0, kap, n, seed=55, replication=r)
@@ -269,7 +336,7 @@ class TestPointwiseBand:
         xs = [0.21, 0.5, 0.68]
         band = pointwise_band(prior, kap, n, obs, xs, 0.1)
         for k, x in enumerate(xs):
-            L = LinearFunctional.point_evaluation(x, nn)
+            L = LinearFunctional.point_evaluation(x)
             fp = functional_posterior(L, prior, kap, n, obs)
             lo, hi = credible_interval(fp, 0.1)
             assert band[k, 0] == pytest.approx(lo, rel=1e-10)
@@ -440,7 +507,7 @@ class TestFunctionalBias:
         nn = 100
         kap = CoefficientSequence(np.r_[0.5, np.zeros(nn - 1)], nn)
         mu0 = CoefficientSequence(np.r_[1.0, np.zeros(nn - 1)], nn)
-        L = LinearFunctional.coordinate(1, nn)
+        L = LinearFunctional.coordinate(1)
         val = moments_bias(L, prior, kap, 100.0, mu0)
         assert val == pytest.approx(1.0 / 26.0, rel=1e-13)
 
@@ -449,7 +516,7 @@ class TestFunctionalBias:
         nn = admissible_truncation(prior)
         kap = CoefficientSequence(np.ones(nn), nn)
         mu0 = true_signal_coefficients(nn)
-        L = LinearFunctional.point_evaluation(0.4, nn)
+        L = LinearFunctional.point_evaluation(0.4)
         assert moments_bias(L, prior, kap, 1e18, mu0) < 1e-8
 
     def test_cauchy_schwarz_bound(self):
@@ -458,11 +525,11 @@ class TestFunctionalBias:
         nn, n, beta = admissible_truncation(prior), 1e4, 2.0
         kap = heat_eigenvalues(0.1, nn)
         mu0 = true_signal_coefficients(nn)
-        L = LinearFunctional.point_evaluation(0.35, nn)
+        L = LinearFunctional.point_evaluation(0.35)
         bias = moments_bias(L, prior, kap, n, mu0)
         w = posterior_weights(prior, kap, n)
         i = np.arange(1, nn + 1, dtype=float)
-        rhs_series = float((L.l.values**2 * i ** (-2 * beta)
+        rhs_series = float((basis_matrix([0.35], nn)[0]**2 * i ** (-2 * beta)
                             * w.one_minus_gain**2).sum())
         bound = sobolev_norm(mu0, beta) ** 2 * rhs_series
         assert bias**2 <= bound

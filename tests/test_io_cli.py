@@ -581,6 +581,11 @@ class TestCli:
     def test_no_subcommand_fails(self):
         assert main([]) == EXIT_CONFIG
 
+    def test_interval_x_outside_the_unit_interval_fails(self, capsys):
+        assert main(["coverage", "--kind", "interval", "--x", "1.5",
+                     "--reps", "10"]) == EXIT_CONFIG
+        assert "grid points must lie in [0, 1]" in capsys.readouterr().err
+
     def test_simulate_writes_files(self, tmp_path):
         out = str(tmp_path / "obs.csv")
         code = main(["simulate", "--n", "1e4", "--seed", "3", "--out", out])

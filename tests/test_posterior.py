@@ -9,12 +9,15 @@ from oracles import posterior_weights_reference, quadrature_bayes
 
 from heatbayes import (
     CoefficientSequence,
+    LinearFunctional,
     ObservationSet,
     PriorSpec,
     compute_posterior,
+    functional_posterior,
     heat_eigenvalues,
     posterior_draw,
     posterior_mean_function,
+    pointwise_band,
     posterior_weights,
     risk_decomposition,
     simulate_observations,
@@ -112,6 +115,33 @@ class TestClosedForm:
                     w.shrink_var):
             assert np.all(np.isfinite(arr))
         assert np.all(w.shrink_var <= w.variance)
+
+
+ENTRY_POINTS = {
+    "compute_posterior": compute_posterior,
+    "functional_posterior": lambda prior, kap, n, obs: functional_posterior(
+        LinearFunctional.point_evaluation(0.3), prior, kap, n, obs),
+    "pointwise_band": lambda prior, kap, n, obs: pointwise_band(
+        prior, kap, n, obs, [0.25, 0.5], 0.05),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_observations_must_match_the_request(entry):
+    """Each single-dataset entry point rejects observations of another
+    truncation or another n, with the same messages."""
+    call, prior = ENTRY_POINTS[entry], PriorSpec.exponential(1.0)
+    kap = heat_eigenvalues(0.1, 100)
+    obs = simulate_observations(true_signal_coefficients(100), kap, 1e4, 3)
+    call(prior, kap, 1e4, obs)
+    short = simulate_observations(true_signal_coefficients(50),
+                                  heat_eigenvalues(0.1, 50), 1e4, 3)
+    with pytest.raises(ValueError,
+                       match="^truncation mismatch: y has 50, kappa has 100$"):
+        call(prior, kap, 1e4, short)
+    with pytest.raises(ValueError, match=r"^observations were generated at "
+                       r"n=10000\.0, posterior requested at n=5000\.0$"):
+        call(prior, kap, 5e3, obs)
 
 
 class TestSupportRestriction:

@@ -111,7 +111,7 @@ def test_panels_intervals_and_risk_load_no_scipy():
         "                          replications=5, x_grid_points=21)\n"
         "hb.render_panel(cfg, PanelSpec(prior, 1e4, 0, draws=2))\n"
         "hb.run_interval_coverage(cfg, hb.LinearFunctional.point_evaluation(\n"
-        "    0.5, 100))\n"
+        "    0.5))\n"
         "hb.run_risk_curve(cfg)\n") == "[]"
 
 

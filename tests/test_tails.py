@@ -58,7 +58,6 @@ PRIOR_IDS = [f"{p.kind.value[:4]}-a{p.alpha:g}-tau{p.tau:g}" for p in PRIORS]
 TIMES = (0.01, 0.1)
 SNR = 1e4
 XS = (0.0, 0.3, 1.0 / 3.0, 0.37, 0.5, 1.0)
-EXPLICIT = np.cos(np.arange(1, 41)) / np.arange(1, 41)
 
 
 def _cubic(i):
@@ -66,17 +65,10 @@ def _cubic(i):
     return 8.0 * math.sqrt(2.0) * (13.0 + 11.0 * sign) / (math.pi**3 * i**3)
 
 
-def _explicit(i):
-    k = i.astype(np.int64)
-    return np.where(k <= EXPLICIT.size,
-                    EXPLICIT[np.minimum(k, EXPLICIT.size) - 1], 0.0)
-
-
 # (truth, its coefficients as a function of the index array)
 TRUTHS = (
     (Mu0Source.test_cubic(), _cubic),
     (Mu0Source.power_law(1.5), lambda i: i ** -2.01),
-    (Mu0Source.explicit(EXPLICIT), _explicit),
 )
 # power laws with exponents s = 1/2 + beta + eps <= 1, at or below the
 # Hurwitz zeta's pole: their sums grow with N, so they are checked relative
@@ -234,7 +226,7 @@ def test_rough_panel_and_interval_make_three_kernel_calls(monkeypatch):
     calls.clear()
     run_interval_coverage(
         ExperimentConfig(prior=spec.prior, n_grid=(1e4, 1e8), replications=2),
-        LinearFunctional.point_evaluation(0.5, 100))
+        LinearFunctional.point_evaluation(0.5))
     assert len(calls) <= 2 * 3
 
 
@@ -252,7 +244,7 @@ def test_interval_doubling_builds_its_head_once(monkeypatch):
     cfg = ExperimentConfig(prior=PriorSpec.polynomial(1.0),
                            n_grid=(1e4, 1e8), replications=2)
     rows = run_interval_coverage(
-        cfg, LinearFunctional.point_evaluation(0.01, 100)).rows
+        cfg, LinearFunctional.point_evaluation(0.01)).rows
     assert len(rows) == len(calls) == 2
 
 
@@ -328,7 +320,7 @@ def _check_moments(prior, time_horizon, nn, xs):
     refs = point_sums_reference(prior, SNR, time_horizon, nn, xs,
                                 [c for _, c in truths])
     for x, (s2, t2, biases, decade) in zip(xs, refs):
-        L = LinearFunctional.point_evaluation(x, 100)
+        L = LinearFunctional.point_evaluation(x)
         if not decade < ADMISSIBLE_TAIL:
             with pytest.raises(InadmissibleFunctionalError):
                 functional_moments(L, w, prior, nn)
@@ -370,8 +362,8 @@ def test_point_evaluation_at_a_numpy_float():
     nn = admissible_truncation(prior)
     nh, w = _head(prior, 0.1, nn)
     for x in (0.5, 0.3):
-        L = LinearFunctional.point_evaluation(np.float32(x), 100)
-        want = LinearFunctional.point_evaluation(float(np.float32(x)), 100)
+        L = LinearFunctional.point_evaluation(np.float32(x))
+        want = LinearFunctional.point_evaluation(float(np.float32(x)))
         assert (functional_moments(L, w, prior, nn)
                 == functional_moments(want, w, prior, nn))
 
@@ -516,7 +508,7 @@ def test_interval_truncation_is_the_first_admissible_doubling(x, doublings):
     the moments at 16 N, the first doubling whose check passes."""
     prior = PriorSpec.polynomial(0.5)
     cfg = ExperimentConfig(prior=prior, n_grid=(SNR,), replications=2)
-    L = LinearFunctional.point_evaluation(x, 100)
+    L = LinearFunctional.point_evaluation(x)
     nn = admissible_truncation(prior) * 2**doublings
     nh, w = _head(prior, 0.1, nn)
     truth = Mu0Source.test_cubic()
@@ -535,7 +527,7 @@ def test_interval_doubling_stops_at_a_billion():
     cfg = ExperimentConfig(prior=PriorSpec.polynomial(0.5), n_grid=(SNR,),
                            replications=2)
     with pytest.raises(InadmissibleFunctionalError, match="648455616"):
-        run_interval_coverage(cfg, LinearFunctional.point_evaluation(0.001, 100))
+        run_interval_coverage(cfg, LinearFunctional.point_evaluation(0.001))
 
 
 def test_rough_panel_and_interval_stay_small():
@@ -553,7 +545,7 @@ def test_rough_panel_and_interval_stay_small():
     try:
         render_panel(panel_cfg, spec)
         run_interval_coverage(interval_cfg,
-                              LinearFunctional.point_evaluation(0.5, 100))
+                              LinearFunctional.point_evaluation(0.5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
