@@ -93,10 +93,21 @@ def _parse_n_list(text) -> tuple:
 
 
 def _finite_float(value) -> float:
+    if isinstance(value, bool):  # a config file's true is no number
+        raise ValueError(f"must be a number, got {value!r}")
     v = float(value)
     if not math.isfinite(v):  # a manifest is JSON, which has no NaN or inf
         raise ValueError(f"must be finite, got {value!r}")
     return v
+
+
+def _whole_number(value) -> int:
+    """int(value), for a value that is an integer: a config file's 20.9
+    and true would truncate to 20 and 1."""
+    if isinstance(value, bool) or (isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(value)
 
 
 class Option(NamedTuple):
@@ -362,10 +373,10 @@ _PRIOR = (
          help="target smoothness for matched scaling"),
 )
 _GAMMA = _opt("gamma", 0.05, _finite_float, type=float)
-_REPS = _opt("reps", 1000, type=int)
-_SEED = _opt("seed", 0, type=int)
-_TRUNC = _opt("trunc", type=int)
-_GRID = _opt("grid", 201, type=int, help="x-grid point count")
+_REPS = _opt("reps", 1000, _whole_number, type=int)
+_SEED = _opt("seed", 0, _whole_number, type=int)
+_TRUNC = _opt("trunc", None, _whole_number, type=int)
+_GRID = _opt("grid", 201, _whole_number, type=int, help="x-grid point count")
 _MU0_BETA = _opt("mu0_beta", 2.0, _finite_float, type=float)
 
 COMMANDS = {

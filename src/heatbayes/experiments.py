@@ -9,9 +9,8 @@ draw block, the paths are:
     (seed, "interval", k)      one normal per interval replication
     (seed, "risk", k, b)       Monte Carlo errors of the risk curve
     (seed, "obs", s)           observations of panel data stream s
-    (seed, "panel", s, "draw", j)  posterior draw j of that panel: row j of
-                               normal_matrix(seed, ("panel", s, "draw"), ...),
-                               the same stream
+    (seed, "panel", s, "draw") that panel's posterior draws, one stream read
+                               row-major (rng.normal_matrix), a row a draw
 """
 
 from __future__ import annotations
@@ -238,7 +237,7 @@ def run_interval_coverage(cfg: ExperimentConfig,
         s_n, t_n = math.sqrt(s2), math.sqrt(t2)
         z = substream(cfg.seed, "interval", idx).standard_normal(cfg.replications)
         err = s_n * z if cfg.mu0.is_random else t_n * z + bias
-        cov = np.count_nonzero(np.abs(err) <= z_half * s_n) / cfg.replications
+        cov = float(np.count_nonzero(np.abs(err) <= z_half * s_n) / cfg.replications)
         se = math.sqrt(cov * (1.0 - cov) / cfg.replications)
         rows.append((n, cov, se, z_half * s_n, s_n, t_n))
     return ExperimentReport(columns, rows)

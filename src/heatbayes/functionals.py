@@ -306,8 +306,8 @@ def point_evaluation_curves(weights: PosteriorWeights, y_values: np.ndarray,
     matrix, all synthesized against the same basis (GridSynthesis).
     `draw_normals`, if given, maps the bin count b (M - 1 on the uniform
     grid below) to a (draws, b) matrix of standard normals, for instance
-    functools.partial(rng.normal_matrix, seed, path, draws), whose row j
-    is stream (*path, j).
+    functools.partial(rng.normal_matrix, seed, path, draws), the stream
+    (seed, *path) read row-major, a row a draw.
     `weights`, `y_values` and the extra columns cover the head i <= N_h; a
     `truncation_level` N adds the coordinates N_h < i <= N, where w = 0
     (the mean needs only the head) and s = lambda_i of `prior`, and then

@@ -297,6 +297,22 @@ class TestRiskCurve:
         assert abs(mc - report.column("risk_exact")[0]) <= 3.5 * se
 
 
+@pytest.mark.parametrize("mu0", [Mu0Source.test_cubic(), Mu0Source.prior_draw()],
+                         ids=["cubic", "prior"])
+def test_report_cells_are_python_floats(mu0):
+    """Every cell of the coverage and risk rows is a float, not a numpy
+    scalar, for a fixed and a prior-drawn truth."""
+    cfg = ExperimentConfig(prior=PriorSpec.polynomial(1.0), n_grid=(1e3, 1e4),
+                           replications=20, seed=3, mu0=mu0)
+    reports = [run_ball_coverage(cfg),
+               run_interval_coverage(cfg, LinearFunctional.point_evaluation(0.3))]
+    if not mu0.is_random:
+        reports.append(run_risk_curve(cfg))
+    for report in reports:
+        assert len(report.rows) == 2
+        assert {type(cell) for row in report.rows for cell in row} == {float}
+
+
 class TestPanels:
     def _cfg(self, prior, n=1e4, seed=0):
         return ExperimentConfig(prior=prior, n_grid=(n,), seed=seed,
@@ -342,15 +358,16 @@ class TestPanels:
 
     def test_first_draw_values_pinned(self):
         """The first points of a panel's draws, frozen when the draws moved
-        to one normal per interior residue (M - 1 = 19 per draw here): a
-        change to the draw layout or its streams fails here."""
+        to one stream per panel, read row-major, with one normal per
+        interior residue (M - 1 = 19 per draw here): a change to the draw
+        layout or its streams fails here."""
         cfg = ExperimentConfig(prior=PriorSpec.polynomial(1.0), n_grid=(1e4,),
                                seed=7, x_grid_points=21)
         panel = render_panel(cfg, PanelSpec(prior=cfg.prior, n=1e4,
                                             data_stream=3, draws=2))
         np.testing.assert_allclose(panel.draw_curves[:, 1:4], [
-            [0.7496259947983539, 1.1965565127921465, 1.6246022128227797],
-            [0.0992036439943949, 0.33733167019907373, 0.26975549493010226]],
+            [0.5487805517746759, 0.9677285143499055, 1.3458332808125069],
+            [-0.29302431252135197, -0.11917199207334425, 0.1586184990526081]],
             rtol=1e-13, atol=0.0)
 
     def test_two_stream_constructions_per_panel(self, monkeypatch):

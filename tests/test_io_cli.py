@@ -937,6 +937,24 @@ class TestCommandOptions:
         assert main(["posterior", "--config", str(cfg)]) == EXIT_CONFIG
         assert os.listdir(tmp_path) == ["cfg.json"]
 
+    @pytest.mark.parametrize("command,field,value", [
+        ("risk", "reps", 20.9), ("risk", "seed", True),
+        ("risk", "trunc", 150.7), ("posterior", "grid", 21.5),
+        ("risk", "alpha", True)])
+    def test_config_value_of_wrong_kind_is_named(self, tmp_path, monkeypatch,
+                                                 capsys, command, field, value):
+        """An integer option's fractional or boolean value, and a float
+        option's boolean, exit 2 naming the option instead of truncating
+        (20.9 replications ran as 20, true as seed 1)."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({field: value}))
+        argv = [command, "--n", "1e4", "--config", "cfg.json", "--out", "o.csv"]
+        if command == "risk" and field != "reps":
+            argv += ["--reps", "5"]
+        assert main(argv) == EXIT_CONFIG
+        assert f"{_flag(field)}: must be" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
 
 def test_readme_command_lines_parse():
     readme = os.path.join(os.path.dirname(os.path.abspath(__file__)),

@@ -18,7 +18,7 @@ from heatbayes import (
     true_signal_function,
 )
 from heatbayes.posterior import PosteriorSummary, posterior_mean_function
-from heatbayes.rng import _continued_keys, _encode, normal_matrix, substream
+from heatbayes.rng import _encode, normal_matrix, substream
 from heatbayes.sequence import (
     AliasingFold,
     GridSynthesis,
@@ -240,14 +240,17 @@ class TestStreams:
          [-0.3075433194193407, 0.7535890285247808, -0.7777755103577165]),
     ])
     def test_draw_values_pinned(self, row, first):
-        """First normals of panel draw streams, frozen from the per-stream
-        SeedSequence + Philox construction: a numpy whose SeedSequence,
-        Philox or normal sampler differs fails here, not silently in every
-        figure."""
+        """First normals of streams whose last key part takes one or two
+        32-bit words, frozen from the SeedSequence + Philox construction: a
+        numpy whose SeedSequence, Philox or normal sampler differs fails
+        here, not silently in every figure."""
         assert substream(7, "panel", 3, "draw", row).standard_normal(3).tolist() == first
-        if row < 20:
-            z = normal_matrix(7, ("panel", 3, "draw"), 20, 3)
-            assert z[row].tolist() == first
+
+    def test_panel_draw_values_pinned(self):
+        """First normals of a panel's draw stream, the first row of its
+        draws."""
+        assert substream(7, "panel", 3, "draw").standard_normal(3).tolist() == [
+            0.7892813591939606, 0.24943598499236344, 1.8811226670314334]
 
     def test_string_keys_pinned(self):
         assert _encode("panel") == 6829252156396663685
@@ -264,10 +267,6 @@ class TestStreams:
 
 
 _EDGE_PARTS = (0, 2**32 - 1, 2**32, 2**64 - 1)
-
-
-def _words(parts):
-    return sum(max(1, -(-p.bit_length() // 32)) for p in parts)
 
 
 def _random_key(rng, length):
@@ -289,56 +288,24 @@ def _random_key(rng, length):
 
 
 class TestNormalMatrix:
-    """Rows of normal_matrix are the streams (*path, r), bit for bit."""
+    """normal_matrix reads one stream, (seed, *path), row-major."""
 
-    def test_continued_keys_match_seed_sequence(self):
-        """12,000 (seed, path, row) cases, prefixes of 4 to 10 words, row
-        indices of one word (0, 2**32 - 1, random) and of two (2**32,
-        2**64 - 1, random)."""
-        rng = np.random.default_rng(2024)
-        seen = set()
-        cases = 0
-        while cases < 12_000:
-            seed, path = _random_key(rng, int(rng.integers(1, 5)))
-            prefix = [_encode(seed)] + [_encode(p) for p in path]
-            n_words = _words(prefix)
-            if n_words < 4:
-                continue
-            seen.add(min(n_words, 5))
-            pool = np.random.SeedSequence(prefix).pool
-            for lo, hi, edges in ((0, 2**32, (0, 2**32 - 1)),
-                                  (2**32, 2**64, (2**32, 2**64 - 1))):
-                rows = list(edges) + [int(v) for v in rng.integers(
-                    lo, hi, 18, dtype=np.uint64)]
-                words = np.array([[r & 0xFFFFFFFF, r >> 32][:_words([r])]
-                                  for r in rows], dtype=np.uint32)
-                got = _continued_keys(pool, n_words, words)
-                want = [np.random.SeedSequence(prefix + [r]).generate_state(
-                    2, np.uint64) for r in rows]
-                assert got.dtype == np.uint64
-                assert np.array_equal(got, want), (seed, path)
-                cases += len(rows)
-        assert seen == {4, 5}
-
-    def test_rows_equal_substreams(self):
-        """A panel's draws, then random keys through both branches:
-        prefixes of 1 to 3 words give each row its own SeedSequence, 4 and
-        more continue one mix."""
+    def test_equals_one_substream(self):
+        """A panel's draws, then random keys and shapes, 0 rows and 0
+        columns among them."""
         rng = np.random.default_rng(11)
         cases = [(7, ("panel", 3, "draw"), 20, 400)]
         for _ in range(400):
             seed, path = _random_key(rng, int(rng.integers(0, 4)))
             cases.append((seed, path, int(rng.choice([0, 1, 20])),
                           int(rng.choice([0, 1, 40, 400]))))
-        seen = set()
         for seed, path, n_rows, n_cols in cases:
-            seen.add(min(_words([_encode(seed)] + [_encode(p) for p in path]), 5))
             z = normal_matrix(seed, path, n_rows, n_cols)
             assert z.shape == (n_rows, n_cols) and z.flags.c_contiguous
-            for r in range(n_rows):
-                want = substream(seed, *path, r).standard_normal(n_cols)
-                assert np.array_equal(z[r], want), (seed, path, r)
-        assert seen == {1, 2, 3, 4, 5}
+            want = substream(seed, *path).standard_normal((n_rows, n_cols))
+            assert np.array_equal(z, want), (seed, path, n_rows, n_cols)
+            flat = substream(seed, *path).standard_normal(n_rows * n_cols)
+            assert np.array_equal(z.ravel(), flat), (seed, path)
 
     def test_key_parts_outside_64_bits_rejected(self):
         with pytest.raises(ValueError, match="-1"):

@@ -419,8 +419,7 @@ class TestRenderPanel:
         mean, sd, truth, draws = point_evaluation_curves(
             posterior_weights(prior, kappa, SNR), y, panel.x,
             mu0.values[:, None],
-            lambda b: np.array([substream(7, "panel", 3, "draw", j)
-                                .standard_normal(b) for j in range(4)]))
+            lambda b: substream(7, "panel", 3, "draw").standard_normal((4, b)))
         assert np.array_equal(panel.post_mean, mean)
         assert np.abs(panel.truth - truth[:, 0]).max() <= 1e-14
         half = 1.959963984540054 * sd
