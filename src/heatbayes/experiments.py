@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -32,14 +33,15 @@ from .credible import (
 from .functionals import (
     InadmissibleFunctionalError,
     LinearFunctional,
+    _curve_data,
+    _curve_frame,
     _point_fraction,
     admissible_truncation,
     functional_moments,
-    point_evaluation_curves,
 )
 from .numeric import MAX_HEAD, UNDERFLOW
 from .posterior import posterior_weights, risk_decomposition
-from .priors import FunctionalMode, PriorFamily, PriorSpec, ScalingRule
+from .priors import FunctionalMode, PriorFamily, PriorSpec, ScalingRule, check_snr
 from .rng import normal_matrix, substream
 from .sequence import (
     CoefficientSequence,
@@ -133,8 +135,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
-        if any(not 0 < n < math.inf for n in self.n_grid):
-            raise ValueError("all n in the grid must be positive and finite")
+        grid = tuple(self.n_grid)
+        if not grid or any(isinstance(n, bool) or not isinstance(n, numbers.Real)
+                           or not 0 < n < math.inf for n in grid):
+            raise ValueError(f"n_grid needs positive finite n, got {self.n_grid!r}")
+        object.__setattr__(self, "n_grid", tuple(map(float, grid)))
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
         if self.x_grid_points < 2:
@@ -349,31 +354,43 @@ class PanelData:
         return cols, list(map(tuple, matrix.tolist()))
 
 
+@functools.lru_cache(maxsize=1)
+def _panel_frame(prior_n, n, nn, time_horizon, points, mu0, gamma):
+    """render_panel's data-free frame, read-only: kappa, truth and w_i on the
+    active head, the _curve_frame and the band's half width z_{gamma/2} sd(x)."""
+    kappa = heat_eigenvalues(time_horizon, active_head(time_horizon, nn))
+    truth = mu0.realize(kappa.truncation_level)
+    w = posterior_weights(prior_n, kappa, n)
+    curve = _curve_frame(w, np.linspace(0.0, 1.0, points),
+                         truth.values[:, None], prior_n, nn, (mu0.sums,))
+    half = -NormalDist().inv_cdf(gamma / 2.0) * curve[4]  # curve[4] is sd(x)
+    for a in (kappa.values, truth.values, w.mean_weight, curve[0].x,
+              *curve[2:], half):
+        a.setflags(write=False)
+    return kappa, truth, w.mean_weight, curve, half
+
+
 def render_panel(cfg: ExperimentConfig, spec: PanelSpec) -> PanelData:
     """Deterministic dataset for one panel: truth, posterior mean, central
-    band, and posterior draw curves on the x grid."""
+    band, and posterior draw curves on the x grid.  Consecutive panels of
+    one (prior, n) column share the data-free frame (_panel_frame); the
+    output does not depend on whether it was reused."""
     prior_n = cfg.scaling.resolve(spec.prior, spec.n, FunctionalMode.FUNCTIONAL)
     nn = max(cfg.truncation_for(spec.n, prior_n), admissible_truncation(prior_n))
-    # arrays for the active head only; the prior-only tail to N in closed form
-    nh = active_head(cfg.time_horizon, nn)
-    kappa = heat_eigenvalues(cfg.time_horizon, nh)
-    mu0 = cfg.mu0.realize(nh)
-    y = simulate_observations(mu0, kappa, spec.n, cfg.seed,
+    misses = _panel_frame.cache_info().misses
+    kappa, truth, mean_weight, curve, half = _panel_frame(
+        prior_n, spec.n, nn, cfg.time_horizon, cfg.x_grid_points, cfg.mu0, cfg.gamma)
+    if _panel_frame.cache_info().misses == misses:  # a miss warned already
+        check_snr(prior_n, spec.n)
+    y = simulate_observations(truth, kappa, spec.n, cfg.seed,
                               spec.data_stream).y.values
-    w = posterior_weights(prior_n, kappa, spec.n)
-    x = np.linspace(0.0, 1.0, cfg.x_grid_points)
     draws = functools.partial(normal_matrix, cfg.seed,
                               ("panel", spec.data_stream, "draw"), spec.draws)
-    mean_x, sd_x, extra, curves = point_evaluation_curves(
-        w, y, x, extra_coefficients=mu0.values[:, None], draw_normals=draws,
-        prior=prior_n, truncation_level=nn, extra_sums=(cfg.mu0.sums,))
-    z_half = -NormalDist().inv_cdf(cfg.gamma / 2.0)
+    mean_x, _, extra, curves = _curve_data(curve, mean_weight * y, draws)
     return PanelData(
         label=spec.label or f"{prior_n.kind.value}-a{prior_n.alpha:g}-n{spec.n:g}",
-        x=x, truth=extra[:, 0], post_mean=mean_x,
-        lower=mean_x - z_half * sd_x, upper=mean_x + z_half * sd_x,
-        draw_curves=curves,
-    )
+        x=curve[0].x.copy(), truth=extra[:, 0], post_mean=mean_x,
+        lower=mean_x - half, upper=mean_x + half, draw_curves=curves)
 
 
 def _two_column_protocol(priors_left_right, n: float, reps: int) -> list[PanelSpec]:

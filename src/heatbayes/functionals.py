@@ -328,38 +328,50 @@ def point_evaluation_curves(weights: PosteriorWeights, y_values: np.ndarray,
     unbounded truncations near x = 0 and 1 where the totals vanish like x^2
     while the tail does not.
     """
+    frame = _curve_frame(weights, x_grid, extra_coefficients, prior,
+                         truncation_level, extra_sums)
+    return _curve_data(frame, weights.mean_weight * y_values, draw_normals)
+
+
+def _curve_frame(weights, x_grid, extra, prior, truncation_level, extra_sums):
+    """point_evaluation_curves' data-free half: (synthesis, mean tail bins,
+    variance bins, sd bins, sd curve or None off the uniform grid, extra bins)."""
     syn = GridSynthesis(x_grid)
     nh = weights.lam.size
-    extra = [] if extra_coefficients is None else list(extra_coefficients.T)
+    extra = [] if extra is None else list(extra.T)
     nn = nh if truncation_level is None else truncation_level
     if truncation_level is not None and (
             prior is None or len(extra_sums) != len(extra)):
         raise ValueError("a tail needs a prior and one sum per extra column")
-
     lam_t, _ = _checked_mass(weights.lam, prior, 1.0, nn, syn.period,
                              "point-evaluation family, prior mass")
-    mean_t = None
-    extra_t = [None] * len(extra)
-    if nn > nh:
-        extra_t = [sums(nh + 1, nn, syn.period) for sums in extra_sums]
-        if syn.period is None:  # one bin per index; w = 0 past the head
-            mean_t = np.zeros(nn - nh)
-    mean_b = syn.bins(weights.mean_weight * y_values, mean_t)
+    extra_t = ([sums(nh + 1, nn, syn.period) for sums in extra_sums]
+               if nn > nh else [None] * len(extra))
+    # off the uniform grid one bin per index; w = 0 past the head
+    mean_t = np.zeros(nn - nh) if nn > nh and syn.period is None else None
     var_b = syn.bins(weights.variance, lam_t, squared=True)
-    sd_b = np.sqrt(var_b)
+    sd_x = None if syn.fold is None else np.sqrt(syn.curves(variances=var_b)[1])
+    return (syn, mean_t, var_b, np.sqrt(var_b), sd_x,
+            np.array([syn.bins(c, t) for c, t in zip(extra, extra_t)]))
+
+
+def _curve_data(frame, weighted_y, draw_normals=None):
+    """Its data half: the bins of w_i y_i, the draws and one synthesis of all
+    columns, off the uniform grid with the sd curve in the same chunk pass."""
+    syn, mean_t, var_b, sd_b, sd_x, extra_b = frame
+    mean_b = syn.bins(weighted_y, mean_t)
     z = (np.zeros((0, var_b.size)) if draw_normals is None
          else draw_normals(var_b.size))
     # mean, extra and draw columns side by side in one C-ordered matrix
-    columns = np.empty((var_b.size, 1 + len(extra) + z.shape[0]))
+    columns = np.empty((var_b.size, 1 + len(extra_b) + z.shape[0]))
     columns[:, 0] = mean_b
-    for j, (c, t) in enumerate(zip(extra, extra_t), start=1):
-        columns[:, j] = syn.bins(c, t)
-    draws = columns[:, 1 + len(extra):]
+    columns[:, 1:1 + len(extra_b)] = extra_b.T
+    draws = columns[:, 1 + len(extra_b):]
     np.multiply(sd_b[:, None], z.T, out=draws)
     draws += mean_b[:, None]
-    curves, s2_x = syn.curves(columns, var_b)
-    return (curves[:, 0], np.sqrt(s2_x), curves[:, 1:1 + len(extra)],
-            curves[:, 1 + len(extra):].T)
+    curves, s2_x = syn.curves(columns, var_b if sd_x is None else None)
+    return (curves[:, 0], sd_x if s2_x is None else np.sqrt(s2_x),
+            curves[:, 1:1 + len(extra_b)], curves[:, 1 + len(extra_b):].T)
 
 
 def pointwise_band(prior: PriorSpec, kappa: CoefficientSequence, n: float,

@@ -358,20 +358,21 @@ class GridSynthesis:
             return b if tail is None else np.concatenate([b, tail])
         return self.fold.interior(b if tail is None else b + tail, squared)
 
-    def curves(self, columns: np.ndarray, variances: np.ndarray | None = None):
+    def curves(self, columns=None, variances: np.ndarray | None = None):
         """(E @ columns, (E * E) @ variances) from binned columns and binned
-        variances, E the basis on the grid; the second is None without
-        variances."""
+        variances, E the basis on the grid; either part is None without its
+        input, and off the uniform grid each basis chunk serves both."""
         if self.fold is not None:
             fold = self.fold
-            return fold.table @ columns, (None if variances is None
-                                          else fold.square @ variances)
-        nn = columns.shape[0]
-        out = np.zeros((self.x.size, columns.shape[1]))
+            return (None if columns is None else fold.table @ columns,
+                    None if variances is None else fold.square @ variances)
+        nn = len(variances if columns is None else columns)
+        out = None if columns is None else np.zeros((self.x.size, columns.shape[1]))
         s2 = None if variances is None else np.zeros(self.x.size)
         for start in range(0, nn, _CHUNK):
             E = basis_columns(self.x, start, min(start + _CHUNK, nn))
-            out += E @ columns[start:start + _CHUNK]
+            if out is not None:
+                out += E @ columns[start:start + _CHUNK]
             if s2 is not None:
                 s2 += (E * E) @ variances[start:start + _CHUNK]
         return out, s2

@@ -2,6 +2,7 @@
 the full-size protocol runs live in the acceptance suite)."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from heatbayes import (
     run_risk_curve,
     true_signal_coefficients,
 )
-from heatbayes.functionals import check_admissible
+from heatbayes.experiments import _panel_frame
+from heatbayes.functionals import admissible_truncation, check_admissible
 from heatbayes.priors import PriorFamily
 from heatbayes.sequence import basis_matrix, default_truncation
 
@@ -389,6 +391,143 @@ class TestPanels:
         assert panel.draw_curves.shape == (20, 101)
         assert built.count("SeedSequence") <= 2
         assert built.count("Philox") <= 2
+
+
+@pytest.mark.parametrize("grid, want", [
+    ((1000,), (1000.0,)),
+    ([1e3, 1e4], (1e3, 1e4)),
+    ((np.float64(5.0), np.int64(7)), (5.0, 7.0)),
+], ids=["int", "list", "numpy"])
+def test_n_grid_is_stored_as_floats(grid, want):
+    """n_grid becomes a hashable tuple of Python floats, so every report's n
+    cell is a float however the caller spelled n."""
+    cfg = ExperimentConfig(prior=PriorSpec.polynomial(1.0), n_grid=grid,
+                           replications=2)
+    assert cfg.n_grid == want
+    assert all(type(n) is float for n in cfg.n_grid)
+    hash(cfg)
+    if len(want) == 1:
+        for report in (run_ball_coverage(cfg), run_risk_curve(cfg),
+                       run_interval_coverage(
+                           cfg, LinearFunctional.point_evaluation(0.5))):
+            assert type(report.rows[0][0]) is float
+
+
+@pytest.mark.parametrize("grid", [
+    (), (True,), (np.bool_(True),), ("1e3",), (1e3, None), (0.0,), (-1e3,),
+    (math.inf,), (math.nan,),
+], ids=["empty", "bool", "numpy-bool", "text", "none", "zero", "negative",
+        "inf", "nan"])
+def test_n_grid_rejects_what_is_no_positive_number(grid):
+    with pytest.raises(ValueError, match="n_grid"):
+        ExperimentConfig(prior=PriorSpec.polynomial(1.0), n_grid=grid)
+
+
+class TestPanelFrame:
+    """render_panel keeps the data-free frame of the last (prior, n) column
+    (_panel_frame): a panel reads the same whether the frame was computed
+    for it or reused from a sibling."""
+
+    FIELDS = ("x", "truth", "post_mean", "lower", "upper", "draw_curves")
+
+    @staticmethod
+    def _cfg(**fields):
+        return ExperimentConfig(**{"prior": PriorSpec.polynomial(1.0),
+                                   "n_grid": (1e4,), "seed": 7,
+                                   "x_grid_points": 41, **fields})
+
+    @staticmethod
+    def _spec(cfg, stream):
+        return PanelSpec(prior=cfg.prior, n=1e4, data_stream=stream, draws=3)
+
+    @staticmethod
+    def _cold(cfg, spec):
+        _panel_frame.cache_clear()
+        return render_panel(cfg, spec)
+
+    def _assert_equal(self, a, b):
+        for f in self.FIELDS:
+            x, y = getattr(a, f), getattr(b, f)
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), f
+
+    def test_reused_frame_gives_the_cold_panel(self):
+        cfg = self._cfg()
+        cold = self._cold(cfg, self._spec(cfg, 3))
+        self._cold(cfg, self._spec(cfg, 2))
+        hits = _panel_frame.cache_info().hits
+        warm = render_panel(cfg, self._spec(cfg, 3))
+        assert _panel_frame.cache_info().hits == hits + 1
+        self._assert_equal(cold, warm)
+
+    def test_writing_a_panel_leaves_the_next_alone(self):
+        cfg = self._cfg()
+        want = self._cold(cfg, self._spec(cfg, 1))
+        first = self._cold(cfg, self._spec(cfg, 0))
+        for f in self.FIELDS:
+            getattr(first, f)[...] = 123.0
+        self._assert_equal(render_panel(cfg, self._spec(cfg, 1)), want)
+
+    def test_frame_arrays_are_read_only(self):
+        """Every array the frame keeps is read-only, and no panel field
+        shares memory with one."""
+        cfg = self._cfg()
+        panel = self._cold(cfg, self._spec(cfg, 0))
+        nn = max(cfg.truncation_for(1e4, cfg.prior),
+                 admissible_truncation(cfg.prior))
+        kappa, truth, mean_weight, curve, half = _panel_frame(
+            cfg.prior, 1e4, nn, cfg.time_horizon, cfg.x_grid_points, cfg.mu0,
+            cfg.gamma)
+        assert _panel_frame.cache_info().hits == 1
+        kept = [kappa.values, truth.values, mean_weight, curve[0].x,
+                *curve[2:], half]
+        assert not any(a.flags.writeable for a in kept)
+        for f in self.FIELDS:
+            assert not any(np.shares_memory(getattr(panel, f), a)
+                           for a in kept), f
+
+    @pytest.mark.parametrize("fields", [
+        {"gamma": 0.1},
+        {"time_horizon": 0.05},
+        {"trunc": 5000},
+        {"mu0": Mu0Source.power_law(1.5)},
+        {"x_grid_points": 21},
+        {"scaling": ScalingRule.rate_matched(2.0)},
+        {"prior": PriorSpec.polynomial(1.0, tau=2.0)},
+    ], ids=["gamma", "T", "trunc", "truth", "grid", "scaling", "tau"])
+    def test_each_key_field_makes_a_new_frame(self, fields):
+        base, cfg = self._cfg(), self._cfg(**fields)
+        want = self._cold(cfg, self._spec(cfg, 4))
+        render_panel(base, self._spec(base, 4))
+        misses = _panel_frame.cache_info().misses
+        got = render_panel(cfg, self._spec(cfg, 4))
+        assert _panel_frame.cache_info().misses == misses + 1
+        self._assert_equal(got, want)
+
+    def test_a_frame_that_raises_is_not_kept(self):
+        """A prior-draw truth has no deterministic frame: it raises on every
+        call, and the frame before it stays."""
+        cfg = self._cfg()
+        drawn = self._cfg(mu0=Mu0Source.prior_draw())
+        self._cold(cfg, self._spec(cfg, 0))
+        for _ in range(2):
+            misses = _panel_frame.cache_info().misses
+            with pytest.raises(ValueError, match="prior-draw truth"):
+                render_panel(drawn, self._spec(drawn, 0))
+            assert _panel_frame.cache_info().misses == misses + 1
+        hits = _panel_frame.cache_info().hits
+        render_panel(cfg, self._spec(cfg, 1))
+        assert _panel_frame.cache_info().hits == hits + 1
+
+    def test_prior_dominated_panel_warns_on_every_call(self):
+        """check_snr's warning fires once per panel, on a miss and on a hit."""
+        cfg = self._cfg(prior=PriorSpec.polynomial(1.0, tau=0.005))
+        _panel_frame.cache_clear()
+        for stream in range(3):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                render_panel(cfg, self._spec(cfg, stream))
+            assert [w.category for w in caught] == [UserWarning]
+            assert "prior-dominated" in str(caught[0].message)
 
 
 class TestFigureProtocols:

@@ -405,6 +405,23 @@ class TestAliasingFold:
             1, true_signal_coefficients(nn).values, fold.period))
         assert np.abs(truth - true_signal_function(x)).max() <= 1e-14
 
+    def test_non_uniform_grid_builds_each_chunk_once(self, monkeypatch):
+        """Off the uniform grid the sd curve and the curves share one pass:
+        N = 20,000 coordinates take three basis chunks, built once each."""
+        built = []
+        columns = sequence.basis_columns
+
+        def counted(x, start, stop):
+            built.append(start)
+            return columns(x, start, stop)
+
+        monkeypatch.setattr(sequence, "basis_columns", counted)
+        nn = 20_000
+        point_evaluation_curves(synthetic_weights(nn, seed=3), np.ones(nn),
+                                np.array([0.0, 0.13, 0.5, 0.77, 1.0]),
+                                true_signal_coefficients(nn).values[:, None])
+        assert built == [0, 8192, 16384]
+
     def test_non_uniform_grid_direct_path(self):
         x = np.array([0.0, 0.13, 0.5, 0.77, 1.0])
         nn = 20_000

@@ -407,6 +407,23 @@ class TestGridSynthesis:
             np.testing.assert_allclose(posterior_mean_function(summary, x),
                                        ref[:, 0], rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("grid", [0, 1], ids=["uniform", "non-uniform"])
+    def test_curves_take_either_part_alone(self, grid):
+        """curves(columns) and curves(variances=...) give the parts of
+        curves(columns, variances) bitwise, the other part None.  Off the
+        uniform grid 9000 bins span two basis chunks."""
+        x = self.GRIDS[grid]
+        syn = GridSynthesis(x)
+        rows = x.size - 2 if syn.fold is not None else 9000
+        rng = np.random.default_rng(grid)
+        columns, variances = rng.standard_normal((rows, 2)), rng.random(rows)
+        both = syn.curves(columns, variances)
+        curves, none = syn.curves(columns)
+        also_none, s2 = syn.curves(variances=variances)
+        assert none is None and also_none is None
+        assert np.array_equal(curves, both[0])
+        assert np.array_equal(s2, both[1])
+
     def test_posterior_mean_needs_no_dense_basis(self):
         """N = 200,000 on 201 points: a dense basis would take 320 MB."""
         nn = 200_000

@@ -217,6 +217,7 @@ def test_rough_panel_and_interval_make_three_kernel_calls(monkeypatch):
     """The fig3 alpha = 0.5 panel on 21 points, and the interval at x = 1/2
     per n, each take admissible_truncation's zeta, one call for the prior
     tail and its last decade, and one for the truth's tail."""
+    experiments._panel_frame.cache_clear()
     spec = next(s for s in figure_three_panels()
                 if s.prior.alpha == 0.5 and s.n == 1e4)
     calls = _count_kernel_calls(monkeypatch)
@@ -533,6 +534,7 @@ def test_rough_panel_and_interval_stay_small():
     """The fig3 alpha = 0.5, n = 1e4 panel on 21 points and a 2-replication
     interval at x = 1/2 run at N = 10,132,119 but allocate only O(N_h + 2M)
     memory; N-length float arrays would take 81 MB each."""
+    experiments._panel_frame.cache_clear()
     spec = next(s for s in figure_three_panels()
                 if s.prior.alpha == 0.5 and s.n == 1e4)
     panel_cfg = ExperimentConfig(prior=spec.prior, n_grid=(1e4,),
