@@ -26,38 +26,36 @@ law of the form, found by safeguarded Newton steps on its density:
   chi-square_1 quantile of the largest weight and by the gamma's
   lower-tail bound.
 * forms with a bias, sum (b_i + sqrt(v_i) Z_i)^2 (the frequentist
-  radius): the Gil-Pelaez integral of the characteristic function of the
-  form, centred at its mean and scaled to unit sd, is summed at midpoints
-  (Davies 1980).  The step keeps the aliased mass below Chernoff bounds on
-  both tails, formed from the cumulant generating function centred at the
-  form's mean, so that a mean far above the sd does not cancel them away;
-  a Gaussian convergence factor with a second-order correction ends the
-  sum at a tail bounded through E1(y) < e^-y log(1 + 1/y) (Abramowitz &
-  Stegun 5.1.20), and leaves an error of about (sigma^4 / 8) f'''(x),
-  which is estimated from the same sum.  Each form has one law, whose
-  evaluations pick the width from that smoothing term: the sum at
-  sigma = 4e-3 sd, and at 2e-3 only where the first one's term exceeds
-  1e-11 in probability (at p = 0.95, the coverage experiments' level, on
-  none of the forms tried).  Both sums share the nodes, at the wide sum's
-  spacing, and phi is evaluated once per node; each sum stops at the
-  exact node where its tail bound, monotone as |phi| does not increase,
-  first holds.  On a grid over the aliasing period the wide sum is one
-  zero-padded FFT, and Newton starts from its interpolated crossing of
-  the level: two or three evaluations of the law then suffice.  The
-  error bound also counts the rounding of the form's mean and of x minus
-  it, which moves the law as a shift of x would.
+  radius): the Laplace inversion integral
+  F(x) = (1/2 pi i) int e^(t x) L(t) / t dt, L(t) = E e^(-t Q), taken on
+  the form centred and scaled to unit sd, along a hyperbola through the
+  real saddle point t of t x + log L(t) - log|t| and summed by the
+  trapezoid rule (Rice 1980; Trefethen & Weideman 2014).  With t > 0
+  (x below the mean) the integral is F, and with t < 0 it is F - 1, so
+  each tail comes out relative to itself; there is no convergence
+  factor, and so no smoothing bias at the edge of a noncentral
+  chi-square_1 coordinate.  The centred cumulant of each coordinate,
+  -1/2 (log1p(2 v t) - 2 v t) + 2 v b^2 t^2 / (1 + 2 v t), keeps a mean
+  far above the sd from cancelling.  The error bound is the change from
+  step h to h / 2 (the midpoints), the terms past the cut and the
+  rounding of the terms, of the form's mean and of x minus it.  One
+  contour serves every Newton iterate near the x it was built at
+  (Cauchy's theorem); the inversion starts from the saddle-point
+  quantile corrected once by Barndorff-Nielsen's r*, inside Cantelli's
+  bracket and, in the lower tail, Chernoff's.
 
 The Laplace-Euler series fails on forms with a large noncentrality, whose
-terms keep oscillating, and the midpoint sum needs many nodes on central
-forms with few dominant weights; hence the split.  Coordinates whose
+terms keep oscillating, and on the central forms the contour takes several
+times the Euler series' nodes; hence the split.  Coordinates whose
 variance is below eps * max variance enter as the fixed mass b_i^2 (zero
 for central forms), as in the Monte Carlo sampler `_form_draws`, which
 draws the squared errors of the ball coverage and risk experiments.
 Each quantile carries a bound on its absolute numerical error: the
 inversion's probability error divided by the density, plus the distance
-of the last iterate from the root.  Each law also gives the |F(x) - p|
-that resolves p: a tenth of its error bound, or for the Euler series the
-rounding of its terms, eps * sum |terms|, where that is larger (A = 25
+of the last iterate from the root and the rounding of the fixed mass and
+of its sum with the quantile.  Each law also gives the |F(x) - p|
+that resolves p: a tenth of its error bound, or the rounding of its
+terms where that is larger (for the Euler series eps * sum |terms|: A = 25
 amplifies rounding by e^(A/2), so F wobbles by about 1e-11 between
 neighbouring x, and Newton steps below that chase rounding).  The
 inversion stops there, or once the Newton step is below the resolution
@@ -99,17 +97,13 @@ _EULER_TERMS = (np.where(_EULER_NODES == 0, 0.5, (-1.0) ** _EULER_NODES)
                             np.ones(_EULER_NODES.size))))
 # the sums of log1p(r^2) and of arctan r to log |L| and arg L
 _LAPLACE_SCALE = np.array([[-0.25], [-0.5]])
-# Davies: tail mass allowed beyond each end of the aliasing period and in
-# the truncated sum; sd of the convergence factor in units of the form's sd,
-# and the smoothing term of the error bound up to which twice that sd serves
-_TAIL = 1e-12
-_SMOOTH = 2e-3
-_SMOOTH_ERR = 10.0 * _TAIL
-# Davies: Chernoff points in units of 1 / (2 max v), below it and up to it,
-# and absolute points, used below 1 / (2 max v) and negated
-_CHERNOFF_BELOW = np.geomspace(1e-4, 0.5, 32)
-_CHERNOFF_UP = -np.expm1(np.linspace(math.log(0.5), -20.0, 32))
-_CHERNOFF_SPAN = np.geomspace(1e-3, 1e6, 64)
+# contour law: the hyperbola's bend rho, the trapezoid step h in u, the
+# ratio to the vertex term below which the terms are cut, and the factor by
+# which the last term may grow as x moves before the contour is built again
+_CONTOUR_RHO = 0.6
+_CONTOUR_STEP = 0.25
+_CONTOUR_CUT = 1e-17
+_CONTOUR_GROWTH = 1e3
 _NEWTON_STEPS = 100
 
 
@@ -262,151 +256,143 @@ def _euler_law(w: np.ndarray):
     return law
 
 
-def _davies_law(v: np.ndarray, b2: np.ndarray):
-    """(law, start, lo, hi) for the form sum (b_i + sqrt(v_i) Z_i)^2, with
-    b2 the squared biases: law(x) = (F(x), f(x), bound on |error of F|,
-    |F(x) - p| that resolves p, a tenth of that bound),
-    start(p) is near the root of F(x) = p, and outside [lo, hi] each tail
-    of the form holds at most _TAIL.
+def _contour_law(v: np.ndarray, b2: np.ndarray):
+    """(law, start) for the form sum (b_i + sqrt(v_i) Z_i)^2, with b2 the
+    squared biases: law(x) = (F(x), f(x), bound on |error of F|, |F(x) - p|
+    that resolves p), and start(p) = (x, lo, hi), Newton's start and a
+    bracket of the p-quantile.
 
-    On the form centred and scaled to unit sd,
-    F(x) = 1/2 - (1/pi) int_0^inf Im[phi(u) e^{-iux}] / u du is summed at
-    the midpoints u_k = (k + 1/2) delta, with the period 2 pi / delta just
-    above hi - lo so that the aliased mass lies in the tails.  Each
-    evaluation sums with the convergence factor at twice _SMOOTH, and at
-    _SMOOTH where that sum's smoothing term exceeds _SMOOTH_ERR, over the
-    same nodes extended once past the first sum's stop.
+    On the form centred and scaled to unit sd, with ell(t) its centred
+    cumulant, F(x) - [t0 < 0] = (1/2 pi i) int e^(t y + ell(t)) / t dt at
+    y = (x - mean) / sd is summed by the trapezoid rule in u >= 0 (the
+    integrand at -u is the conjugate) along the hyperbola
+    t(u) = t0 + (i u - rho (sqrt(1 + u^2) - 1)) / sigma, whose vertex t0 is
+    a saddle point of g(t) = t y + ell(t) - log|t| and sigma^2 = g''(t0).
+    One contour serves every y with |t0 (y - y_c)| <= 1/2 around the y_c it
+    was built at, while its cut, within _CONTOUR_GROWTH, still holds there.
     """
     # correctly rounded: the law charges its rounding to the error below
     centre = math.fsum(np.concatenate((v, b2)).tolist())
     sd = math.sqrt(2.0 * compensated_sum(v * v) + 4.0 * compensated_sum(v * b2))
-    v, b2, mean = v / sd, b2 / sd, centre / sd
+    v, b2 = v / sd, b2 / sd
+    top = 0.5 / v.max()  # L is analytic right of -top
 
-    def centred_cumulant(s, v, b2):
-        # log E exp(s (b + sqrt(v) Z)^2) - s (v + b^2), s < 1/(2v), with the
-        # mean taken out analytically: subtracting s * mean from the
-        # cumulant would cancel where mean / sd exceeds 1 / eps
-        x = -2.0 * v * s
-        return (-0.5 * (np.log1p(x) - x)
-                + 2.0 * b2 * v * s * s / (1.0 + x)).sum(axis=1)
+    def centred_cumulant(t, v, b2):
+        # log E exp(-t (Q - mean)), with the mean taken out analytically:
+        # adding t * mean to log L would cancel where mean / sd nears 1 / eps
+        z = 2.0 * v * t
+        return (-0.5 * (np.log1p(z) - z) + b2 * t * z / (1.0 + z)).sum(axis=-1)
 
-    # Chernoff: P(Q <= y) and P(Q >= y) are at most exp(K(s) - s y); the
-    # absolute points reach the optimum s (about 7 at unit sd) wherever it
-    # lies below top
-    top = 0.5 / v.max()
-    span = _CHERNOFF_SPAN
-    s = np.concatenate((top * _CHERNOFF_BELOW, top * _CHERNOFF_UP,
-                        span[span < top], -span))
-    bound = (_coordinate_sum(centred_cumulant, s, v, b2)
-             - math.log(_TAIL)) / s
-    hi = float(bound[s > 0].min())
-    lo = max(float(bound[s < 0].max()), -mean)
-    # the convergence factor spreads the law by a few multiples of its sd
-    delta = 2.0 * math.pi / (hi - lo + 20.0 * (2.0 * _SMOOTH))
+    def cumulant(t):
+        # ell(t), ell'(t) and ell''(t) at a real t > -top
+        z = 2.0 * v * t
+        r = 1.0 / (1.0 + z)
+        return (float(centred_cumulant(t, v, b2)),
+                float(np.sum(v * z * r + b2 * z * (2.0 + z) * r * r)),
+                float(np.sum((2.0 * v * v + 4.0 * v * b2 * r) * r * r)))
 
-    def log_phi(u, v, b2):
-        # rows log|phi(u)| and arg phi(u) + u mean, built in place on
-        # (coordinates, nodes) blocks, nodes inner, summed over coordinates
-        u, v, b2 = u.T, v[:, None], b2[:, None]
-        z = (2.0 * v) * u
-        q = z * z
-        out = np.empty((2,) + z.shape)
-        modulus, phase = out
-        np.log1p(q, out=modulus)
-        np.arctan(z, out=phase)
-        phase -= z
-        q += 1.0
-        drift = (2.0 * v * b2) * (u * u)  # u b^2 z
-        drift /= q
-        modulus *= -0.25
-        modulus -= drift
-        phase *= 0.5
-        drift *= z
-        phase -= drift
-        return out.sum(axis=1)
+    def root(slope, side, t):
+        # root of a function increasing on one side of 0, (0, inf) or
+        # (-top, 0): Newton steps inside the bracket, else bisection
+        lo, hi = (0.0, math.inf) if side > 0 else (-top, 0.0)
+        t = t if lo < t < hi else 0.5 * lo
+        for _ in range(_NEWTON_STEPS):
+            value, derivative = slope(t)
+            if value < 0.0:
+                lo = t
+            else:
+                hi = t
+            step = t - value / derivative
+            if abs(step - t) <= 1e-8 * abs(t):
+                return step
+            t = step if lo < step < hi else 0.5 * (lo + hi)
+        raise ArithmeticError("saddle point did not converge")
 
-    rows = np.empty((2, 0))  # log_phi at the nodes taken so far
-    most = max(1, min(4096, _CELLS // v.size))
-    sums = {}  # the terms of the sum at each width taken so far
+    contour = {}
 
-    def terms(sigma):
-        # the nodes up to the first whose tail is within _TAIL, from the rows
-        # held on, then in blocks of doubling size: |phi| is nonincreasing,
-        # and the factor e^-y (1 + y), y = (sigma u)^2/2, integrates against
-        # du/u beyond Y to (E1(Y) + e^-Y)/2 < e^-Y (log(1 + 1/Y) + 1)/2
-        nonlocal rows
-        if sigma in sums:
-            return sums[sigma]
-        parts, first, last = [rows], 0, rows.shape[1] or min(256, most)
+    def build(y):
+        # the vertex on the side of 0 that keeps each tail relative to
+        # itself, t0 > 0 below the mean and t0 < 0 above it; nodes at
+        # spacing h / 2, in blocks that double from 80, up to a block whose
+        # last term at y is below _CONTOUR_CUT times the vertex's
+        side = 1.0 if y <= 0.0 else -1.0
+
+        def slope(t):
+            _, d1, d2 = cumulant(t)
+            return y + d1 - 1.0 / t, d2 + 1.0 / (t * t)
+        t0 = root(slope, side, 0.5 * (side * math.sqrt(y * y + 4.0) - y))
+        sigma = math.sqrt(slope(t0)[1])
+        t = log_term = np.empty(0, dtype=complex)
         while True:
-            u = (np.arange(first, last) + 0.5) * delta
-            if last > rows.shape[1]:
-                parts.append(_coordinate_sum(log_phi, u, v, b2))
-            y = 0.5 * (sigma * u) ** 2
-            met = (np.exp(parts[-1][0] - y) * (np.log1p(1.0 / y) + 1.0)
-                   <= 2.0 * math.pi * _TAIL)
-            if met[-1]:
+            u = np.arange(t.size, max(80, 2 * t.size)) * (0.5 * _CONTOUR_STEP)
+            bend = np.sqrt(1.0 + u * u)
+            block = t0 + (1j * u - _CONTOUR_RHO * (bend - 1.0)) / sigma
+            # log of e^ell(t) t'(u) / t, the term of F but for e^(t y)
+            logs = (_coordinate_sum(centred_cumulant, block, v, b2)
+                    + np.log((1j - _CONTOUR_RHO * u / bend) / (sigma * block)))
+            t, log_term = np.concatenate((t, block)), np.concatenate((log_term, logs))
+            last = (t[-1] - t0) * y + log_term[-1] - log_term[0]
+            if last.real < math.log(_CONTOUR_CUT):
                 break
-            first, last = last, last + min(last + 256, most)
-        rows = np.concatenate(parts, axis=1)
-        log_modulus, phase = rows[:, :first + int(np.argmax(met)) + 1]
-        k = np.arange(phase.size) + 0.5
-        u = k * delta
-        y = 0.5 * (sigma * u) ** 2
-        amp = np.exp(log_modulus - y) * (1.0 + y)
-        weight = amp / k
-        # rounding: each term carries the error of its phase, phase - u shift
-        sums[sigma] = (u, phase, amp, weight, amp * u**3,
-                       _EPS * float(weight @ (1.0 + np.abs(phase))),
-                       _EPS * float(weight @ u))
-        return sums[sigma]
+        contour.update(y=y, vertex=t0, t=t, log_term=log_term)
 
     def law(x):
-        shift = (x - centre) / sd
-        for sigma in (2.0 * _SMOOTH, _SMOOTH):
-            u, phase, amp, weight, cube, phase_rounding, shift_rounding = terms(sigma)
-            arg = u * -shift
-            arg += phase
-            sin = np.sin(arg)
-            cdf = 0.5 - float(weight @ sin) / math.pi
-            pdf = delta * float(amp @ np.cos(arg)) / (math.pi * sd)
-            d4 = delta * float(cube @ sin) / math.pi  # -f'''(x)
-            smoothed = 2.0 * sigma**4 / 8.0 * abs(d4)
-            if smoothed <= _SMOOTH_ERR:
-                break
+        y = (x - centre) / sd
+        # below y_c the terms grow along the contour relative to its vertex,
+        # the last one by e^(Re(t - t0) (y - y_c))
+        if (not contour or abs(contour["vertex"] * (y - contour["y"])) > 0.5
+                or (contour["t"][-1] - contour["vertex"]).real * (y - contour["y"])
+                > math.log(_CONTOUR_GROWTH)):
+            build(y)
+        exponent = contour["t"] * y + contour["log_term"]
+        terms = np.exp(exponent)
+        terms[0] *= 0.5
+        scale = 0.5 * _CONTOUR_STEP / math.pi
+        fine = scale * float(terms.imag.sum())
+        coarse = 2.0 * scale * float(terms.imag[::2].sum())
+        pdf = scale * float((terms * contour["t"]).imag.sum()) / sd
+        cdf = fine + (contour["vertex"] < 0.0)
+        # each term carries the rounding of its phase; F that of 1 + F - 1
+        rounding = _EPS * (scale * float(np.abs(terms) @ (1.0 + np.abs(exponent.imag)))
+                           + 0.5 * cdf)
         # the rounding of centre (of b^2 and of the sum, eps / 2 each) and
         # of x - centre (eps / 2) moves the law as a shift of x would
         moved = _EPS * (centre + 0.5 * abs(x - centre)) * abs(pdf)
-        err = (smoothed + 3.0 * _TAIL + phase_rounding
-               + shift_rounding * abs(shift) + moved)
-        return cdf, pdf, err, 0.1 * err
+        err = abs(fine - coarse) + 2.0 * scale * abs(terms[-1]) + rounding + moved
+        return cdf, pdf, err, max(0.1 * err, rounding)
+
+    def saddle_point(c, side):
+        # (t, ell'(t), -t sqrt(ell''(t))) at the t on `side` with
+        # t ell'(t) - ell(t) = c >= 0: for K(s) = ell(-s), the s = -t with
+        # s K'(s) - K(s) = c, -K'(s) and s sqrt(K''(s))
+        def slope(t):
+            ell, d1, d2 = cumulant(t)
+            return side * (t * d1 - ell - c), abs(t) * d2
+        t = root(slope, side, side * math.sqrt(2.0 * c))
+        _, d1, d2 = cumulant(t)
+        return t, d1, -t * math.sqrt(d2)
 
     def start(p):
-        # F at shift lo + j 2 pi / (size delta) is 1/2 - Im(e^{-i pi j / size}
-        # S_j) / pi, S the FFT of the node terms at shift lo zero-padded to
-        # size, the rotation that of the half node; bisection on j finds a
-        # crossing of p, and the start interpolates it
-        u, phase, _, weight, *_ = terms(2.0 * _SMOOTH)
-        size = max(4096, 1 << (phase.size - 1).bit_length())
-        node = np.fft.fft(weight * np.exp(1j * (phase - u * lo)), size)
+        # the saddle-point quantile: with w = z_p, x = K'(s) at
+        # s K'(s) - K(s) = w^2 / 2, corrected once to r* = w + log(u / w) / w
+        # = z_p, u = s sqrt(K''(s)) (Barndorff-Nielsen 1986), as
+        # dx / dw = w / s.  Cantelli's inequality brackets the quantile
+        # within sd sqrt(p / (1 - p)) above the mean and sd sqrt((1 - p) / p)
+        # below it; in the lower tail Chernoff's bound
+        # F(K'(s)) <= exp(K(s) - s K'(s)), s < 0, raises lo to where it is p
+        z = NormalDist().inv_cdf(p)
+        lo = max(-math.sqrt((1.0 - p) / p), -centre / sd)
+        hi = math.sqrt(p / (1.0 - p))
+        y = 0.0
+        if z != 0.0:
+            side = -math.copysign(1.0, z)
+            t, d1, u = saddle_point(0.5 * z * z, side)
+            y = -d1 + math.log(u / z) / t
+            if z < 0.0:
+                lo = max(lo, -saddle_point(-math.log(p), side)[1])
+        return tuple(centre + sd * e for e in (min(max(y, lo), hi), lo, hi))
 
-        def grid_cdf(j):
-            turn = math.pi * j / size
-            return 0.5 - (node[j].imag * math.cos(turn)
-                          - node[j].real * math.sin(turn)) / math.pi
-
-        a, b = 0, size - 1
-        fa, fb = grid_cdf(a), grid_cdf(b)
-        if not fa < p <= fb:
-            return centre + (lo if fa >= p else hi) * sd
-        while b - a > 1:
-            mid = (a + b) // 2
-            f = grid_cdf(mid)
-            a, fa, b, fb = (mid, f, b, fb) if f < p else (a, fa, mid, f)
-        shift = lo + (a + (p - fa) / (fb - fa)) * 2.0 * math.pi / (size * delta)
-        return centre + float(min(shift, hi)) * sd
-
-    return law, start, centre + lo * sd, centre + hi * sd
+    return law, start
 
 
 def _invert(law, p: float, x: float, lo: float, hi: float) -> QuantileEstimate:
@@ -447,9 +433,11 @@ def _form_quantile(var: np.ndarray, bias: np.ndarray | None,
     active, mass = _split(var, bias)
     v = var[active]
     if bias is not None and np.any(bias[active]):
-        law, start, lo, hi = _davies_law(v, bias[active] ** 2)
-        est = _invert(law, p, start(p), lo, hi)
-        return QuantileEstimate(mass + est.value, est.stderr)
+        law, start = _contour_law(v, bias[active] ** 2)
+        est = _invert(law, p, *start(p))
+        # the rounding of the frozen mass and of its sum with the quantile
+        return QuantileEstimate(mass + est.value,
+                                est.stderr + _EPS * (mass + est.value))
     # central: invert at unit scale, so that c w gives c times the quantile
     scale = v.max()
     w = v / scale

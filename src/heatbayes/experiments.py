@@ -133,8 +133,16 @@ class ExperimentConfig:
     time_horizon: float = DEFAULT_TIME_HORIZON
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
+        for name, least in (("replications", 1), ("seed", 0), ("trunc", 1),
+                            ("mc_draws", 1), ("x_grid_points", 2)):
+            value = getattr(self, name)
+            if value is None and name == "trunc":
+                continue
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or not least <= value < (1 << 64)):
+                raise ValueError(f"{name} must be an integer in [{least}, 2**64), "
+                                 f"got {value!r}")
+            object.__setattr__(self, name, int(value))
         grid = tuple(self.n_grid)
         if not grid or any(isinstance(n, bool) or not isinstance(n, numbers.Real)
                            or not 0 < n < math.inf for n in grid):
@@ -142,8 +150,6 @@ class ExperimentConfig:
         object.__setattr__(self, "n_grid", tuple(map(float, grid)))
         if not 0.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (0, 1)")
-        if self.x_grid_points < 2:
-            raise ValueError("x_grid_points must be at least 2")
         _check_time_horizon(self.time_horizon)
 
     def truncation_for(self, n: float, prior_n: PriorSpec) -> int:

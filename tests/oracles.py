@@ -154,7 +154,8 @@ def imhof_cdf(x, var, bias=None, skew=1e-20):
                      - 0.5 * shift * u)
             log_rho = (0.25 * np.sum(np.log1p(lu * lu))
                        + 0.5 * u * np.sum(lam_d / (lu + 1.0 / lu))
-                       + 0.5 * v_normal * u * u)
+                       # u is twice the characteristic function's argument
+                       + 0.125 * v_normal * u * u)
         return float(theta), math.exp(-log_rho) / u
 
     def integrand(u):
@@ -171,7 +172,7 @@ def imhof_cdf(x, var, bias=None, skew=1e-20):
         # that change along [0, top]
         edges = [0.0] + [2.0**k for k in range(-4, int(math.log2(top)) + 1)]
         val = math.fsum(quad(integrand, a, b, limit=2000, epsabs=1e-15,
-                             epsrel=1e-13)[0]
+                             epsrel=1e-14)[0]
                         for a, b in zip(edges, edges[1:]))
     else:
         omega = 0.5 * (x - m_normal)
@@ -192,9 +193,9 @@ def imhof_cdf(x, var, bias=None, skew=1e-20):
                              epsrel=1e-13)[0]
                         for a, b in zip(edges, edges[1:]))
         val += quad(tail, u0, np.inf, args=(math.sin,), weight="cos",
-                    wvar=omega, limlst=500, epsabs=1e-13)[0]
+                    wvar=omega, limlst=500, epsabs=1e-14)[0]
         val -= quad(tail, u0, np.inf, args=(math.cos,), weight="sin",
-                    wvar=omega, limlst=500, epsabs=1e-13)[0]
+                    wvar=omega, limlst=500, epsabs=1e-14)[0]
     return min(max(0.5 - val / math.pi, 0.0), 1.0)
 
 
@@ -454,3 +455,49 @@ def laplace_transform_reference(w, x, a, nodes):
             log_modulus[k] = float(-mpmath.log(abs(z)) / 2)
             phase[k] = float(-arg / 2)
     return log_modulus, phase
+
+
+def split_quadrature_cdf(x, var, bias, dps=40):
+    """P(sum_i (b_i + sqrt(v_i) Z_i)^2 <= x) for a form with two coordinates
+    of variance above eps * max v, in `dps`-digit mpmath; the others enter
+    as their fixed mass b_i^2.
+
+    With the wider coordinate a noncentral chi-square_1,
+    P((b_1 + s_1 Z_1)^2 <= c) = Phi((sqrt c - b_1) / s_1) - Phi((-sqrt c - b_1) / s_1),
+    integrated against the normal density of Z_2 over the z where
+    c = x - (b_2 + s_2 z)^2 > 0, split at those cutoffs (where the
+    integrand has a square-root edge) and at the bulk of the normal.
+    """
+    import mpmath
+
+    var = np.asarray(var, dtype=float)
+    bias = np.asarray(bias, dtype=float)
+    wide, other = np.argsort(var)[::-1][:2]
+    frozen = var < np.finfo(float).eps * var.max()
+    frozen[[wide, other]] = False
+    if np.count_nonzero(~frozen) != 2:
+        raise ValueError("the split-quadrature oracle takes two coordinates")
+    with mpmath.workdps(dps):
+        mpf = mpmath.mpf
+        c0 = mpf(x) - mpmath.fsum(mpf(b) ** 2 for b in bias[frozen].tolist())
+        if c0 <= 0:
+            return 0.0
+        s1, b1 = mpmath.sqrt(mpf(var[wide])), mpf(bias[wide])
+        s2, b2 = mpmath.sqrt(mpf(var[other])), mpf(bias[other])
+        root = mpmath.sqrt(c0)
+        lo, hi = (-root - b2) / s2, (root - b2) / s2
+
+        def integrand(z):
+            c = c0 - (b2 + s2 * z) ** 2
+            if c <= 0:
+                return mpf(0)
+            q = mpmath.sqrt(c)
+            return mpmath.npdf(z) * (mpmath.ncdf((q - b1) / s1)
+                                     - mpmath.ncdf((-q - b1) / s1))
+
+        # beyond |z| = 40 the normal density is below e^-800
+        a, b = max(lo, -40), min(hi, 40)
+        if not a < b:
+            return 0.0
+        edges = [a] + [e for e in (-8, 0, 8) if a < e < b] + [b]
+        return float(mpmath.quad(integrand, edges))

@@ -5,8 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from oracles import empirical_quantile, imhof_cdf, laplace_transform_reference
-from scipy.special import exp1
+from oracles import (
+    empirical_quantile,
+    imhof_cdf,
+    laplace_transform_reference,
+    split_quadrature_cdf,
+)
 from scipy.stats import chi2, ncx2
 
 from heatbayes import (
@@ -32,11 +36,6 @@ def form(weights) -> QuadraticForm:
     return QuadraticForm.from_weights(CoefficientSequence(vals, vals.size))
 
 
-
-def test_exponential_integral_bound():
-    """The Davies stopping rule bounds E1(y) by e^-y log(1 + 1/y)."""
-    y = np.geomspace(1e-6, 700.0, 2001)
-    assert np.all(np.exp(-y) * np.log1p(1.0 / y) >= exp1(y))
 
 class TestQuadraticForm:
     def test_rejects_negative_weights(self):
@@ -229,13 +228,14 @@ def _grid_form(fam, alpha, n, nn):
     return prior, kap, true_signal_coefficients(nn), posterior_weights(prior, kap, n)
 
 
-def _assert_bracketed(cdf, value, stderr, p, square):
+def _assert_bracketed(cdf, value, stderr, p, square, resolution=0.0):
     """|value - exact quantile| <= stderr, by monotonicity of the oracle's
-    distribution function, and |F(value) - p| <= 1e-8."""
+    distribution function, up to the oracle's own `resolution` in
+    probability, and |F(value) - p| <= 1e-8."""
     lo, hi = value - stderr, value + stderr
     f_lo = cdf(lo * lo if square else lo)
     f_hi = cdf(hi * hi if square else hi)
-    assert f_lo <= p <= f_hi, (f_lo, p, f_hi, value, stderr)
+    assert f_lo - resolution <= p <= f_hi + resolution, (f_lo, p, f_hi, value, stderr)
     assert f_hi - f_lo <= 1e-8, (f_lo, f_hi)
 
 
@@ -333,9 +333,9 @@ class TestExactQuantiles:
 @pytest.mark.filterwarnings("ignore::UserWarning")
 class TestExtremeHonestRadii:
     """Honest-radius forms at the default truncation whose mean dwarfs
-    their sd, where the Chernoff bounds used to cancel (a hang or an
-    ArithmeticError), and forms of n tau^2 << 1, whose optimal Chernoff
-    point lies far below 1 / (2 max t)."""
+    their sd, where an uncentred cumulant would cancel (a hang or an
+    ArithmeticError), and forms of n tau^2 << 1, whose saddle points lie
+    far below 1 / (2 max t)."""
 
     @staticmethod
     def _form(fam, alpha, n):
@@ -405,184 +405,91 @@ def _count_law_calls(monkeypatch) -> list:
             return law_counted
         return wrapper
 
-    monkeypatch.setattr(credible, "_davies_law", counted(credible._davies_law))
+    monkeypatch.setattr(credible, "_contour_law", counted(credible._contour_law))
     monkeypatch.setattr(credible, "_euler_law", counted(credible._euler_law))
     return calls
 
 
+def _count_contours(monkeypatch) -> list:
+    """The list that each contour built by the honest law appends its
+    vertex to, from here to the end of the test: the first block of a
+    contour starts at u = 0, on the real axis."""
+    vertices = []
+    coordinate_sum = credible._coordinate_sum
+
+    def spied(term, nodes, *coords):
+        if term.__name__ == "centred_cumulant" and nodes[0].imag == 0.0:
+            vertices.append(nodes[0].real)
+        return coordinate_sum(term, nodes, *coords)
+
+    monkeypatch.setattr(credible, "_coordinate_sum", spied)
+    return vertices
+
+
 class TestHonestInversion:
-    """The FFT start, the node cut and the resolution stop of the honest
-    radius's inversion."""
+    """The saddle-point start and the contour reuse of the honest radius's
+    inversion at p = 0.95, the level of every honest radius of `coverage`:
+    one contour and 2 to 5 evaluations of the law."""
 
     @pytest.mark.parametrize("fam,alpha,n", COVERAGE_HONEST)
-    def test_at_most_three_law_evaluations(self, fam, alpha, n, monkeypatch):
+    def test_one_contour_and_at_most_five_law_evaluations(self, fam, alpha, n,
+                                                          monkeypatch):
         calls = _count_law_calls(monkeypatch)
+        vertices = _count_contours(monkeypatch)
         prior, kap, mu0, *_ = _honest_problem(fam, alpha, n)
         frequentist_radius(prior, kap, n, mu0, 0.05)
-        assert 1 <= len(calls) <= 3, calls
+        assert 1 <= len(calls) <= 5, calls
+        assert len(vertices) == 1, vertices
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-    def test_fft_start_and_node_cut_against_imhof(self, monkeypatch):
-        """poly alpha = 3, n = 1e4: the tail rule holds within the first
-        100 nodes (at the 19th), and the sum over them still brackets the
-        Imhof oracle."""
-        *_, t, bias = _honest_problem("poly", 3.0, 1e4)
-        active, mass = credible._split(t, bias)
-        nodes = []
-        fft = np.fft.fft
 
-        def spy(a, n=None):
-            nodes.append(a.size)
-            return fft(a, n)
-
-        monkeypatch.setattr(np.fft, "fft", spy)
-        law, start, lo, hi = credible._davies_law(t[active], bias[active] ** 2)
-        x = start(0.95)
-        assert nodes and nodes[0] < 100, nodes
-        assert lo <= x <= hi
-        # the start interpolates the FFT's F to 0.95
-        assert abs(law(x)[0] - 0.95) <= 1e-6
-        assert abs(imhof_cdf(mass + x, t, bias) - 0.95) <= 1e-6
-        for y in np.linspace(lo, hi, 9)[1:-1]:
-            cdf, _, err, _ = law(y)
-            assert abs(cdf - imhof_cdf(mass + y, t, bias)) <= err + 1e-12, y
-        est = credible._form_quantile(t, bias, 0.95)
-        _assert_bracketed(lambda y: imhof_cdf(y, t, bias), est.value,
-                          est.stderr, 0.95, square=False)
+# imhof_cdf integrates its pieces to an absolute 1e-15 or 1e-14 and returns
+# 1/2 - val / pi: it resolves F to about 1e-14, which the contour law's
+# error bound undercuts in the tails (1e-18 at p = 1e-6, 1e-16 at 1 - 1e-6)
+IMHOF_RESOLUTION = 1e-14
+HONEST_SWEEP = (1e-6, 1e-5, 1e-4, 0.05, 0.5, 0.95, 1.0 - 1e-6)
 
 
 class TestHonestSweep:
-    """Honest quantiles at p = 0.05, 0.5, 0.95 and 1 - 1e-6 against Imhof's
-    distribution function, each within at most 8 evaluations of the law,
-    those at either width of the convergence factor together.  Lower
-    levels are left out: on poly alpha = 1, n = 1e8 the inversion stops
-    after one evaluation at p = 1e-6 and 1e-5 with a stderr that misses
-    the quantile, and on exp alpha = 5, n = 1e4 the oracle fails below the
-    Davies lower end."""
+    """Honest quantiles from p = 1e-6 to 1 - 1e-6, each within at most 8
+    evaluations of the law, against Imhof's distribution function, and for
+    exp alpha = 5, n = 1e4 (two coordinates, one nearly a point mass)
+    against the 40-digit split quadrature of tests/oracles.py."""
 
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     @pytest.mark.parametrize("fam,alpha,n", COVERAGE_HONEST)
     def test_bracketed_by_imhof(self, fam, alpha, n, monkeypatch):
         *_, t, bias = _honest_problem(fam, alpha, n)
+        if (fam, alpha, n) == ("exp", 5.0, 1e4):
+            oracle, resolution = split_quadrature_cdf, 0.0
+        else:
+            oracle, resolution = imhof_cdf, IMHOF_RESOLUTION
         calls = _count_law_calls(monkeypatch)
-        for p in (0.05, 0.5, 0.95, 1.0 - 1e-6):
+        for p in HONEST_SWEEP:
             calls.clear()
             est = _form_quantile(t, bias, p)
             assert len(calls) <= 8, (p, len(calls))
-            if (fam, alpha, n, p) == ("poly", 1.0, 1e8, 0.05):
-                # the law's own error bound is 3.1e-5 here (the smoothing
-                # term at _SMOOTH), so F at the quantile may miss p by more
-                # than 1e-8; the stderr must still bracket the quantile
-                f_lo = imhof_cdf(est.value - est.stderr, t, bias)
-                f_hi = imhof_cdf(est.value + est.stderr, t, bias)
-                assert f_lo <= p <= f_hi, (f_lo, p, f_hi)
-                continue
-            _assert_bracketed(lambda y: imhof_cdf(y, t, bias), est.value,
-                              est.stderr, p, square=False)
+            _assert_bracketed(lambda y: oracle(y, t, bias), est.value,
+                              est.stderr, p, square=False, resolution=resolution)
 
+    def test_law_within_its_bound_near_the_edge(self):
+        """exp alpha = 5, n = 1e4 from the lower edge of its noncentral
+        chi-square_1 coordinate, where F is 3e-21, to F = 0.68: the law's F
+        is within its own error bound of the split quadrature."""
+        *_, t, bias = _honest_problem("exp", 5.0, 1e4)
+        active, mass = credible._split(t, bias)
+        law, _ = credible._contour_law(t[active], bias[active] ** 2)
+        for x in (1.198265928, 1.19826594, 1.198266048, 1.2, 1.205):
+            cdf, _, err, _ = law(x)
+            assert abs(cdf - split_quadrature_cdf(mass + x, t, bias)) <= err, x
 
-class TestDaviesWidth:
-    """One Davies law per honest quantile: each evaluation sums with the
-    convergence factor at twice _SMOOTH, and again at _SMOOTH only where
-    the first sum's smoothing term exceeds _SMOOTH_ERR; that second sum
-    extends the first's nodes once, and log phi is taken once per node."""
-
-    @staticmethod
-    def _events(monkeypatch) -> list:
-        """The list of (kind, nodes) from here to the end of the test, in
-        order: "chernoff" for each Chernoff pass, "phi" for each block of
-        nodes at which log phi is taken, "fft" for each FFT start and "sum"
-        for each midpoint sum evaluated, with its node count."""
-        events = []
-        coordinate_sum, sin, fft = credible._coordinate_sum, np.sin, np.fft.fft
-        kinds = {"centred_cumulant": "chernoff", "log_phi": "phi"}
-
-        def spied_sum(term, nodes, *coords):
-            if term.__name__ in kinds:
-                events.append((kinds[term.__name__], nodes.copy()))
-            return coordinate_sum(term, nodes, *coords)
-
-        def spied_sin(a):
-            events.append(("sum", a.size))
-            return sin(a)
-
-        def spied_fft(a, n=None):
-            events.append(("fft", a.size))
-            return fft(a, n)
-
-        monkeypatch.setattr(credible, "_coordinate_sum", spied_sum)
-        monkeypatch.setattr(np, "sin", spied_sin)
-        monkeypatch.setattr(np.fft, "fft", spied_fft)
-        return events
-
-    @staticmethod
-    def _taken(events, kind) -> list:
-        return [nodes for k, nodes in events if k == kind]
-
-    def _check_one_pass(self, events):
-        """One Chernoff pass, and log phi at each node at most once."""
-        assert len(self._taken(events, "chernoff")) == 1
-        nodes = np.concatenate(self._taken(events, "phi"))
-        assert np.unique(nodes).size == nodes.size
-
-    def test_wide_at_the_coverage_level(self, monkeypatch):
-        """p = 0.95, the level of every honest radius of `coverage`: no
-        evaluation needs the sum at _SMOOTH or extends the nodes; the three
-        node-heavy forms keep at most 60 % of the nodes of the sum at
-        _SMOOTH alone, and the three cut on |phi| keep 19, 73 and 19."""
-        events = self._events(monkeypatch)
-        calls = _count_law_calls(monkeypatch)
-        smooth_err = credible._SMOOTH_ERR
-        cut = {("poly", 3.0, 1e4): 19, ("poly", 3.0, 1e8): 73,
-               ("exp", 5.0, 1e8): 19}
-        for fam, alpha, n in COVERAGE_HONEST:
-            *_, t, bias = _honest_problem(fam, alpha, n)
-            # every evaluation at _SMOOTH as well: that sum's node count
-            monkeypatch.setattr(credible, "_SMOOTH_ERR", -1.0)
-            events.clear()
-            _form_quantile(t, bias, 0.95)
-            narrow = max(self._taken(events, "sum"))
-            monkeypatch.setattr(credible, "_SMOOTH_ERR", smooth_err)
-            events.clear()
-            calls.clear()
-            _form_quantile(t, bias, 0.95)
-            self._check_one_pass(events)
-            (wide,) = self._taken(events, "fft")
-            assert self._taken(events, "sum") == [wide] * len(calls)
-            started = events.index(("fft", wide))
-            assert "phi" not in [kind for kind, _ in events[started:]]
-            if (fam, alpha, n) in cut:
-                assert wide == narrow == cut[fam, alpha, n], (fam, alpha, n)
-            else:
-                assert wide <= 0.6 * narrow, (fam, alpha, n, wide, narrow)
-
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-    def test_falls_back_where_smoothing_dominates(self, monkeypatch):
-        """poly alpha = 1, n = 1e8 at p = 0.05: the smoothing term at twice
-        _SMOOTH is 1.9e-3, so each evaluation also sums at _SMOOTH, over
-        15305 nodes at the wide sum's spacing; the 9016 nodes of the wide
-        sum are extended once, and the quantile misses Imhof's F by no more
-        than 6.8e-6, the miss of the law at _SMOOTH alone."""
-        events = self._events(monkeypatch)
+    def test_low_levels_of_poly_1_at_1e8(self):
+        """Near the lower edge of the form's noncentral chi-square_1
+        coordinate, where a smoothed law reads 0.02081097, 0.02081105 and
+        0.02081180: the quantiles to 10 digits."""
         *_, t, bias = _honest_problem("poly", 1.0, 1e8)
-        est = _form_quantile(t, bias, 0.05)
-        self._check_one_pass(events)
-        assert self._taken(events, "fft") == [9016]
-        assert set(self._taken(events, "sum")) == {9016, 15305}
-        kinds = "".join(kind[0] for kind, _ in events)  # c, p, f and s
-        assert kinds.count("sp") == 1, kinds
-        assert abs(imhof_cdf(est.value, t, bias) - 0.05) <= 6.8e-6
-
-    @pytest.mark.parametrize("fam,alpha,n", COVERAGE_HONEST)
-    def test_one_pass_at_every_sweep_level(self, fam, alpha, n, monkeypatch):
-        """At each level of TestHonestSweep a quantile makes one Chernoff
-        pass and takes log phi at most once per node."""
-        *_, t, bias = _honest_problem(fam, alpha, n)
-        events = self._events(monkeypatch)
-        for p in (0.05, 0.5, 0.95, 1.0 - 1e-6):
-            events.clear()
-            _form_quantile(t, bias, p)
-            self._check_one_pass(events)
+        for p, root in ((1e-6, 0.0208018227), (1e-5, 0.0208056438),
+                        (1e-4, 0.0208102614)):
+            assert abs(_form_quantile(t, bias, p).value - root) <= 5e-11, p
 
 
 def _unbounded_invert(law, p, x, lo, hi):

@@ -423,6 +423,20 @@ def test_n_grid_rejects_what_is_no_positive_number(grid):
         ExperimentConfig(prior=PriorSpec.polynomial(1.0), n_grid=grid)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("replications", 2.5), ("replications", True), ("replications", 0),
+    ("x_grid_points", 2.5), ("x_grid_points", np.bool_(True)),
+    ("trunc", 2.5), ("trunc", 0), ("trunc", "100"), ("mc_draws", 1e5),
+    ("seed", -1), ("seed", 1 << 64), ("seed", 7.0),
+])
+def test_integer_fields_reject_what_is_no_integer_in_range(field, value):
+    """Caught where the configuration is built, not later inside the
+    sampler, the panel or the truncation."""
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig(prior=PriorSpec.polynomial(1.0), n_grid=(1e4,),
+                         **{field: value})
+
+
 class TestPanelFrame:
     """render_panel keeps the data-free frame of the last (prior, n) column
     (_panel_frame): a panel reads the same whether the frame was computed
