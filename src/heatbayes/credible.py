@@ -6,7 +6,7 @@ a nonnegative-weighted chi-square mixture; the credible radius solves
 P(U < r^2) = 1 - gamma.  The honest frequentist radius solves the same
 equation for the sampling distribution ||W + bias||^2 with coordinate
 variances t_i.  Both quantiles come from numerical inversion of the exact
-law of the form, found by safeguarded Newton steps on its density:
+law of the form, found by safeguarded Halley or Newton steps:
 
 * central forms, sum w_i Z_i^2 (the credible radius): the Laplace
   transform L(s)/s of the distribution function, with
@@ -39,10 +39,11 @@ law of the form, found by safeguarded Newton steps on its density:
   far above the sd from cancelling.  The error bound is the change from
   step h to h / 2 (the midpoints), the terms past the cut and the
   rounding of the terms, of the form's mean and of x minus it.  One
-  contour serves every Newton iterate near the x it was built at
-  (Cauchy's theorem); the inversion starts from the saddle-point
-  quantile corrected once by Barndorff-Nielsen's r*, inside Cantelli's
-  bracket and, in the lower tail, Chernoff's.
+  contour serves every iterate near the x it was built at (Cauchy's
+  theorem), and its terms times t^2 give f' for Halley's step; the
+  inversion starts from the saddle-point quantile corrected once by
+  Barndorff-Nielsen's r*, inside Cantelli's bracket and, in the lower
+  tail, Chernoff's.
 
 The Laplace-Euler series fails on forms with a large noncentrality, whose
 terms keep oscillating, and on the central forms the contour takes several
@@ -58,7 +59,7 @@ that resolves p: a tenth of its error bound, or the rounding of its
 terms where that is larger (for the Euler series eps * sum |terms|: A = 25
 amplifies rounding by e^(A/2), so F wobbles by about 1e-11 between
 neighbouring x, and Newton steps below that chase rounding).  The
-inversion stops there, or once the Newton step is below the resolution
+inversion stops there, or once the step is below the resolution
 eps x of x.
 """
 
@@ -232,8 +233,8 @@ def _laplace_log(w: np.ndarray, x: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _euler_law(w: np.ndarray):
-    """x -> (F(x), f(x), bound on |error of F|, |F(x) - p| that resolves p)
-    for sum w_i Z_i^2.
+    """x -> (F(x), f(x), 0, bound on |error of F|, |F(x) - p| that
+    resolves p) for sum w_i Z_i^2, with 0 in place of f' (Newton steps).
 
     F and the density f are the Laplace inverses of L(s)/s and L(s), by
     Abate & Whitt's Fourier series at s_k = (A + 2 pi i k) / (2x).
@@ -251,16 +252,16 @@ def _euler_law(w: np.ndarray):
         rounding = _EPS * float(np.abs(terms[0]).sum())
         # twice the sum: the Euler term is an estimate, not a bound
         err = 2.0 * (abs(cdf - now) + rounding + discrete)
-        return cdf, pdf / x, err, max(0.1 * err, rounding)
+        return cdf, pdf / x, 0.0, err, max(0.1 * err, rounding)
 
     return law
 
 
 def _contour_law(v: np.ndarray, b2: np.ndarray):
     """(law, start) for the form sum (b_i + sqrt(v_i) Z_i)^2, with b2 the
-    squared biases: law(x) = (F(x), f(x), bound on |error of F|, |F(x) - p|
-    that resolves p), and start(p) = (x, lo, hi), Newton's start and a
-    bracket of the p-quantile.
+    squared biases: law(x) = (F(x), f(x), f'(x), bound on |error of F|,
+    |F(x) - p| that resolves p), and start(p) = (x, lo, hi), the start
+    and a bracket of the p-quantile.
 
     On the form centred and scaled to unit sd, with ell(t) its centred
     cumulant, F(x) - [t0 < 0] = (1/2 pi i) int e^(t y + ell(t)) / t dt at
@@ -351,6 +352,7 @@ def _contour_law(v: np.ndarray, b2: np.ndarray):
         fine = scale * float(terms.imag.sum())
         coarse = 2.0 * scale * float(terms.imag[::2].sum())
         pdf = scale * float((terms * contour["t"]).imag.sum()) / sd
+        slope = scale * float((terms * contour["t"] ** 2).imag.sum()) / (sd * sd)
         cdf = fine + (contour["vertex"] < 0.0)
         # each term carries the rounding of its phase; F that of 1 + F - 1
         rounding = _EPS * (scale * float(np.abs(terms) @ (1.0 + np.abs(exponent.imag)))
@@ -359,7 +361,7 @@ def _contour_law(v: np.ndarray, b2: np.ndarray):
         # of x - centre (eps / 2) moves the law as a shift of x would
         moved = _EPS * (centre + 0.5 * abs(x - centre)) * abs(pdf)
         err = abs(fine - coarse) + 2.0 * scale * abs(terms[-1]) + rounding + moved
-        return cdf, pdf, err, max(0.1 * err, rounding)
+        return cdf, pdf, slope, err, max(0.1 * err, rounding)
 
     def saddle_point(c, side):
         # (t, ell'(t), -t sqrt(ell''(t))) at the t on `side` with
@@ -396,21 +398,23 @@ def _contour_law(v: np.ndarray, b2: np.ndarray):
 
 
 def _invert(law, p: float, x: float, lo: float, hi: float) -> QuantileEstimate:
-    """Root of law(x)[0] = p in (lo, hi), 0 <= lo, hi may be inf: Newton
-    steps on the density inside the bracket and within a factor 4 of x
-    (from a deep lower tail, F ~ x^k, they overshoot), else 4 x up to a
-    finite hi, then bisection, geometric while hi > 4 lo.  Stops once
-    |F(x) - p| is within the law's resolution of p or the step is below
-    the resolution of x."""
+    """Root of law(x)[0] = p in (lo, hi), 0 <= lo, hi may be inf: Halley
+    steps (Newton's where f' = 0 or Halley's is not within a factor 2 of
+    Newton's) inside the bracket and within a factor 4 of x (from a deep
+    lower tail, F ~ x^k, they overshoot), else 4 x up to a finite hi, then
+    bisection, geometric while hi > 4 lo.  Stops once |F(x) - p| is within
+    the law's resolution of p or the step is below the resolution of x."""
     for _ in range(_NEWTON_STEPS):
-        cdf, pdf, err, tol = law(x)
+        cdf, pdf, slope, err, tol = law(x)
         if cdf < p:
             lo = x
         else:
             hi = x
         if abs(cdf - p) <= tol or hi - lo <= 4.0 * _EPS * x:
             break
-        step = x - (cdf - p) / pdf if pdf > 0 else math.nan
+        newton = (cdf - p) / pdf if pdf > 0 else math.nan
+        ratio = 1.0 - 0.5 * newton * slope / pdf if pdf > 0 else 1.0
+        step = x - newton / (ratio if 0.5 <= ratio <= 2.0 else 1.0)
         if abs(step - x) <= _EPS * x:
             break
         if lo < step < hi and 0.25 * x <= step <= 4.0 * x:

@@ -193,9 +193,9 @@ def imhof_cdf(x, var, bias=None, skew=1e-20):
                              epsrel=1e-13)[0]
                         for a, b in zip(edges, edges[1:]))
         val += quad(tail, u0, np.inf, args=(math.sin,), weight="cos",
-                    wvar=omega, limlst=500, epsabs=1e-14)[0]
+                    wvar=omega, limlst=500, epsabs=1e-15)[0]
         val -= quad(tail, u0, np.inf, args=(math.cos,), weight="sin",
-                    wvar=omega, limlst=500, epsabs=1e-14)[0]
+                    wvar=omega, limlst=500, epsabs=1e-15)[0]
     return min(max(0.5 - val / math.pi, 0.0), 1.0)
 
 
