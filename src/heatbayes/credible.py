@@ -471,23 +471,34 @@ def quadratic_form_quantile(q: QuadraticForm, p: float) -> QuantileEstimate:
     return _form_quantile(w, None, p)
 
 
+def _ball_radius(var: np.ndarray, bias: np.ndarray | None,
+                 gamma: float) -> QuantileEstimate:
+    """r with P(sum (b_i + sqrt(v_i) Z_i)^2 <= r^2) = 1 - gamma, with its
+    error bound; ``bias=None`` is the central form."""
+    if not 0.0 < gamma < 1.0:
+        raise ValueError("gamma must lie in (0, 1)")
+    if var.max() <= 0.0:
+        if bias is None or not np.any(bias):
+            raise ValueError("degenerate sampling distribution: no variance, no bias")
+        return QuantileEstimate(value=math.sqrt(compensated_sum(bias**2)),
+                                stderr=0.0)
+    est = _form_quantile(var, bias, 1.0 - gamma)
+    radius = math.sqrt(est.value)
+    return QuantileEstimate(
+        value=radius,
+        stderr=est.stderr / (2.0 * radius) if radius > 0 else 0.0,
+    )
+
+
 def credible_ball(summary: PosteriorSummary, gamma: float) -> CredibleBall:
     """Credible ball of mass 1 - gamma centered at the posterior mean.
 
     The radius depends only on (prior, kappa, n) through the posterior
     variances, never on the data.
     """
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
-    form = QuadraticForm.from_weights(summary.variance)
-    est = quadratic_form_quantile(form, 1.0 - gamma)
-    radius = math.sqrt(est.value)
-    return CredibleBall(
-        center=summary.mean,
-        radius=radius,
-        level=gamma,
-        radius_stderr=est.stderr / (2.0 * radius) if radius > 0 else 0.0,
-    )
+    est = _ball_radius(summary.variance.values, None, gamma)
+    return CredibleBall(center=summary.mean, radius=est.value, level=gamma,
+                        radius_stderr=est.stderr)
 
 
 def frequentist_radius(prior: PriorSpec, kappa: CoefficientSequence, n: float,
@@ -498,21 +509,7 @@ def frequentist_radius(prior: PriorSpec, kappa: CoefficientSequence, n: float,
     coordinate variances t_i; an oracle quantity (it needs mu0).
     Returns the radius with its error bound.
     """
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
     if mu0.truncation_level != kappa.truncation_level:
         raise ValueError("truncation mismatch between mu0 and kappa")
     w = posterior_weights(prior, kappa, n)
-    bias = -mu0.values * w.one_minus_gain
-    t = w.shrink_var
-    if t.max() <= 0.0:
-        if not np.any(bias):
-            raise ValueError("degenerate sampling distribution: no variance, no bias")
-        return QuantileEstimate(value=math.sqrt(compensated_sum(bias**2)),
-                                stderr=0.0)
-    est = _form_quantile(t, bias, 1.0 - gamma)
-    radius = math.sqrt(est.value)
-    return QuantileEstimate(
-        value=radius,
-        stderr=est.stderr / (2.0 * radius) if radius > 0 else 0.0,
-    )
+    return _ball_radius(w.shrink_var, -mu0.values * w.one_minus_gain, gamma)

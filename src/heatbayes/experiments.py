@@ -1,5 +1,9 @@
 """Monte Carlo coverage, risk, and figure-data experiments.
 
+Every experiment reads one model frame per (prior, n) grid point
+(_Model): the posterior on the active head 1..N_h, built once, and past
+it the prior-only tail (s = lambda, t = 0, bias = -mu0).
+
 Every random number comes from an `rng.substream` path, so results are
 independent of execution order and worker count; reports aggregate rows
 in grid order.  With k the index of n in the grid, r a replication and b a
@@ -24,12 +28,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .credible import (
-    QuadraticForm,
-    _form_draws,
-    frequentist_radius,
-    quadratic_form_quantile,
-)
+from .credible import _ball_radius, _form_draws
 from .functionals import (
     InadmissibleFunctionalError,
     LinearFunctional,
@@ -39,8 +38,8 @@ from .functionals import (
     admissible_truncation,
     functional_moments,
 )
-from .numeric import MAX_HEAD, UNDERFLOW
-from .posterior import posterior_weights, risk_decomposition
+from .numeric import MAX_HEAD, UNDERFLOW, compensated_sum
+from .posterior import posterior_weights
 from .priors import FunctionalMode, PriorFamily, PriorSpec, ScalingRule, check_snr
 from .rng import normal_matrix, substream
 from .sequence import (
@@ -173,25 +172,62 @@ class ExperimentReport:
         return self.columns, self.rows
 
 
+@dataclass(frozen=True)
+class _Model:
+    """A grid point's model frame, keyed by the resolved prior, n, the
+    truncation N, T and the truth source.  `head` is (kappa, posterior
+    weights, truth or None) on 1..N_h, built on first read, or the head of
+    the frame `lent` when its N_h is the same."""
+
+    prior: PriorSpec
+    n: float
+    nn: int
+    time_horizon: float
+    mu0: Mu0Source
+    lent: "_Model | None" = field(default=None, compare=False, repr=False)
+
+    @functools.cached_property
+    def head(self) -> tuple:
+        nh = active_head(self.time_horizon, self.nn)
+        if self.lent is not None and len(self.lent.head[0]) == nh:
+            return self.lent.head
+        kappa = heat_eigenvalues(self.time_horizon, nh)
+        truth = None if self.mu0.is_random else self.mu0.realize(nh)
+        return kappa, posterior_weights(self.prior, kappa, self.n), truth
+
+
+def _model(cfg, prior, n, mode, nn=None, head=None) -> _Model:
+    """The frame of (prior, n) under cfg over N = nn coordinates, by
+    default cfg.truncation_for's, raised to admissible_truncation in mode
+    FUNCTIONAL (point evaluations); `head` lends its head (_Model)."""
+    prior_n = cfg.scaling.resolve(prior, n, mode)
+    if nn is None:
+        nn = cfg.truncation_for(n, prior_n)
+        if mode is FunctionalMode.FUNCTIONAL:
+            nn = max(nn, admissible_truncation(prior_n))
+    return _Model(prior_n, n, nn, cfg.time_horizon, cfg.mu0, head)
+
+
 def _squared_errors(cfg: ExperimentConfig, idx: int, n: float, stream: str):
-    """(prior, kappa, weights, mu0, draws) at the idx-th n of the grid: mu0
-    is None for prior-drawn truths, and draws are cfg.replications samples
-    of ||muhat - mu0||^2 from its exact law, keyed (seed, stream, idx, b).
-    At a fixed truth that law is sum_i (b_i + sqrt(t_i) Z_i)^2 with
-    b = -(1 - g) mu0.  Under the prior, muhat - mu0 is independent of the
-    data and N(0, s_i) in each coordinate: the law is sum_i s_i Z_i^2.
+    """(s, t, bias) over 1..N at the idx-th n of the grid, and
+    cfg.replications draws of ||muhat - mu0||^2 from its exact law, keyed
+    (seed, stream, idx, b).  The arrays are the frame's head, then its
+    prior-only tail; bias = -(1 - g) mu0, None for a prior-drawn truth.
+    At a fixed truth the law is sum_i (b_i + sqrt(t_i) Z_i)^2.  Under the
+    prior, muhat - mu0 is independent of the data and N(0, s_i) in each
+    coordinate: the law is sum_i s_i Z_i^2.
     """
     if cfg.replications < 2:
         raise ValueError("replications must be at least 2 for risk_mc_se")
-    prior_n = cfg.scaling.resolve(cfg.prior, n, FunctionalMode.FULL)
-    nn = cfg.truncation_for(n, prior_n)
-    kappa = heat_eigenvalues(cfg.time_horizon, nn)
-    w = posterior_weights(prior_n, kappa, n)
-    mu0 = None if cfg.mu0.is_random else cfg.mu0.realize(nn)
-    var, bias = ((w.variance, None) if mu0 is None
-                 else (w.shrink_var, -mu0.values * w.one_minus_gain))
-    return prior_n, kappa, w, mu0, _form_draws(
-        var, bias, cfg.replications, cfg.seed, (stream, idx))
+    model = _model(cfg, cfg.prior, n, FunctionalMode.FULL)
+    kappa, w, truth = model.head
+    nh, nn = len(kappa), model.nn
+    s = np.concatenate((w.variance, model.prior.variance_sums(nh + 1, nn)))
+    t = np.concatenate((w.shrink_var, np.zeros(nn - nh)))
+    bias = None if truth is None else -np.concatenate(
+        (truth.values * w.one_minus_gain, model.mu0.sums(nh + 1, nn)))
+    return s, t, bias, _form_draws(s if bias is None else t, bias,
+                                   cfg.replications, cfg.seed, (stream, idx))
 
 
 def _mean_and_se(draws: np.ndarray) -> tuple[float, float]:
@@ -213,12 +249,9 @@ def run_ball_coverage(cfg: ExperimentConfig) -> ExperimentReport:
                "radius_ratio", "risk_mc", "risk_mc_se")
     rows = []
     for idx, n in enumerate(cfg.n_grid):
-        prior_n, kappa, w, mu0, sq_err = _squared_errors(cfg, idx, n, "ball")
-        form = QuadraticForm.from_weights(
-            CoefficientSequence(w.variance, kappa.truncation_level))
-        radius = math.sqrt(quadratic_form_quantile(form, 1.0 - cfg.gamma).value)
-        r_freq = math.nan if mu0 is None else frequentist_radius(
-            prior_n, kappa, n, mu0, cfg.gamma).value
+        s, t, bias, sq_err = _squared_errors(cfg, idx, n, "ball")
+        radius = _ball_radius(s, None, cfg.gamma).value
+        r_freq = math.nan if bias is None else _ball_radius(t, bias, cfg.gamma).value
         cov = float(np.mean(np.sqrt(sq_err) <= radius))
         se = math.sqrt(cov * (1.0 - cov) / cfg.replications)
         rows.append((n, cov, se, radius, r_freq, radius / r_freq,
@@ -242,9 +275,8 @@ def run_interval_coverage(cfg: ExperimentConfig,
     z_half = -NormalDist().inv_cdf(cfg.gamma / 2.0)
     rows = []
     for idx, n in enumerate(cfg.n_grid):
-        prior_n = cfg.scaling.resolve(cfg.prior, n, FunctionalMode.FUNCTIONAL)
-        nn = max(cfg.truncation_for(n, prior_n), admissible_truncation(prior_n))
-        s2, t2, bias = _interval_moments(cfg, L, prior_n, n, nn)
+        s2, t2, bias = _interval_moments(
+            cfg, L, _model(cfg, cfg.prior, n, FunctionalMode.FUNCTIONAL))
         s_n, t_n = math.sqrt(s2), math.sqrt(t2)
         z = substream(cfg.seed, "interval", idx).standard_normal(cfg.replications)
         err = s_n * z if cfg.mu0.is_random else t_n * z + bias
@@ -260,48 +292,44 @@ _MAX_INTERVAL_TRUNCATION = 10**9
 
 
 def _interval_moments(cfg: ExperimentConfig, L: LinearFunctional,
-                      prior_n: PriorSpec, n: float, nn: int):
-    """(s_n^2, t_n^2, bias) of L over N = nn coordinates (functional_moments
-    on the active head, closed forms past it).
+                      model: _Model):
+    """(s_n^2, t_n^2, bias) of L over the frame's N coordinates
+    (functional_moments on the active head, closed forms past it).
 
     Near x = 0 and 1 the per-x admissibility check can fail at the N the
     prior's admissible_truncation picks, since sum l_i^2 lambda_i falls
     like x^2 while the last decade does not.  A point x = p/q, whose tail
     is summed over the residues mod 2q at O(N_h + q) cost, then doubles N
     until the check passes, up to _MAX_INTERVAL_TRUNCATION; past that, and
-    for any other x, the check's error stands.  The head's arrays are built
-    once, and again only if doubling N moves N_h (while N is below it).
+    for any other x, the check's error stands.  Each doubled frame borrows
+    the head of the last, unless doubling N moved N_h (while N is below it).
     The exponential family sums its tail term by term up to min(N,
     sqrt(746 / alpha)), where exp(-alpha i^2) underflows
     (PriorSpec.variance_sums), so it stops doubling once that sum would pass
     MAX_HEAD terms.
     """
-    nh = None
     while True:
-        head = active_head(cfg.time_horizon, nn)
-        if head != nh:
-            nh = head
-            w = posterior_weights(prior_n, heat_eigenvalues(cfg.time_horizon,
-                                                            nh), n)
-            truth = () if cfg.mu0.is_random else (cfg.mu0.realize(nh).values,
-                                                  cfg.mu0.sums)
+        kappa, w, truth = model.head
+        nn, prior_n = model.nn, model.prior
         try:
-            return functional_moments(L, w, prior_n, nn, *truth)
+            return functional_moments(L, w, prior_n, nn, *(
+                () if truth is None else (truth.values, model.mu0.sums)))
         except InadmissibleFunctionalError:
             if (2 * nn > _MAX_INTERVAL_TRUNCATION
-                    or _point_fraction(L, nn - nh) is None
+                    or _point_fraction(L, nn - len(kappa)) is None
                     or (prior_n.kind is PriorFamily.EXPONENTIAL and min(
                         2 * nn, math.sqrt(UNDERFLOW / prior_n.alpha)) > MAX_HEAD)):
                 raise
-        nn *= 2
+        model = _model(cfg, cfg.prior, model.n, FunctionalMode.FUNCTIONAL,
+                       2 * nn, model)
 
 
 def run_risk_curve(cfg: ExperimentConfig) -> ExperimentReport:
     """Posterior risk E||muhat - mu0||^2 + sum s_i along the n grid.
 
-    The exact decomposition (bias/variance/spread) comes from the closed
-    forms; a Monte Carlo estimate of the mean-square error, drawn from its
-    exact law (_squared_errors) over the configured replications, is
+    The exact decomposition is sum b_i^2, sum t_i and sum s_i over the
+    arrays of _squared_errors; a Monte Carlo estimate of the mean-square
+    error, drawn from its exact law over the configured replications, is
     reported alongside.
     """
     if cfg.mu0.is_random:
@@ -310,12 +338,10 @@ def run_risk_curve(cfg: ExperimentConfig) -> ExperimentReport:
                "risk_total", "risk_mc", "risk_mc_se")
     rows = []
     for idx, n in enumerate(cfg.n_grid):
-        prior_n, kappa, _, mu0, sq_err = _squared_errors(cfg, idx, n, "risk")
-        dec = risk_decomposition(prior_n, kappa, n, mu0)
-        rows.append((n, dec.sq_bias, dec.estimator_variance,
-                     dec.posterior_spread,
-                     dec.sq_bias + dec.estimator_variance,
-                     dec.total, *_mean_and_se(sq_err)))
+        s, t, bias, sq_err = _squared_errors(cfg, idx, n, "risk")
+        sq_bias, est_var, spread = map(compensated_sum, (bias**2, t, s))
+        rows.append((n, sq_bias, est_var, spread, sq_bias + est_var,
+                     sq_bias + est_var + spread, *_mean_and_se(sq_err)))
     return ExperimentReport(columns, rows)
 
 
@@ -328,6 +354,19 @@ class PanelSpec:
     data_stream: int
     draws: int = 20
     label: str = ""
+
+    def __post_init__(self):
+        for name in ("data_stream", "draws"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or not 0 <= value < (1 << 64)):
+                raise ValueError(f"{name} must be an integer in [0, 2**64), "
+                                 f"got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if (isinstance(self.n, bool) or not isinstance(self.n, numbers.Real)
+                or not 0 < self.n < math.inf):
+            raise ValueError(f"n must be positive and finite, got {self.n!r}")
+        object.__setattr__(self, "n", float(self.n))
 
 
 @dataclass(frozen=True)
@@ -361,14 +400,15 @@ class PanelData:
 
 
 @functools.lru_cache(maxsize=1)
-def _panel_frame(prior_n, n, nn, time_horizon, points, mu0, gamma):
-    """render_panel's data-free frame, read-only: kappa, truth and w_i on the
-    active head, the _curve_frame and the band's half width z_{gamma/2} sd(x)."""
-    kappa = heat_eigenvalues(time_horizon, active_head(time_horizon, nn))
-    truth = mu0.realize(kappa.truncation_level)
-    w = posterior_weights(prior_n, kappa, n)
-    curve = _curve_frame(w, np.linspace(0.0, 1.0, points),
-                         truth.values[:, None], prior_n, nn, (mu0.sums,))
+def _panel_frame(model: _Model, points: int, gamma: float):
+    """render_panel's data-free frame, read-only, keyed on the model's key,
+    the grid size and gamma: kappa, truth and w_i on the active head, the
+    _curve_frame and the band's half width z_{gamma/2} sd(x)."""
+    if model.mu0.is_random:
+        raise ValueError("a panel plots one fixed truth, not a prior-draw truth")
+    kappa, w, truth = model.head
+    curve = _curve_frame(w, np.linspace(0.0, 1.0, points), truth.values[:, None],
+                         model.prior, model.nn, (model.mu0.sums,))
     half = -NormalDist().inv_cdf(gamma / 2.0) * curve[4]  # curve[4] is sd(x)
     for a in (kappa.values, truth.values, w.mean_weight, curve[0].x,
               *curve[2:], half):
@@ -381,20 +421,19 @@ def render_panel(cfg: ExperimentConfig, spec: PanelSpec) -> PanelData:
     band, and posterior draw curves on the x grid.  Consecutive panels of
     one (prior, n) column share the data-free frame (_panel_frame); the
     output does not depend on whether it was reused."""
-    prior_n = cfg.scaling.resolve(spec.prior, spec.n, FunctionalMode.FUNCTIONAL)
-    nn = max(cfg.truncation_for(spec.n, prior_n), admissible_truncation(prior_n))
+    model = _model(cfg, spec.prior, spec.n, FunctionalMode.FUNCTIONAL)
     misses = _panel_frame.cache_info().misses
     kappa, truth, mean_weight, curve, half = _panel_frame(
-        prior_n, spec.n, nn, cfg.time_horizon, cfg.x_grid_points, cfg.mu0, cfg.gamma)
+        model, cfg.x_grid_points, cfg.gamma)
     if _panel_frame.cache_info().misses == misses:  # a miss warned already
-        check_snr(prior_n, spec.n)
+        check_snr(model.prior, spec.n)
     y = simulate_observations(truth, kappa, spec.n, cfg.seed,
                               spec.data_stream).y.values
     draws = functools.partial(normal_matrix, cfg.seed,
                               ("panel", spec.data_stream, "draw"), spec.draws)
     mean_x, _, extra, curves = _curve_data(curve, mean_weight * y, draws)
     return PanelData(
-        label=spec.label or f"{prior_n.kind.value}-a{prior_n.alpha:g}-n{spec.n:g}",
+        label=spec.label or f"{model.prior.kind.value}-a{model.prior.alpha:g}-n{spec.n:g}",
         x=curve[0].x.copy(), truth=extra[:, 0], post_mean=mean_x,
         lower=mean_x - half, upper=mean_x + half, draw_curves=curves)
 

@@ -29,9 +29,9 @@ from heatbayes import (
     run_risk_curve,
     true_signal_coefficients,
 )
-from heatbayes.experiments import _panel_frame
+from heatbayes.experiments import _model, _panel_frame
 from heatbayes.functionals import admissible_truncation, check_admissible
-from heatbayes.priors import PriorFamily
+from heatbayes.priors import FunctionalMode, PriorFamily
 from heatbayes.sequence import basis_matrix, default_truncation
 
 
@@ -437,6 +437,21 @@ def test_integer_fields_reject_what_is_no_integer_in_range(field, value):
                          **{field: value})
 
 
+@pytest.mark.parametrize("field, value, match", [
+    ("draws", -1, "draws"), ("draws", 2.5, "draws"), ("draws", True, "draws"),
+    ("data_stream", -1, "data_stream"), ("data_stream", 1 << 64, "data_stream"),
+    ("data_stream", 3.0, "data_stream"), ("n", math.nan, "n must"),
+    ("n", math.inf, "n must"), ("n", 0.0, "n must"), ("n", True, "n must"),
+    ("n", "1e4", "n must"),
+])
+def test_panel_spec_rejects_what_is_out_of_range(field, value, match):
+    """Caught where the panel is specified, not later in numpy or in the
+    truncation."""
+    with pytest.raises(ValueError, match=match):
+        PanelSpec(**{"prior": PriorSpec.polynomial(1.0), "n": 1e4,
+                     "data_stream": 0, field: value})
+
+
 class TestPanelFrame:
     """render_panel keeps the data-free frame of the last (prior, n) column
     (_panel_frame): a panel reads the same whether the frame was computed
@@ -486,11 +501,9 @@ class TestPanelFrame:
         shares memory with one."""
         cfg = self._cfg()
         panel = self._cold(cfg, self._spec(cfg, 0))
-        nn = max(cfg.truncation_for(1e4, cfg.prior),
-                 admissible_truncation(cfg.prior))
         kappa, truth, mean_weight, curve, half = _panel_frame(
-            cfg.prior, 1e4, nn, cfg.time_horizon, cfg.x_grid_points, cfg.mu0,
-            cfg.gamma)
+            _model(cfg, cfg.prior, 1e4, FunctionalMode.FUNCTIONAL),
+            cfg.x_grid_points, cfg.gamma)
         assert _panel_frame.cache_info().hits == 1
         kept = [kappa.values, truth.values, mean_weight, curve[0].x,
                 *curve[2:], half]

@@ -743,7 +743,7 @@ class TestCli:
         def fail(*args):
             raise ArithmeticError("quadratic-form quantile did not converge")
 
-        monkeypatch.setattr(experiments, "frequentist_radius", fail)
+        monkeypatch.setattr(experiments, "_ball_radius", fail)
         monkeypatch.chdir(tmp_path)
         assert main(["coverage", "--n", "1e4", "--reps", "5"]) == EXIT_NUMERIC
         assert "did not converge" in capsys.readouterr().err

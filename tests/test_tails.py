@@ -43,6 +43,7 @@ from heatbayes.functionals import (
     point_evaluation_curves,
 )
 from heatbayes import experiments, sequence
+from heatbayes.priors import FunctionalMode
 from heatbayes.rng import substream
 from heatbayes.sequence import (
     GridSynthesis,
@@ -247,6 +248,69 @@ def test_interval_doubling_builds_its_head_once(monkeypatch):
     rows = run_interval_coverage(
         cfg, LinearFunctional.point_evaluation(0.01)).rows
     assert len(rows) == len(calls) == 2
+
+
+def _count_weights(monkeypatch):
+    """The posterior_weights calls of every module that makes them."""
+    from heatbayes import credible, posterior
+    calls = []
+    weights = posterior.posterior_weights
+
+    def counted(*args):
+        calls.append(args)
+        return weights(*args)
+
+    for module in (experiments, credible, posterior):
+        monkeypatch.setattr(module, "posterior_weights", counted)
+    return calls
+
+
+def test_ball_and_risk_weigh_each_n_once(monkeypatch):
+    """The credible radius, the honest radius, the draws and the risk split
+    of one n all read one frame: posterior_weights runs once per n."""
+    calls = _count_weights(monkeypatch)
+    cfg = ExperimentConfig(prior=PriorSpec.polynomial(1.0),
+                           n_grid=(1e4, 1e8), replications=2)
+    for run in (experiments.run_ball_coverage, experiments.run_risk_curve):
+        calls.clear()
+        assert len(run(cfg).rows) == len(calls) == 2
+
+
+@pytest.mark.parametrize("truth", [t for t, _ in TRUTHS],
+                         ids=["cubic", "power-law"])
+@pytest.mark.parametrize("time_horizon", (0.01, 0.1, 1.0))
+@pytest.mark.parametrize("n", (1e2, 1e6, 1e12))
+@pytest.mark.parametrize("prior", [
+    PriorSpec.polynomial(0.1), PriorSpec.polynomial(1.0, 2.5),
+    PriorSpec.polynomial(5.0), PriorSpec.exponential(0.5),
+    PriorSpec.exponential(5.0)], ids=lambda p: f"{p.kind.value[:4]}-a{p.alpha:g}")
+@pytest.mark.parametrize("trunc", (None, 5000))
+def test_frame_head_plus_prior_tail_is_the_full_model(trunc, prior, n,
+                                                      time_horizon, truth):
+    """The frame's head, then the prior-only tail past N_h (w = g = 0,
+    1 - g = 1, s = lambda, t = 0, mu0 from its sums), equals
+    posterior_weights and realize over all N byte for byte, and so do the
+    arrays ball and risk read."""
+    cfg = ExperimentConfig(prior=prior, n_grid=(n,), mu0=truth, trunc=trunc,
+                           replications=2, time_horizon=time_horizon)
+    model = experiments._model(cfg, prior, n, FunctionalMode.FULL)
+    kappa, w, head_truth = model.head
+    nh, nn = len(kappa), model.nn
+    assert nh < nn
+    full = posterior_weights(prior, heat_eigenvalues(time_horizon, nn), n)
+    lam, zero = prior.variance_sums(nh + 1, nn), np.zeros(nn - nh)
+    for name, tail in (("lam", lam), ("mean_weight", zero), ("gain", zero),
+                       ("one_minus_gain", np.ones(nn - nh)),
+                       ("variance", lam), ("shrink_var", zero)):
+        got = np.concatenate((getattr(w, name), tail))
+        assert got.tobytes() == getattr(full, name).tobytes(), name
+    mu0 = truth.realize(nn).values
+    got = np.concatenate((head_truth.values, truth.sums(nh + 1, nn)))
+    assert got.tobytes() == mu0.tobytes()
+    s, t, bias, _ = experiments._squared_errors(cfg, 0, n, "ball")
+    for got, want in ((s, full.variance), (t, full.shrink_var),
+                      (bias, -mu0 * full.one_minus_gain)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_truth_sums_against_direct_bins():
