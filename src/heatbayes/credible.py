@@ -9,45 +9,52 @@ variances t_i.  Both quantiles come from numerical inversion of the exact
 law of the form, found by safeguarded Halley or Newton steps:
 
 * central forms, sum w_i Z_i^2 (the credible radius): the Laplace
-  transform L(s)/s of the distribution function, with
-  L(s) = prod (1 + 2 w_i s)^(-1/2), is inverted by the Fourier series of
-  Abate & Whitt (1995) with Euler summation.  L is evaluated in real
-  arithmetic, as a log-modulus and a phase: at the nodes
+  transforms L(s)/s of the distribution function and L(s) of the density,
+  with L(s) = prod (1 + 2 w_i s)^(-1/2), are inverted by the Fourier
+  series of Abate & Whitt (1995) with Euler summation.  L is evaluated in
+  real arithmetic, as a log-modulus and a phase: at the nodes
   s_k = (A + 2 pi i k) / (2x), 1 + 2 s_k w_i = a_i (1 + i r_ki) with a_i
   and r_ki real, so each evaluation takes one log per coordinate and one
   log1p and one arctan per node and coordinate, and no complex
-  arithmetic per coordinate: a quantile of poly alpha = 1, n = 1e4 takes
-  0.3-0.4 ms at N = 100 and 4-6 ms at N = 3826 on one core of a 2-core
-  x86 host.  The discretisation error is
-  at most e^-A / (1 - e^-A); the Euler sum's own error is estimated by
-  the change from one more term, and twice their sum is reported.  Newton
-  starts from Wilson & Hilferty's cube-root normal quantile of the gamma
-  law with the form's first two moments (Satterthwaite), floored by the
+  arithmetic per coordinate.  With 3 or more coordinates the density
+  vanishes at 0, so s L(s) is the transform of its slope f', and a third
+  series on the same nodes gives f' for Halley's step; with 1 or 2 the
+  steps are Newton's.  The discretisation error is at most
+  e^-A / (1 - e^-A); the Euler sum's own error is estimated by the change
+  from one more term, and twice their sum is reported.  The steps start
+  from Wilson & Hilferty's cube-root normal quantile of the gamma law with
+  the form's first two moments (Satterthwaite), floored by the
   chi-square_1 quantile of the largest weight and by the gamma's
   lower-tail bound.
 * forms with a bias, sum (b_i + sqrt(v_i) Z_i)^2 (the frequentist
   radius): the Laplace inversion integral
   F(x) = (1/2 pi i) int e^(t x) L(t) / t dt, L(t) = E e^(-t Q), taken on
   the form centred and scaled to unit sd, along a hyperbola through the
-  real saddle point t of t x + log L(t) - log|t| and summed by the
-  trapezoid rule (Rice 1980; Trefethen & Weideman 2014).  With t > 0
-  (x below the mean) the integral is F, and with t < 0 it is F - 1, so
-  each tail comes out relative to itself; there is no convergence
-  factor, and so no smoothing bias at the edge of a noncentral
-  chi-square_1 coordinate.  The centred cumulant of each coordinate,
-  -1/2 (log1p(2 v t) - 2 v t) + 2 v b^2 t^2 / (1 + 2 v t), keeps a mean
-  far above the sd from cancelling.  The error bound is the change from
-  step h to h / 2 (the midpoints), the terms past the cut and the
-  rounding of the terms, of the form's mean and of x minus it.  One
-  contour serves every iterate near the x it was built at (Cauchy's
-  theorem), and its terms times t^2 give f' for Halley's step; the
-  inversion starts from the saddle-point quantile corrected once by
-  Barndorff-Nielsen's r*, inside Cantelli's bracket and, in the lower
-  tail, Chernoff's.
+  real saddle point t of t x + log L(t) - log|t| (Rice 1980).  It is
+  summed by the trapezoid rule in w, with the hyperbola's arc variable
+  u = sinh w, so that the nodes lie exponentially far out along its arms
+  and a slowly decaying integrand needs a hundred or so of them, not a
+  thousand (Weideman & Trefethen 2007); the terms stop right after the
+  first one below the cut.  With t > 0 (x below the mean) the integral
+  is F, and with t < 0 it is F - 1, so each tail comes out relative to
+  itself; there is no convergence factor, and so no smoothing bias at the
+  edge of a noncentral chi-square_1 coordinate.  The centred cumulant of
+  each coordinate, -1/2 (log1p(2 v t) - 2 v t) + 2 v b^2 t^2 / (1 + 2 v t),
+  keeps a mean far above the sd from cancelling; on the real axis it and
+  its first two derivatives come from one pass over the coordinates, for
+  the saddle-point solves.  The error bound is the change from step h to
+  h / 2 (the midpoints), the terms past the cut and the rounding of the
+  terms, of the form's mean and of x minus it.  One contour serves every
+  iterate near the x it was built at (Cauchy's theorem), and its terms
+  times t^2 give f' for Halley's step; the inversion starts from the
+  saddle-point quantile corrected once by Barndorff-Nielsen's r*, inside
+  Cantelli's bracket and, in the lower tail, Chernoff's.
 
 The Laplace-Euler series fails on forms with a large noncentrality, whose
-terms keep oscillating, and on the central forms the contour takes several
-times the Euler series' nodes; hence the split.  Coordinates whose
+terms keep oscillating; on the central forms the contour, even in w, is
+several times slower than the series, and its saddle point can fail to
+converge deep in the lower tail of a form with a near point mass; hence
+the split.  Coordinates whose
 variance is below eps * max variance enter as the fixed mass b_i^2 (zero
 for central forms), as in the Monte Carlo sampler `_form_draws`, which
 draws the squared errors of the ball coverage and risk experiments.
@@ -87,22 +94,24 @@ _EULER_N = 38
 _EULER_M = 11
 _EULER_MEAN = np.array([math.comb(_EULER_M, j) for j in range(_EULER_M + 1)],
                        dtype=float) / 2.0**_EULER_M
-# the series' nodes k and frequencies 2 pi k; the terms of the series of F
-# and of x f are Re[L(s_k) _EULER_TERMS], with s_k = (A + 2 pi i k) / (2x):
-# the signs (-1)^k e^(A/2), halved at k = 0, times x / s_k for F
+# the series' nodes k and frequencies 2 pi k; the terms of the series of F,
+# x f and x^2 f' are Re[L(s_k) _EULER_TERMS], with s_k = (A + 2 pi i k) / (2x):
+# the signs (-1)^k e^(A/2), halved at k = 0, times x / s_k for F and x s_k
+# for f'
 _EULER_NODES = np.arange(_EULER_N + _EULER_M + 2)
 _EULER_FREQ = 2.0 * math.pi * _EULER_NODES
 _EULER_TERMS = (np.where(_EULER_NODES == 0, 0.5, (-1.0) ** _EULER_NODES)
                 * math.exp(0.5 * _EULER_A)
                 * np.stack((2.0 / (_EULER_A + 1j * _EULER_FREQ),
-                            np.ones(_EULER_NODES.size))))
+                            np.ones(_EULER_NODES.size),
+                            0.5 * (_EULER_A + 1j * _EULER_FREQ))))
 # the sums of log1p(r^2) and of arctan r to log |L| and arg L
 _LAPLACE_SCALE = np.array([[-0.25], [-0.5]])
-# contour law: the hyperbola's bend rho, the trapezoid step h in u, the
+# contour law: the hyperbola's bend rho, the trapezoid step h in w, the
 # ratio to the vertex term below which the terms are cut, and the factor by
 # which the last term may grow as x moves before the contour is built again
 _CONTOUR_RHO = 0.6
-_CONTOUR_STEP = 0.25
+_CONTOUR_STEP = 0.07
 _CONTOUR_CUT = 1e-17
 _CONTOUR_GROWTH = 1e3
 _NEWTON_STEPS = 100
@@ -233,26 +242,30 @@ def _laplace_log(w: np.ndarray, x: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _euler_law(w: np.ndarray):
-    """x -> (F(x), f(x), 0, bound on |error of F|, |F(x) - p| that
-    resolves p) for sum w_i Z_i^2, with 0 in place of f' (Newton steps).
+    """x -> (F(x), f(x), f'(x), bound on |error of F|, |F(x) - p| that
+    resolves p) for sum w_i Z_i^2.
 
-    F and the density f are the Laplace inverses of L(s)/s and L(s), by
-    Abate & Whitt's Fourier series at s_k = (A + 2 pi i k) / (2x).
+    F, the density f and f' are the Laplace inverses of L(s)/s, L(s) and
+    s L(s), by Abate & Whitt's Fourier series at s_k = (A + 2 pi i k) / (2x).
+    s L(s) is the transform of f' where f(0+) = 0, with 3 or more
+    coordinates; with 1 or 2 the law gives 0 in place of f' (Newton steps).
     """
     stop = _EULER_N + _EULER_M + 1
     discrete = math.exp(-_EULER_A) / -math.expm1(-_EULER_A)
+    halley = w.size >= 3
 
     def law(x):
         log_modulus, phase = _laplace_log(w, x)
-        # rows: the terms of the series of F, and of x f
+        # rows: the terms of the series of F, of x f and of x^2 f'
         terms = (np.exp(log_modulus + 1j * phase) * _EULER_TERMS).real
         partial = np.cumsum(terms, axis=1)
-        cdf, pdf = partial[:, _EULER_N + 1:stop + 1] @ _EULER_MEAN
+        cdf, pdf, slope = partial[:, _EULER_N + 1:stop + 1] @ _EULER_MEAN
         now = partial[0, _EULER_N:stop] @ _EULER_MEAN
         rounding = _EPS * float(np.abs(terms[0]).sum())
         # twice the sum: the Euler term is an estimate, not a bound
         err = 2.0 * (abs(cdf - now) + rounding + discrete)
-        return cdf, pdf / x, 0.0, err, max(0.1 * err, rounding)
+        return (cdf, pdf / x, slope / (x * x) if halley else 0.0, err,
+                max(0.1 * err, rounding))
 
     return law
 
@@ -265,9 +278,9 @@ def _contour_law(v: np.ndarray, b2: np.ndarray):
 
     On the form centred and scaled to unit sd, with ell(t) its centred
     cumulant, F(x) - [t0 < 0] = (1/2 pi i) int e^(t y + ell(t)) / t dt at
-    y = (x - mean) / sd is summed by the trapezoid rule in u >= 0 (the
-    integrand at -u is the conjugate) along the hyperbola
-    t(u) = t0 + (i u - rho (sqrt(1 + u^2) - 1)) / sigma, whose vertex t0 is
+    y = (x - mean) / sd is summed by the trapezoid rule in w >= 0 (the
+    integrand at -w is the conjugate) along the hyperbola
+    t(w) = t0 + (i sinh w - rho (cosh w - 1)) / sigma, whose vertex t0 is
     a saddle point of g(t) = t y + ell(t) - log|t| and sigma^2 = g''(t0).
     One contour serves every y with |t0 (y - y_c)| <= 1/2 around the y_c it
     was built at, while its cut, within _CONTOUR_GROWTH, still holds there.
@@ -284,13 +297,18 @@ def _contour_law(v: np.ndarray, b2: np.ndarray):
         z = 2.0 * v * t
         return (-0.5 * (np.log1p(z) - z) + b2 * t * z / (1.0 + z)).sum(axis=-1)
 
+    twice, curvature, cross = 2.0 * v, 2.0 * v * v, 4.0 * v * b2
+
     def cumulant(t):
-        # ell(t), ell'(t) and ell''(t) at a real t > -top
-        z = 2.0 * v * t
-        r = 1.0 / (1.0 + z)
-        return (float(centred_cumulant(t, v, b2)),
-                float(np.sum(v * z * r + b2 * z * (2.0 + z) * r * r)),
-                float(np.sum((2.0 * v * v + 4.0 * v * b2 * r) * r * r)))
+        # ell(t), ell'(t) and ell''(t) at a real t > -top, in one pass
+        z = twice * t
+        shifted = 1.0 + z
+        r = 1.0 / shifted
+        rows = np.empty((3, v.size))
+        rows[0] = -0.5 * (np.log1p(z) - z) + b2 * t * z / shifted
+        rows[1] = v * z * r + b2 * z * (2.0 + z) * r * r
+        rows[2] = (curvature + cross * r) * r * r
+        return rows.sum(axis=-1).tolist()
 
     def root(slope, side, t):
         # root of a function increasing on one side of 0, (0, inf) or
@@ -314,8 +332,8 @@ def _contour_law(v: np.ndarray, b2: np.ndarray):
     def build(y):
         # the vertex on the side of 0 that keeps each tail relative to
         # itself, t0 > 0 below the mean and t0 < 0 above it; nodes at
-        # spacing h / 2, in blocks that double from 80, up to a block whose
-        # last term at y is below _CONTOUR_CUT times the vertex's
+        # spacing h / 2 in w, in blocks that double from 80, up to the
+        # first term at y below _CONTOUR_CUT times the vertex's
         side = 1.0 if y <= 0.0 else -1.0
 
         def slope(t):
@@ -325,17 +343,19 @@ def _contour_law(v: np.ndarray, b2: np.ndarray):
         sigma = math.sqrt(slope(t0)[1])
         t = log_term = np.empty(0, dtype=complex)
         while True:
-            u = np.arange(t.size, max(80, 2 * t.size)) * (0.5 * _CONTOUR_STEP)
-            bend = np.sqrt(1.0 + u * u)
+            w = np.arange(t.size, max(80, 2 * t.size)) * (0.5 * _CONTOUR_STEP)
+            u, bend = np.sinh(w), np.cosh(w)
             block = t0 + (1j * u - _CONTOUR_RHO * (bend - 1.0)) / sigma
-            # log of e^ell(t) t'(u) / t, the term of F but for e^(t y)
+            # log of e^ell(t) t'(w) / t, the term of F but for e^(t y)
             logs = (_coordinate_sum(centred_cumulant, block, v, b2)
-                    + np.log((1j - _CONTOUR_RHO * u / bend) / (sigma * block)))
+                    + np.log((1j * bend - _CONTOUR_RHO * u) / (sigma * block)))
             t, log_term = np.concatenate((t, block)), np.concatenate((log_term, logs))
-            last = (t[-1] - t0) * y + log_term[-1] - log_term[0]
-            if last.real < math.log(_CONTOUR_CUT):
+            below = np.flatnonzero(((block - t0) * y + logs - log_term[0]).real
+                                   < math.log(_CONTOUR_CUT))
+            if below.size:
                 break
-        contour.update(y=y, vertex=t0, t=t, log_term=log_term)
+        end = t.size - block.size + below[0] + 1
+        contour.update(y=y, vertex=t0, t=t[:end], log_term=log_term[:end])
 
     def law(x):
         y = (x - centre) / sd

@@ -34,7 +34,8 @@ quads of four, a row below their place, and the integer digits of
 |v| >= 1 then move back a row to make room for the point.
 
 Every CLI run that writes files also writes a manifest recording the
-config digest, seed, and a checksum per output.
+config digest, seed, the versions of python, numpy and heatbayes, and a
+checksum per output.
 
 Datasets, plots and manifests are overwritten in place, not truncated
 first (freeing a file's blocks and allocating them again costs a rewrite
@@ -48,6 +49,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import platform
 import stat
 import time
 from dataclasses import dataclass, field
@@ -285,6 +287,8 @@ class RunManifest:
             "config_digest": config_digest(self.config),
             "config": self.config,
             "seed": self.seed,
+            "versions": {"python": platform.python_version(),
+                         "numpy": np.__version__, "heatbayes": __version__},
             "wall_clock_s": self.wall_clock_s,
             "outputs": self.outputs,
         }

@@ -501,3 +501,65 @@ def split_quadrature_cdf(x, var, bias, dps=40):
             return 0.0
         edges = [a] + [e for e in (-8, 0, 8) if a < e < b] + [b]
         return float(mpmath.quad(integrand, edges))
+
+
+def contour_cdf(x, var, bias, rho=0.3, step=0.1, dps=30):
+    """P(sum_i (b_i + sqrt(v_i) Z_i)^2 <= x) in `dps`-digit mpmath, as an
+    mpf, so that F near 1 keeps its digits.
+
+    The Laplace inversion integral F(x) = (1/2 pi i) int e^(t x) L(t) / t dt,
+    L(t) = prod_i (1 + 2 v_i t)^(-1/2) exp(-b_i^2 t / (1 + 2 v_i t)), is
+    taken on the uncentred form along the hyperbola
+    t(u) = t0 + (i u - rho (sqrt(1 + u^2) - 1)) / sigma and summed by the
+    trapezoid rule in u with `step`, up to the first term below 10^-dps
+    times the vertex's.  The vertex t0 is the real saddle point of
+    t x + log L(t) - log|t| on the side of 0 that keeps each tail relative
+    to itself (t0 > 0 below the mean, where the integral is F, and
+    -1 / (2 max v) < t0 < 0 above it, where it is F - 1), found by
+    bisection, and sigma^2 is the second derivative there.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        mpf = mpmath.mpf
+        x = mpf(float(x))
+        v = [mpf(e) for e in np.asarray(var, dtype=float).tolist()]
+        b2 = [mpf(e) ** 2 for e in np.asarray(bias, dtype=float).tolist()]
+
+        def slope(t):  # d/dt and d^2/dt^2 of t x + log L(t) - log|t|
+            q = [1 + 2 * vi * t for vi in v]
+            d1 = x - mpmath.fsum(vi / qi + bi / qi**2 for vi, bi, qi in zip(v, b2, q))
+            d2 = mpmath.fsum(2 * vi**2 / qi**2 + 4 * vi * bi / qi**3
+                             for vi, bi, qi in zip(v, b2, q))
+            return d1 - 1 / t, d2 + 1 / t**2
+
+        below = x <= mpmath.fsum(v) + mpmath.fsum(b2)
+        if below:
+            lo, hi = mpf(0), mpf(1)
+            while slope(hi)[0] < 0:
+                hi *= 2
+        else:
+            lo, hi = -1 / (2 * max(v)), mpf(0)
+        for _ in range(dps * 4):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if slope(mid)[0] < 0 else (lo, mid)
+        t0 = (lo + hi) / 2
+        sigma = mpmath.sqrt(slope(t0)[1])
+
+        def term(u):
+            bend = mpmath.sqrt(1 + u * u)
+            t = t0 + (1j * u - rho * (bend - 1)) / sigma
+            q = [1 + 2 * vi * t for vi in v]
+            log_l = -mpmath.fsum(mpmath.log(qi) / 2 + bi * t / qi
+                                 for bi, qi in zip(b2, q))
+            return mpmath.exp(t * x + log_l) * (1j - rho * u / bend) / (sigma * t)
+
+        first = term(mpf(0))
+        total, k = first / 2, 1
+        while True:
+            last = term(k * mpf(step))
+            total += last
+            if abs(last) < mpf(10) ** -dps * abs(first):
+                break
+            k += 1
+        return step * total.imag / mpmath.pi + (0 if below else 1)

@@ -3,9 +3,11 @@ Imhof and Monte Carlo oracles; credible and frequentist radii."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from oracles import (
+    contour_cdf,
     empirical_quantile,
     imhof_cdf,
     laplace_transform_reference,
@@ -239,6 +241,19 @@ def _assert_bracketed(cdf, value, stderr, p, square, resolution=0.0):
     assert f_hi - f_lo <= 1e-8, (f_lo, f_hi)
 
 
+def _assert_law_within_its_bound(var, bias, levels):
+    """At the quantile of each level the contour law's F is within its own
+    error bound of the 30-digit contour of tests/oracles.py, taken on a
+    hyperbola of another bend and step, in u."""
+    active, _ = credible._split(var, bias)
+    v, b = var[active], bias[active]
+    law, start = credible._contour_law(v, b ** 2)
+    for p in levels:
+        x = credible._invert(law, p, *start(p)).value
+        cdf, _, _, err, _ = law(x)
+        assert abs(mpmath.mpf(cdf) - contour_cdf(x, v, b)) <= err, p
+
+
 @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 class TestExactQuantiles:
     """Inverted quantiles against Imhof's (1961) distribution function,
@@ -355,6 +370,13 @@ class TestExtremeHonestRadii:
         assert imhof_cdf(est.value - est.stderr, t, bias) <= 0.95
         assert imhof_cdf(est.value + est.stderr, t, bias) >= 0.95
 
+    @pytest.mark.parametrize("fam,alpha,n,p", [
+        ("exp", 5.0, 1e6, 0.99), ("exp", 10.0, 1e12, 0.99), ("exp", 1.0, 1e12, 0.5),
+        ("exp", 1.0, 1e12, 0.99), ("poly", 10.0, 1e2, 1e-4)])
+    def test_law_within_its_bound(self, fam, alpha, n, p):
+        """Forms where Imhof's quadrature misreads F, by 1e-11 to 0.49."""
+        _assert_law_within_its_bound(*self._form(fam, alpha, n), (p,))
+
     @pytest.mark.parametrize("fam,alpha,n", [
         ("exp", 1.0, 1e100), ("exp", 5.0, 1e50), ("poly", 10.0, 1e200)])
     def test_nearly_deterministic_at_the_mean(self, fam, alpha, n):
@@ -410,6 +432,12 @@ def _count_law_calls(monkeypatch) -> list:
     return calls
 
 
+def _closure(fn) -> dict:
+    """The variables a nested function closes over, by name."""
+    return dict(zip(fn.__code__.co_freevars,
+                    (cell.cell_contents for cell in fn.__closure__)))
+
+
 def _count_contours(monkeypatch) -> list:
     """The list that each contour built by the honest law appends its
     vertex to, from here to the end of the test: the first block of a
@@ -439,6 +467,17 @@ class TestHonestInversion:
         frequentist_radius(prior, kap, n, mu0, 0.05)
         assert 1 <= len(calls) <= 3, calls
         assert len(vertices) == 1, vertices
+
+    @pytest.mark.parametrize("fam,alpha,n", COVERAGE_HONEST)
+    def test_contour_keeps_at_most_192_nodes(self, fam, alpha, n):
+        """The trapezoid rule in w = asinh u, cut right after the first
+        term below _CONTOUR_CUT: at most 192 nodes at p = 0.95, where the
+        rule in u kept 160 to 1,280."""
+        *_, t, bias = _honest_problem(fam, alpha, n)
+        active, _ = credible._split(t, bias)
+        law, start = credible._contour_law(t[active], bias[active] ** 2)
+        credible._invert(law, 0.95, *start(0.95))
+        assert _closure(law)["contour"]["t"].size <= 192
 
 
 # imhof_cdf integrates its pieces to an absolute 1e-15 or 1e-14 and returns
@@ -480,6 +519,13 @@ class TestHonestSweep:
         for x in (1.198265928, 1.19826594, 1.198266048, 1.2, 1.205):
             cdf, _, _, err, _ = law(x)
             assert abs(cdf - split_quadrature_cdf(mass + x, t, bias)) <= err, x
+
+    @pytest.mark.parametrize("fam,alpha,n", COVERAGE_HONEST)
+    def test_law_within_its_bound_in_the_tails(self, fam, alpha, n):
+        """At the 1e-6 and 1 - 1e-6 quantiles, where the law's error bound
+        is 1e-19 to 1e-13."""
+        *_, t, bias = _honest_problem(fam, alpha, n)
+        _assert_law_within_its_bound(t, bias, (1e-6, 1.0 - 1e-6))
 
     def test_low_levels_of_poly_1_at_1e8(self):
         """Near the lower edge of the form's noncentral chi-square_1
@@ -583,6 +629,29 @@ class TestEulerStop:
                     _form_quantile(var, None, p)
                     assert 1 <= len(calls) <= 4, (p, calls)
 
+    def test_halley_steps_at_most_three_evaluations(self, monkeypatch):
+        """Central forms of 3 or more active coordinates take Halley steps
+        and at most 3 evaluations at p = 0.5 and 0.95."""
+        calls = _count_law_calls(monkeypatch)
+        for var, bias in _coverage_forms():
+            if bias is None and np.count_nonzero(credible._split(var, None)[0]) >= 3:
+                for p in (0.5, 0.95):
+                    calls.clear()
+                    _form_quantile(var, None, p)
+                    assert 1 <= len(calls) <= 3, (p, calls)
+
+    def test_slope_of_the_density(self):
+        """f' from the series of s L(s): chi-square_3 and 4 against their
+        closed forms; 0 with 1 or 2 coordinates, where f(0+) != 0 and s L(s)
+        is not the transform of f' (Newton steps)."""
+        for k in (3, 4):
+            law = credible._euler_law(np.ones(k))
+            for x in (0.3, 2.4, 9.0):
+                exact = chi2.pdf(x, k) * ((0.5 * k - 1.0) / x - 0.5)
+                assert law(x)[2] == pytest.approx(exact, rel=1e-8, abs=1e-12), (k, x)
+        for w in ([1.0], [1.0, 0.3]):
+            assert credible._euler_law(np.array(w))(1.5)[2] == 0.0
+
     @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
     def test_stop_within_rounding(self, monkeypatch):
         """poly alpha=3, n=1e8, N=100 at p = 0.99: 5 evaluations, where a
@@ -645,3 +714,127 @@ class TestCentralSweep:
             assert len(calls) <= 20, (p, len(calls))
             _assert_bracketed(lambda x: imhof_cdf(x, var), est.value,
                               est.stderr, p, square=False)
+
+
+# (value, stderr) of the quantiles of the coverage forms at HONEST_SWEEP and
+# SWEEP, recorded from the honest law with the trapezoid rule in u
+# (h = 0.25, cut at the end of a block) and the central law with Newton
+# steps only; in the order of COVERAGE_HONEST and of _central_forms()[:7]
+FROZEN_HONEST = (
+    (('0x1.65801c6295e57p-6', '0x1.8c2abe6868615p-51'),
+     ('0x1.91995fed56eeap-6', '0x1.7472e4a5bbef4p-48'),
+     ('0x1.4b3922c449eadp-5', '0x1.6cb5e2e8cd3f5p-46'),
+     ('0x1.fe1cd9423325cp-3', '0x1.749d047420033p-43'),
+     ('0x1.291723e85ac27p-1', '0x1.b7668835944ddp-42'),
+     ('0x1.0edaa62eb2140p+0', '0x1.3c2e449d97846p-41'),
+     ('0x1.2e3dd93e8c451p+1', '0x1.979405ed0414cp-37')),
+    (('0x1.54d12b04795aap-6', '0x1.c4e88f94e57eep-56'),
+     ('0x1.54e131f643e55p-6', '0x1.e6bdd09d59820p-56'),
+     ('0x1.54f490082c3d7p-6', '0x1.0701e68689554p-55'),
+     ('0x1.55afd98b40820p-6', '0x1.242f7b34b1f07p-53'),
+     ('0x1.6c1006bfa77fdp-6', '0x1.671366c4672bfp-48'),
+     ('0x1.06417acb4a7fep-5', '0x1.fd8b090c925c3p-48'),
+     ('0x1.5c3a44f601ef1p-4', '0x1.3701b11af4e6fp-41')),
+    (('0x1.02a8bcbeaf931p+0', '0x1.acdb857e882b0p-46'),
+     ('0x1.065106829b3fdp+0', '0x1.d891053c98122p-46'),
+     ('0x1.0a6f2865abaa2p+0', '0x1.0ab93f19ad919p-45'),
+     ('0x1.1a610f9a2f3e9p+0', '0x1.d97bb0ac78f44p-45'),
+     ('0x1.275c397f306a9p+0', '0x1.aa6969928c0b5p-44'),
+     ('0x1.34a396907dc9cp+0', '0x1.764aa6349d918p-44'),
+     ('0x1.4e8c18c543007p+0', '0x1.b366831dc7dd9p-41')),
+    (('0x1.5eb72572e3ea3p-6', '0x1.83f7c89d38200p-55'),
+     ('0x1.5ef8bebafb401p-6', '0x1.9ad1cdadc8ef6p-55'),
+     ('0x1.5f43903b0953cp-6', '0x1.c59953a2f3606p-55'),
+     ('0x1.60736ce6a755cp-6', '0x1.6d136924c75abp-54'),
+     ('0x1.61958f9caa92dp-6', '0x1.582711a98d596p-54'),
+     ('0x1.63bd1f0078291p-6', '0x1.184ea4d88aa29p-53'),
+     ('0x1.6e62939ea92dap-6', '0x1.e12dd4d9f8c70p-48')),
+    (('0x1.3846022735d11p+0', '0x1.5cfb0afe2a7dfp-50'),
+     ('0x1.384602560c122p+0', '0x1.3f8739d2c10e2p-50'),
+     ('0x1.384603236811bp+0', '0x1.4038f82e827ebp-50'),
+     ('0x1.388344fd2ff46p+0', '0x1.4a0597a1cbf99p-49'),
+     ('0x1.398b35c6558bbp+0', '0x1.2aef64e88ef10p-48'),
+     ('0x1.3b638bb9b3504p+0', '0x1.3a0b818149a32p-47'),
+     ('0x1.41193d2219170p+0', '0x1.d383184565a3cp-43')),
+    (('0x1.3839b0c6b7342p+0', '0x1.3ef44f441fa84p-50'),
+     ('0x1.3839b7ef3a79ap+0', '0x1.4130a68ea0bfbp-50'),
+     ('0x1.3839bfef49a53p+0', '0x1.3cd86821f15afp-50'),
+     ('0x1.3839de5af7a6ap+0', '0x1.4698dd719b153p-50'),
+     ('0x1.3839f68414cbcp+0', '0x1.6121c511022b5p-50'),
+     ('0x1.383a0ebb8b5d6p+0', '0x1.36b6a6c6c2276p-50'),
+     ('0x1.383a3ce841683p+0', '0x1.4b77fab97ed32p-50')),
+)
+FROZEN_CENTRAL = (
+    (('0x1.3af8b577a9fecp-8', '0x1.feeece82d00afp-27'),
+     ('0x1.9cc25c803ca3fp-8', '0x1.309135092d416p-29'),
+     ('0x1.1b5f3e20dd5e6p-7', '0x1.8dda8f1648ebap-32'),
+     ('0x1.19c9992afd87cp-5', '0x1.e8a4af39c7255p-38'),
+     ('0x1.faa40a52cb9d5p-4', '0x1.eb376348113e3p-38'),
+     ('0x1.b435b612f4149p-2', '0x1.1b6005d369cf5p-33'),
+     ('0x1.1114d187d8aa1p+1', '0x1.9e79e5bcc3d1bp-17')),
+    (('0x1.a6c2045e96e5ap-9', '0x1.357e7b0ad3c3cp-27'),
+     ('0x1.0ef7177d1e3c7p-8', '0x1.7169323b62862p-30'),
+     ('0x1.6a58ab13d67f3p-8', '0x1.f9cdfa0b773c8p-33'),
+     ('0x1.39d4965be1a32p-6', '0x1.f19263ca2354cp-39'),
+     ('0x1.e3f712070ad52p-5', '0x1.9de06902bc3ccp-39'),
+     ('0x1.769a069347ad4p-3', '0x1.3260acefc908cp-35'),
+     ('0x1.bfbfff9d0f1cap-1', '0x1.1f3286a3d3ec1p-18')),
+    (('0x1.cd65aafd737d4p-18', '0x1.da74c8649fd7bp-35'),
+     ('0x1.ca5d0126e79b7p-17', '0x1.a78356e0da84bp-37'),
+     ('0x1.f53a6da92816ep-16', '0x1.aa3539f15f8dbp-39'),
+     ('0x1.2f64e34d30757p-11', '0x1.ded23de5806a7p-43'),
+     ('0x1.4193008fab090p-8', '0x1.18f406ec08215p-41'),
+     ('0x1.f377b8f8a4135p-6', '0x1.8f7fb87ba030bp-37'),
+     ('0x1.76b59a94e6820p-3', '0x1.7a94085fb16b5p-20')),
+    (('0x1.5981c36c19547p-20', '0x1.1dc47f6dd40d2p-37'),
+     ('0x1.2d964cb1b33b0p-19', '0x1.cbeca0dbee6afp-40'),
+     ('0x1.1da283b2d8a9fp-18', '0x1.8d8e14f63c26fp-42'),
+     ('0x1.9fec952e57f05p-15', '0x1.16a6a7c243c9dp-46'),
+     ('0x1.5b858fabf4befp-12', '0x1.09f683fa2c3b3p-45'),
+     ('0x1.e9d1b803a6fa4p-10', '0x1.a1916faba2c43p-41'),
+     ('0x1.69e0123e538d1p-7', '0x1.726001565591fp-24')),
+    (('0x1.45f20a120409bp-39', '0x1.28b451ffd8858p-54'),
+     ('0x1.97f2905ec8efdp-36', '0x1.2988ed4b905c6p-54'),
+     ('0x1.023c4c18ed392p-32', '0x1.4ab946b44acebp-54'),
+     ('0x1.57881e0df91e6p-19', '0x1.a668241872631p-49'),
+     ('0x1.36439fb42155dp-12', '0x1.cd07668888582p-45'),
+     ('0x1.477acf9f16673p-9', '0x1.408d1d86746ddp-40'),
+     ('0x1.fdf5d68fa4369p-7', '0x1.06bbec4d08993p-23')),
+    (('0x1.b6da2bbf63b00p-46', '0x1.9914e8e34a173p-61'),
+     ('0x1.12494a4751152p-42', '0x1.8f70265354b3ep-61'),
+     ('0x1.56e79c6892f4bp-39', '0x1.8f8efb6a23ce3p-61'),
+     ('0x1.6a6976305c789p-30', '0x1.d9ec562ccf633p-61'),
+     ('0x1.2bf9fcc754000p-25', '0x1.6e443b84d1a8fp-58'),
+     ('0x1.2b2f25f2808f8p-22', '0x1.23b157c77265bp-53'),
+     ('0x1.cef3279645844p-20', '0x1.e623a2601bb1ap-37')),
+    (('0x1.85a5085ae8b7fp-22', '0x1.89266c943ba28p-38'),
+     ('0x1.777df86c6255cp-20', '0x1.5356e4653e72dp-39'),
+     ('0x1.9b023ad7d7325p-18', '0x1.3aaa616e662b9p-40'),
+     ('0x1.01de4e12ad874p-11', '0x1.09c82be0807b8p-42'),
+     ('0x1.1d4dccacb4021p-7', '0x1.516942a5f9160p-40'),
+     ('0x1.11528903990ffp-4', '0x1.06a35bdf9691ep-35'),
+     ('0x1.a5012a222afc9p-2', '0x1.ac14797a35387p-19')),
+)
+
+
+class TestRecordedRadii:
+    """The coverage forms' quantiles against the recorded ones: each within
+    the recorded error bound of its recorded value, and each honest error
+    bound at most 1.25 times the recorded one."""
+
+    @pytest.mark.parametrize("index", range(len(COVERAGE_HONEST)))
+    def test_honest(self, index):
+        *_, t, bias = _honest_problem(*COVERAGE_HONEST[index])
+        for p, (value, stderr) in zip(HONEST_SWEEP, FROZEN_HONEST[index]):
+            value, stderr = float.fromhex(value), float.fromhex(stderr)
+            est = _form_quantile(t, bias, p)
+            assert abs(est.value - value) <= stderr, (p, est, value, stderr)
+            assert est.stderr <= 1.25 * stderr, (p, est, stderr)
+
+    @pytest.mark.parametrize("index", range(len(FROZEN_CENTRAL)))
+    def test_central(self, index):
+        var = _central_forms()[index]
+        for p, (value, stderr) in zip(SWEEP, FROZEN_CENTRAL[index]):
+            value, stderr = float.fromhex(value), float.fromhex(stderr)
+            est = _form_quantile(var, None, p)
+            assert abs(est.value - value) <= stderr, (p, est, value, stderr)

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 from oracles import dataset_bytes_reference, svg_bytes_reference
 
+import heatbayes
 from heatbayes.cli import (
     COMMANDS,
     EXIT_CONFIG,
@@ -333,6 +335,9 @@ class TestManifest:
         assert payload["outputs"][0]["sha256"] == csum
         assert len(payload["config_digest"]) == 64
         assert payload["wall_clock_s"] >= 0
+        assert payload["versions"] == {"python": platform.python_version(),
+                                       "numpy": np.__version__,
+                                       "heatbayes": heatbayes.__version__}
 
 
 def _write(kind, path) -> str:
