@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -101,12 +102,14 @@ def _finite_float(value) -> float:
     return v
 
 
-def _whole_number(value) -> int:
-    """int(value), for a value that is an integer: a config file's 20.9
-    and true would truncate to 20 and 1."""
+def _whole_number(value, least: int | None = None) -> int:
+    """int(value), for a value that is an integer (a config file's 20.9
+    and true would truncate to 20 and 1) of at least `least` if given."""
     if isinstance(value, bool) or (isinstance(value, float)
                                    and not value.is_integer()):
         raise ValueError(f"must be an integer, got {value!r}")
+    if least is not None and int(value) < least:
+        raise ValueError(f"must be at least {least}")
     return int(value)
 
 
@@ -220,14 +223,6 @@ def _mu0_from(opt: _Options) -> Mu0Source:
     return Mu0Source.test_cubic()
 
 
-def _int_flag(opt: _Options, key: str, least: int, default=None):
-    """Integer option of at least `least`; `default` when it is unset."""
-    value = opt.get(key)
-    if value is not None and int(value) < least:
-        raise ValueError(f"--{key} must be at least {least}")
-    return default if value is None else int(value)
-
-
 def _experiment_config(opt: _Options, **fields) -> ExperimentConfig:
     """The configuration of bands, coverage and risk; `fields` sets the
     ones that differ between them."""
@@ -237,7 +232,7 @@ def _experiment_config(opt: _Options, **fields) -> ExperimentConfig:
         scaling=_scaling_from(opt),
         gamma=opt.get("gamma"),
         seed=int(opt.get("seed")),
-        trunc=_int_flag(opt, "trunc", 1),
+        trunc=opt.get("trunc"),
         **fields,
     )
 
@@ -265,7 +260,7 @@ def _report(opt: _Options, report) -> None:
 def _cmd_simulate(opt: _Options) -> int:
     n = _single_n(opt)
     seed = int(opt.get("seed"))
-    nn = _int_flag(opt, "trunc", 1, default_truncation(n))
+    nn = opt.get("trunc") or default_truncation(n)
     kappa = heat_eigenvalues(DEFAULT_TIME_HORIZON, nn)
     mu0 = true_signal_coefficients(nn)
     obs = simulate_observations(mu0, kappa, n, seed)
@@ -279,12 +274,12 @@ def _cmd_simulate(opt: _Options) -> int:
 def _cmd_posterior(opt: _Options) -> int:
     n = _single_n(opt)
     prior = _scaling_from(opt).resolve(_prior_from(opt), n)
-    nn = _int_flag(opt, "trunc", 1, default_truncation(n, prior.tau))
+    nn = opt.get("trunc") or default_truncation(n, prior.tau)
     kappa = heat_eigenvalues(DEFAULT_TIME_HORIZON, nn)
     obs = simulate_observations(true_signal_coefficients(nn), kappa, n,
                                 int(opt.get("seed")))
     summary = compute_posterior(prior, kappa, n, obs)
-    x = np.linspace(0.0, 1.0, _int_flag(opt, "grid", 2))
+    x = np.linspace(0.0, 1.0, opt.get("grid"))
     out = opt.get("out")
     fn_out = _stem(out) + "_mean.csv"
     opt.emit([(out, (("i", "y", "mean", "variance", "shrink_var"),
@@ -301,7 +296,7 @@ def _cmd_posterior(opt: _Options) -> int:
 def _cmd_bands(opt: _Options) -> int:
     _single_n(opt)
     cfg = _experiment_config(opt, replications=1,
-                             x_grid_points=_int_flag(opt, "grid", 2))
+                             x_grid_points=opt.get("grid"))
     panel = render_panel(cfg, PanelSpec(prior=cfg.prior, n=cfg.n_grid[0],
                                         data_stream=0))
     out = opt.get("out")
@@ -340,14 +335,13 @@ def _cmd_lemmas(opt: _Options) -> int:
 def _cmd_figures(opt: _Options) -> int:
     # build every configuration, and so validate every option, before any
     # panel is rendered; nothing is written before every panel is checked
-    trunc = _int_flag(opt, "trunc", 1)
-    grid = _int_flag(opt, "grid", 2)
     which = opt.get("fig")
     names = sorted(FIGURE_PROTOCOLS) if which == "all" else [which]
     jobs = [(name, spec, ExperimentConfig(
                 prior=spec.prior, n_grid=(spec.n,),
                 gamma=opt.get("gamma"), replications=1,
-                seed=int(opt.get("seed")), trunc=trunc, x_grid_points=grid))
+                seed=int(opt.get("seed")), trunc=opt.get("trunc"),
+                x_grid_points=opt.get("grid")))
             for name in names for spec in FIGURE_PROTOCOLS[name]()]
     out_dir = opt.get("out")
     outputs = []
@@ -375,8 +369,9 @@ _PRIOR = (
 _GAMMA = _opt("gamma", 0.05, _finite_float, type=float)
 _REPS = _opt("reps", 1000, _whole_number, type=int)
 _SEED = _opt("seed", 0, _whole_number, type=int)
-_TRUNC = _opt("trunc", None, _whole_number, type=int)
-_GRID = _opt("grid", 201, _whole_number, type=int, help="x-grid point count")
+_TRUNC = _opt("trunc", None, partial(_whole_number, least=1), type=int)
+_GRID = _opt("grid", 201, partial(_whole_number, least=2), type=int,
+             help="x-grid point count")
 _MU0_BETA = _opt("mu0_beta", 2.0, _finite_float, type=float)
 
 COMMANDS = {

@@ -42,19 +42,19 @@ law of the form, found by safeguarded Halley or Newton steps:
   each coordinate, -1/2 (log1p(2 v t) - 2 v t) + 2 v b^2 t^2 / (1 + 2 v t),
   keeps a mean far above the sd from cancelling; on the real axis it and
   its first two derivatives come from one pass over the coordinates, for
-  the saddle-point solves.  The error bound is the change from step h to
-  h / 2 (the midpoints), the terms past the cut and the rounding of the
-  terms, of the form's mean and of x minus it.  One contour serves every
-  iterate near the x it was built at (Cauchy's theorem), and its terms
-  times t^2 give f' for Halley's step; the inversion starts from the
-  saddle-point quantile corrected once by Barndorff-Nielsen's r*, inside
-  Cantelli's bracket and, in the lower tail, Chernoff's.
+  the saddle points, which `_invert` solves.  The error bound is the change
+  from step h to h / 2 (the midpoints), the terms past the cut and the
+  rounding of the terms, of the form's mean and of x minus it.  One contour
+  serves every iterate near the x it was built at (Cauchy's theorem), and
+  its terms times t^2 give f' for Halley's step; the inversion starts from
+  the saddle-point quantile corrected once by Barndorff-Nielsen's r*,
+  inside Cantelli's bracket and, in the lower tail, Chernoff's.
 
 The Laplace-Euler series fails on forms with a large noncentrality, whose
 terms keep oscillating; on the central forms the contour, even in w, is
-several times slower than the series, and its saddle point can fail to
-converge deep in the lower tail of a form with a near point mass; hence
-the split.  Coordinates whose
+several times slower than the series, and it cannot resolve a quantile
+below eps times the form's mean, as y = (x - mean) / sd rounds it away
+(chi-square_1 at p = 1e-8); hence the split.  Coordinates whose
 variance is below eps * max variance enter as the fixed mass b_i^2 (zero
 for central forms), as in the Monte Carlo sampler `_form_draws`, which
 draws the squared errors of the ball coverage and risk experiments.
@@ -72,6 +72,7 @@ eps x of x.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -299,8 +300,10 @@ def _contour_law(v: np.ndarray, b2: np.ndarray):
 
     twice, curvature, cross = 2.0 * v, 2.0 * v * v, 4.0 * v * b2
 
+    @functools.lru_cache(maxsize=1)
     def cumulant(t):
-        # ell(t), ell'(t) and ell''(t) at a real t > -top, in one pass
+        # ell(t), ell'(t) and ell''(t) at a real t > -top, in one pass; the
+        # last is kept, as a solve returns the t it evaluated last
         z = twice * t
         shifted = 1.0 + z
         r = 1.0 / shifted
@@ -310,22 +313,11 @@ def _contour_law(v: np.ndarray, b2: np.ndarray):
         rows[2] = (curvature + cross * r) * r * r
         return rows.sum(axis=-1).tolist()
 
-    def root(slope, side, t):
-        # root of a function increasing on one side of 0, (0, inf) or
-        # (-top, 0): Newton steps inside the bracket, else bisection
-        lo, hi = (0.0, math.inf) if side > 0 else (-top, 0.0)
-        t = t if lo < t < hi else 0.5 * lo
-        for _ in range(_NEWTON_STEPS):
-            value, derivative = slope(t)
-            if value < 0.0:
-                lo = t
-            else:
-                hi = t
-            step = t - value / derivative
-            if abs(step - t) <= 1e-8 * abs(t):
-                return step
-            t = step if lo < step < hi else 0.5 * (lo + hi)
-        raise ArithmeticError("saddle point did not converge")
+    def solve(law, side, a):
+        # side a at the root a = |t| of law(a)[0], increasing on (0, inf) or
+        # (0, top) for side < 0: _invert's Newton steps (f' = err = tol = 0)
+        hi = math.inf if side > 0 else top
+        return side * _invert(law, 0.0, a if a < hi else 0.5 * hi, 0.0, hi).value
 
     contour = {}
 
@@ -336,11 +328,12 @@ def _contour_law(v: np.ndarray, b2: np.ndarray):
         # first term at y below _CONTOUR_CUT times the vertex's
         side = 1.0 if y <= 0.0 else -1.0
 
-        def slope(t):
-            _, d1, d2 = cumulant(t)
-            return y + d1 - 1.0 / t, d2 + 1.0 / (t * t)
-        t0 = root(slope, side, 0.5 * (side * math.sqrt(y * y + 4.0) - y))
-        sigma = math.sqrt(slope(t0)[1])
+        def slope(a):
+            # side g'(t) and g''(t) at t = side a
+            _, d1, d2 = cumulant(side * a)
+            return side * (y + d1) - 1.0 / a, d2 + 1.0 / (a * a), 0.0, 0.0, 0.0
+        t0 = solve(slope, side, 0.5 * (math.sqrt(y * y + 4.0) - side * y))
+        sigma = math.sqrt(slope(side * t0)[1])
         t = log_term = np.empty(0, dtype=complex)
         while True:
             w = np.arange(t.size, max(80, 2 * t.size)) * (0.5 * _CONTOUR_STEP)
@@ -387,10 +380,11 @@ def _contour_law(v: np.ndarray, b2: np.ndarray):
         # (t, ell'(t), -t sqrt(ell''(t))) at the t on `side` with
         # t ell'(t) - ell(t) = c >= 0: for K(s) = ell(-s), the s = -t with
         # s K'(s) - K(s) = c, -K'(s) and s sqrt(K''(s))
-        def slope(t):
-            ell, d1, d2 = cumulant(t)
-            return side * (t * d1 - ell - c), abs(t) * d2
-        t = root(slope, side, side * math.sqrt(2.0 * c))
+        def equation(a):
+            # t ell'(t) - ell(t) - c at t = side a, and its a-derivative
+            ell, d1, d2 = cumulant(side * a)
+            return side * a * d1 - ell - c, a * d2, 0.0, 0.0, 0.0
+        t = solve(equation, side, math.sqrt(2.0 * c))
         _, d1, d2 = cumulant(t)
         return t, d1, -t * math.sqrt(d2)
 

@@ -115,6 +115,20 @@ class Mu0Source:
         raise ValueError("a prior-draw truth has no deterministic sums")
 
 
+def _store_integers(obj, optional: str | None = None, **least: int) -> None:
+    """Store each field name=low of obj as an int, once checked to be an
+    integer (no bool) in [low, 2**64); the field `optional` may be None."""
+    for name, low in least.items():
+        value = getattr(obj, name)
+        if value is None and name == optional:
+            continue
+        if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                or not low <= value < (1 << 64)):
+            raise ValueError(f"{name} must be an integer in [{low}, 2**64), "
+                             f"got {value!r}")
+        object.__setattr__(obj, name, int(value))
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     prior: PriorSpec
@@ -132,16 +146,8 @@ class ExperimentConfig:
     time_horizon: float = DEFAULT_TIME_HORIZON
 
     def __post_init__(self):
-        for name, least in (("replications", 1), ("seed", 0), ("trunc", 1),
-                            ("mc_draws", 1), ("x_grid_points", 2)):
-            value = getattr(self, name)
-            if value is None and name == "trunc":
-                continue
-            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                    or not least <= value < (1 << 64)):
-                raise ValueError(f"{name} must be an integer in [{least}, 2**64), "
-                                 f"got {value!r}")
-            object.__setattr__(self, name, int(value))
+        _store_integers(self, "trunc", replications=1, seed=0, trunc=1,
+                        mc_draws=1, x_grid_points=2)
         grid = tuple(self.n_grid)
         if not grid or any(isinstance(n, bool) or not isinstance(n, numbers.Real)
                            or not 0 < n < math.inf for n in grid):
@@ -356,13 +362,7 @@ class PanelSpec:
     label: str = ""
 
     def __post_init__(self):
-        for name in ("data_stream", "draws"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                    or not 0 <= value < (1 << 64)):
-                raise ValueError(f"{name} must be an integer in [0, 2**64), "
-                                 f"got {value!r}")
-            object.__setattr__(self, name, int(value))
+        _store_integers(self, data_stream=0, draws=0)
         if (isinstance(self.n, bool) or not isinstance(self.n, numbers.Real)
                 or not 0 < self.n < math.inf):
             raise ValueError(f"n must be positive and finite, got {self.n!r}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numeric import compensated_sum, log1pexp, shrinkage_factors
-from .priors import PriorSpec, check_snr, prior_variances
+from .priors import PriorSpec, check_snr, prior_tail_bound
 from .rng import substream
 from .sequence import CoefficientSequence, GridSynthesis, ObservationSet
 
@@ -156,12 +156,6 @@ def risk_decomposition(prior: PriorSpec, kappa: CoefficientSequence, n: float,
         tail = mu0.tail_tol**2 + 2.0 * lam_tail
     return RiskDecomposition(sq_bias=sq_bias, estimator_variance=est_var,
                              posterior_spread=spread, tail_tol=tail)
-
-
-def prior_tail_bound(prior: PriorSpec, truncation_level: int) -> float:
-    """Bound on sum_{i>N} lambda_i, dominating any s- or t-series tail."""
-    seq = prior_variances(prior, truncation_level)
-    return seq.tail_tol if seq.tail_tol is not None else 0.0
 
 
 def posterior_mean_function(summary: PosteriorSummary, x_grid) -> np.ndarray:

@@ -93,20 +93,24 @@ class PriorSpec:
         return PriorSpec(self.kind, self.alpha, tau)
 
 
-def prior_variances(spec: PriorSpec, truncation_level: int) -> CoefficientSequence:
-    """lambda_1..lambda_N for the family, with an analytic tail-sum bound."""
+def prior_tail_bound(prior: PriorSpec, truncation_level: int) -> float:
+    """Bound on sum_{i>N} lambda_i, dominating any s- or t-series tail."""
     if truncation_level < 1:
         raise ValueError("truncation_level must be a positive integer")
-    vals = spec.variance_values(truncation_level)
     nn = truncation_level
-    if spec.kind is PriorFamily.POLYNOMIAL:
+    if prior.kind is PriorFamily.POLYNOMIAL:
         # integral bound: sum_{i>N} tau^2 i^(-1-2a) <= tau^2 N^(-2a) / (2a)
-        tail = spec.tau**2 * nn ** (-2.0 * spec.alpha) / (2.0 * spec.alpha)
-    else:
-        # geometric-in-i^2 bound
-        a = spec.alpha
-        tail = math.exp(max(-a * (nn + 1) ** 2, LOG_TINY)) / -math.expm1(-a * (2 * nn + 3))
-    return CoefficientSequence(vals, truncation_level, tail_tol=tail)
+        return prior.tau**2 * nn ** (-2.0 * prior.alpha) / (2.0 * prior.alpha)
+    # geometric-in-i^2 bound
+    a = prior.alpha
+    return math.exp(max(-a * (nn + 1) ** 2, LOG_TINY)) / -math.expm1(-a * (2 * nn + 3))
+
+
+def prior_variances(spec: PriorSpec, truncation_level: int) -> CoefficientSequence:
+    """lambda_1..lambda_N for the family, with an analytic tail-sum bound."""
+    tail = prior_tail_bound(spec, truncation_level)
+    return CoefficientSequence(spec.variance_values(truncation_level),
+                               truncation_level, tail_tol=tail)
 
 
 def rate_matched_tau(alpha: float, beta: float, n: float,

@@ -537,6 +537,62 @@ class TestHonestSweep:
             assert abs(_form_quantile(t, bias, p).value - root) <= 5e-11, p
 
 
+RANDOM_SWEEP = (1e-6, 1e-4, 0.05, 0.5, 0.95, 1.0 - 1e-6)
+
+
+def _random_honest_forms() -> list:
+    """300 seeded forms (variances, biases) of 1 to 5 coordinates:
+    variances 10^U(-10, 0) and biases N(0, 1) sqrt(v) 10^U(-8, 3), from
+    near-central coordinates to ones that are nearly a point mass."""
+    rng = np.random.default_rng(1)
+    forms = []
+    for _ in range(300):
+        k = int(rng.integers(1, 6))
+        v = 10.0 ** rng.uniform(-10.0, 0.0, k)
+        forms.append((v, rng.standard_normal(k) * np.sqrt(v)
+                      * 10.0 ** rng.uniform(-8.0, 3.0, k)))
+    return forms
+
+
+def _one_coordinate_cdf(x, v, b):
+    """P((b + sqrt(v) Z)^2 <= x) = Phi((sqrt x - b) / sqrt v)
+    - Phi((-sqrt x - b) / sqrt v), in 30-digit mpmath."""
+    if x <= 0.0:
+        return 0.0
+    with mpmath.workdps(30):
+        root, sd = mpmath.sqrt(mpmath.mpf(x)), mpmath.sqrt(mpmath.mpf(v))
+        return mpmath.ncdf((root - b) / sd) - mpmath.ncdf((-root - b) / sd)
+
+
+class TestLowerTailSaddlePoints:
+    """The contour's vertex and the start's saddle points come from
+    _invert on s = |t|, whose collapsed-bracket stop ends the solve where a
+    Newton loop that stopped only on a small step spun until it raised:
+    forms with a near-central coordinate, deep in the lower tail."""
+
+    @pytest.mark.parametrize("c", [1e-30, 1e-12, 1e-6])
+    def test_near_central_point_mass(self, c):
+        """The exp alpha = 5, n = 1e4 honest variances with each bias
+        c sqrt(t_i): two active coordinates, the second nearly a point
+        mass, at p = 1e-6 against the 40-digit split quadrature."""
+        *_, t, _ = _honest_problem("exp", 5.0, 1e4)
+        bias = c * np.sqrt(t)
+        est = _form_quantile(t, bias, 1e-6)
+        _assert_bracketed(lambda y: split_quadrature_cdf(y, t, bias),
+                          est.value, est.stderr, 1e-6, square=False)
+
+    def test_random_forms(self):
+        """No quantile of the sweep raises, and each one-coordinate radius
+        is bracketed by the noncentral chi-square_1 law within its stderr."""
+        for v, b in _random_honest_forms():
+            for p in RANDOM_SWEEP:
+                est = _form_quantile(v, b, p)
+                if v.size == 1:
+                    _assert_bracketed(
+                        lambda x: _one_coordinate_cdf(x, v[0], b[0]),
+                        est.value, est.stderr, p, square=False)
+
+
 def _unbounded_invert(law, p, x, lo, hi):
     """credible._invert, with its stop and its Halley steps, as it was
     before its steps were bounded: any step inside the bracket, else

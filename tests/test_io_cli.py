@@ -683,6 +683,18 @@ class TestCli:
         cfg.write_text(json.dumps({"nonsense_field": 1}))
         assert main(["simulate", "--config", str(cfg)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("field,value", [("trunc", 0), ("grid", 1)])
+    def test_config_value_below_its_least_names_the_flag(
+            self, tmp_path, monkeypatch, capsys, field, value):
+        """The option table declares --trunc >= 1 and --grid >= 2, so a
+        config file's value below that is rejected with the flag's name."""
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: value}))
+        assert main(["posterior", "--config", str(cfg)]) == EXIT_CONFIG
+        assert f"--{field}: must be at least" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
     def test_bad_flag_value_is_config_error(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         for argv in (

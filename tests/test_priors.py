@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from heatbayes import PriorFamily, PriorSpec, prior_variances, rate_matched_tau
+from heatbayes.posterior import prior_tail_bound
 from heatbayes.priors import FunctionalMode, ScalingRule
 
 
@@ -39,6 +40,18 @@ class TestPriorVariances:
             b = prior_variances(spec, 240)
             moved = b.values.sum() - a.values.sum()
             assert 0 <= moved <= a.tail_tol
+
+    def test_tail_bound_without_the_variances(self):
+        """prior_tail_bound is prior_variances' tail_tol bit for bit, and
+        builds no variances: N = 1e15 would need 8 PB of them."""
+        for spec in (PriorSpec.polynomial(1.0, 2.0), PriorSpec.polynomial(0.5),
+                     PriorSpec.exponential(0.5), PriorSpec.exponential(1e-6)):
+            for nn in (1, 120, 3826):
+                assert (prior_tail_bound(spec, nn)
+                        == prior_variances(spec, nn).tail_tol), (spec, nn)
+            assert prior_tail_bound(spec, 10**15) >= 0.0
+        with pytest.raises(ValueError, match="truncation_level"):
+            prior_tail_bound(PriorSpec.polynomial(1.0), 0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
