@@ -82,11 +82,12 @@ def _ensure_finite(columns, rows) -> None:
 
 
 def _parse_n_list(text) -> tuple:
-    """A comma list of positive finite numbers (or one number) as a tuple
-    of floats."""
+    """A comma list of positive finite numbers, one number, or a list of
+    numbers (as a manifest records it) as a tuple of floats."""
     try:
-        vals = tuple(float(part) for part in str(text).split(","))
-    except ValueError as exc:
+        vals = tuple(map(_finite_float, text) if isinstance(text, list)
+                     else map(float, str(text).split(",")))
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"cannot parse {text!r} as numbers") from exc
     if not vals or any(not 0 < v < math.inf for v in vals):
         raise ValueError(f"values must be positive and finite, got {text!r}")

@@ -30,17 +30,15 @@ import numpy as np
 
 from .credible import _ball_radius, _form_draws
 from .functionals import (
-    InadmissibleFunctionalError,
     LinearFunctional,
+    _admissible_moments,
     _curve_data,
     _curve_frame,
-    _point_fraction,
     admissible_truncation,
-    functional_moments,
 )
-from .numeric import MAX_HEAD, UNDERFLOW, compensated_sum
+from .numeric import compensated_sum
 from .posterior import posterior_weights
-from .priors import FunctionalMode, PriorFamily, PriorSpec, ScalingRule, check_snr
+from .priors import FunctionalMode, PriorSpec, ScalingRule, check_snr
 from .rng import normal_matrix, substream
 from .sequence import (
     CoefficientSequence,
@@ -182,36 +180,30 @@ class ExperimentReport:
 class _Model:
     """A grid point's model frame, keyed by the resolved prior, n, the
     truncation N, T and the truth source.  `head` is (kappa, posterior
-    weights, truth or None) on 1..N_h, built on first read, or the head of
-    the frame `lent` when its N_h is the same."""
+    weights, truth or None) on 1..N_h, built on first read."""
 
     prior: PriorSpec
     n: float
     nn: int
     time_horizon: float
     mu0: Mu0Source
-    lent: "_Model | None" = field(default=None, compare=False, repr=False)
 
     @functools.cached_property
     def head(self) -> tuple:
         nh = active_head(self.time_horizon, self.nn)
-        if self.lent is not None and len(self.lent.head[0]) == nh:
-            return self.lent.head
         kappa = heat_eigenvalues(self.time_horizon, nh)
         truth = None if self.mu0.is_random else self.mu0.realize(nh)
         return kappa, posterior_weights(self.prior, kappa, self.n), truth
 
 
-def _model(cfg, prior, n, mode, nn=None, head=None) -> _Model:
-    """The frame of (prior, n) under cfg over N = nn coordinates, by
-    default cfg.truncation_for's, raised to admissible_truncation in mode
-    FUNCTIONAL (point evaluations); `head` lends its head (_Model)."""
+def _model(cfg, prior, n, mode) -> _Model:
+    """The frame of (prior, n) under cfg over cfg.truncation_for's N,
+    raised to admissible_truncation in mode FUNCTIONAL (point evaluations)."""
     prior_n = cfg.scaling.resolve(prior, n, mode)
-    if nn is None:
-        nn = cfg.truncation_for(n, prior_n)
-        if mode is FunctionalMode.FUNCTIONAL:
-            nn = max(nn, admissible_truncation(prior_n))
-    return _Model(prior_n, n, nn, cfg.time_horizon, cfg.mu0, head)
+    nn = cfg.truncation_for(n, prior_n)
+    if mode is FunctionalMode.FUNCTIONAL:
+        nn = max(nn, admissible_truncation(prior_n))
+    return _Model(prior_n, n, nn, cfg.time_horizon, cfg.mu0)
 
 
 def _squared_errors(cfg: ExperimentConfig, idx: int, n: float, stream: str):
@@ -273,16 +265,19 @@ def run_interval_coverage(cfg: ExperimentConfig,
     with b = -sum_i l_i (1 - g_i) mu0_i, and N(0, s_n^2) for a truth drawn
     from the prior.  Each replication draws one normal from it.  For a
     point evaluation the sums run over the N coordinates of the admissible
-    truncation, doubled where x near 0 or 1 needs it, and for a
-    finite-support functional over its support: arrays over the active
-    head, closed forms past it (_interval_moments).
+    truncation, doubled over the frame's one head where x near 0 or 1
+    needs it, and for a finite-support functional over its support: arrays
+    over the active head, closed forms past it (_admissible_moments).
     """
     columns = ("n", "coverage", "coverage_se", "halfwidth", "spread", "mean_sd")
     z_half = -NormalDist().inv_cdf(cfg.gamma / 2.0)
     rows = []
     for idx, n in enumerate(cfg.n_grid):
-        s2, t2, bias = _interval_moments(
-            cfg, L, _model(cfg, cfg.prior, n, FunctionalMode.FUNCTIONAL))
+        model = _model(cfg, cfg.prior, n, FunctionalMode.FUNCTIONAL)
+        _, w, truth = model.head
+        s2, t2, bias = _admissible_moments(
+            L, w, model.prior, model.nn,
+            None if truth is None else truth.values, model.mu0.sums)
         s_n, t_n = math.sqrt(s2), math.sqrt(t2)
         z = substream(cfg.seed, "interval", idx).standard_normal(cfg.replications)
         err = s_n * z if cfg.mu0.is_random else t_n * z + bias
@@ -290,44 +285,6 @@ def run_interval_coverage(cfg: ExperimentConfig,
         se = math.sqrt(cov * (1.0 - cov) / cfg.replications)
         rows.append((n, cov, se, z_half * s_n, s_n, t_n))
     return ExperimentReport(columns, rows)
-
-
-# the largest truncation an interval doubles to: the longest range
-# sequence.power_sums is verified for
-_MAX_INTERVAL_TRUNCATION = 10**9
-
-
-def _interval_moments(cfg: ExperimentConfig, L: LinearFunctional,
-                      model: _Model):
-    """(s_n^2, t_n^2, bias) of L over the frame's N coordinates
-    (functional_moments on the active head, closed forms past it).
-
-    Near x = 0 and 1 the per-x admissibility check can fail at the N the
-    prior's admissible_truncation picks, since sum l_i^2 lambda_i falls
-    like x^2 while the last decade does not.  A point x = p/q, whose tail
-    is summed over the residues mod 2q at O(N_h + q) cost, then doubles N
-    until the check passes, up to _MAX_INTERVAL_TRUNCATION; past that, and
-    for any other x, the check's error stands.  Each doubled frame borrows
-    the head of the last, unless doubling N moved N_h (while N is below it).
-    The exponential family sums its tail term by term up to min(N,
-    sqrt(746 / alpha)), where exp(-alpha i^2) underflows
-    (PriorSpec.variance_sums), so it stops doubling once that sum would pass
-    MAX_HEAD terms.
-    """
-    while True:
-        kappa, w, truth = model.head
-        nn, prior_n = model.nn, model.prior
-        try:
-            return functional_moments(L, w, prior_n, nn, *(
-                () if truth is None else (truth.values, model.mu0.sums)))
-        except InadmissibleFunctionalError:
-            if (2 * nn > _MAX_INTERVAL_TRUNCATION
-                    or _point_fraction(L, nn - len(kappa)) is None
-                    or (prior_n.kind is PriorFamily.EXPONENTIAL and min(
-                        2 * nn, math.sqrt(UNDERFLOW / prior_n.alpha)) > MAX_HEAD)):
-                raise
-        model = _model(cfg, cfg.prior, model.n, FunctionalMode.FUNCTIONAL,
-                       2 * nn, model)
 
 
 def run_risk_curve(cfg: ExperimentConfig) -> ExperimentReport:
@@ -438,53 +395,42 @@ def render_panel(cfg: ExperimentConfig, spec: PanelSpec) -> PanelData:
         lower=mean_x - half, upper=mean_x + half, draw_curves=curves)
 
 
-def _two_column_protocol(priors_left_right, n: float, reps: int) -> list[PanelSpec]:
+def _protocol(priors, n_values, reps: int = 1) -> list[PanelSpec]:
+    """Panels over n, then prior, then realization, on data streams 0, 1,
+    ...; labels gain -rep{r} when a prior has more than one realization."""
     specs = []
-    stream = 0
-    for prior in priors_left_right:
-        for r in range(reps):
-            specs.append(PanelSpec(
-                prior=prior, n=n, data_stream=stream,
-                label=f"{prior.kind.value}-a{prior.alpha:g}-n{n:g}-rep{r}"))
-            stream += 1
+    for n in n_values:
+        for prior in priors:
+            for r in range(reps):
+                rep = f"-rep{r}" if reps > 1 else ""
+                specs.append(PanelSpec(prior, n, len(specs), label=(
+                    f"{prior.kind.value}-a{prior.alpha:g}-n{n:g}{rep}")))
     return specs
+
+
+_ALPHAS = (0.5, 1.0, 2.0, 5.0, 10.0)
 
 
 def figure_one_panels() -> list[PanelSpec]:
     """Polynomial priors alpha in {1, 3}, five data realizations each, n=1e4."""
-    return _two_column_protocol(
-        [PriorSpec.polynomial(1.0), PriorSpec.polynomial(3.0)], 1e4, 5)
+    return _protocol([PriorSpec.polynomial(1.0), PriorSpec.polynomial(3.0)],
+                     (1e4,), 5)
 
 
 def figure_two_panels() -> list[PanelSpec]:
     """Exponential priors alpha in {1, 5}, five data realizations each, n=1e4."""
-    return _two_column_protocol(
-        [PriorSpec.exponential(1.0), PriorSpec.exponential(5.0)], 1e4, 5)
-
-
-def _alpha_sweep_protocol(family: PriorFamily) -> list[PanelSpec]:
-    specs = []
-    stream = 0
-    for n in (1e4, 1e8):
-        for alpha in (0.5, 1.0, 2.0, 5.0, 10.0):
-            prior = (PriorSpec.polynomial(alpha)
-                     if family is PriorFamily.POLYNOMIAL
-                     else PriorSpec.exponential(alpha))
-            specs.append(PanelSpec(
-                prior=prior, n=n, data_stream=stream,
-                label=f"{prior.kind.value}-a{alpha:g}-n{n:g}"))
-            stream += 1
-    return specs
+    return _protocol([PriorSpec.exponential(1.0), PriorSpec.exponential(5.0)],
+                     (1e4,), 5)
 
 
 def figure_three_panels() -> list[PanelSpec]:
     """Polynomial priors alpha in {0.5, 1, 2, 5, 10} at n in {1e4, 1e8}."""
-    return _alpha_sweep_protocol(PriorFamily.POLYNOMIAL)
+    return _protocol(list(map(PriorSpec.polynomial, _ALPHAS)), (1e4, 1e8))
 
 
 def figure_four_panels() -> list[PanelSpec]:
     """Exponential priors alpha in {0.5, 1, 2, 5, 10} at n in {1e4, 1e8}."""
-    return _alpha_sweep_protocol(PriorFamily.EXPONENTIAL)
+    return _protocol(list(map(PriorSpec.exponential, _ALPHAS)), (1e4, 1e8))
 
 
 FIGURE_PROTOCOLS = {

@@ -11,7 +11,8 @@ A point evaluation is admissible under a prior with variances lambda_i when
 sum l_i^2 lambda_i converges.  On a truncation N that is checked
 quantitatively (`_checked_mass`): the last decade of coordinates
 (0.9 N < i <= N) must contribute less than ADMISSIBLE_TAIL of the total of
-l_i^2 lambda_i.
+l_i^2 lambda_i.  Near x = 0 and 1, where it can fail, an interval at
+x = p/q doubles N over one head until it passes (`_admissible_moments`).
 
 Past the active head i <= N_h (sequence.active_head), kappa_i = 0 and the
 posterior of mu_i is its prior, so every sum over N_h < i <= N involves
@@ -36,13 +37,14 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from statistics import NormalDist
 
 import numpy as np
 
-from .numeric import compensated_sum, sinpi
+from .numeric import MAX_HEAD, UNDERFLOW, compensated_sum, sinpi
 from .posterior import PosteriorWeights, _check_observations, posterior_weights
 from .priors import PriorFamily, PriorSpec
 from .sequence import (
@@ -59,6 +61,9 @@ ADMISSIBLE_TAIL = 1e-8
 
 # Least truncation level admissible_truncation returns.
 TRUNCATION_FLOOR = 100
+
+# the cap on doubling: the longest range sequence.power_sums is verified for
+_MAX_DOUBLED_TRUNCATION = 10**9
 
 
 class InadmissibleFunctionalError(ValueError):
@@ -80,6 +85,8 @@ class LinearFunctional:
             raise ValueError("a functional holds either x or its values")
         if self.x is not None:
             object.__setattr__(self, "x", float(_grid(self.x)))
+        elif not all(map(math.isfinite, self.values)):
+            raise ValueError("a functional's values must be finite")
 
     @staticmethod
     def point_evaluation(x: float, truncation_level=None) -> "LinearFunctional":
@@ -89,9 +96,11 @@ class LinearFunctional:
 
     @staticmethod
     def coordinate(index: int) -> "LinearFunctional":
-        """mu_index, for index >= 1."""
-        if index < 1:
-            raise ValueError(f"coordinate index must be at least 1, got {index}")
+        """mu_index, for an integer index >= 1."""
+        if (isinstance(index, bool) or not isinstance(index, numbers.Integral)
+                or index < 1):
+            raise ValueError(f"coordinate index must be an integer of at "
+                             f"least 1, got {index!r}")
         return LinearFunctional(values=(0.0,) * (index - 1) + (1.0,))
 
     @staticmethod
@@ -242,6 +251,36 @@ def functional_moments(L: LinearFunctional, weights: PosteriorWeights,
     if truth is not None and lt is not None:
         bias -= float(lt @ truth_sums(nh + 1, top, period))
     return s2, t2, bias
+
+
+def _admissible_moments(L: LinearFunctional, weights: PosteriorWeights,
+                        prior: PriorSpec, truncation_level: int,
+                        truth: np.ndarray | None = None, truth_sums=None):
+    """functional_moments at the first of N, 2N, 4N, ... (N =
+    truncation_level) whose admissibility check passes, over one head.
+
+    Near x = 0 and 1 the check can fail at the prior's
+    admissible_truncation, since sum l_i^2 lambda_i falls like x^2 while
+    its last decade does not.  A point x = p/q, whose tail costs O(N_h + q)
+    over the residues mod 2q, then doubles N up to _MAX_DOUBLED_TRUNCATION
+    while 2q <= N - N_h; otherwise the check's error stands.  So N > N_h at
+    every doubling, where sequence.active_head no longer depends on N, and
+    the head `weights` serves them all.  The exponential family sums its
+    tail term by term up to min(N, sqrt(746 / alpha)), where
+    exp(-alpha i^2) underflows (PriorSpec.variance_sums), so it stops
+    doubling once that sum would pass MAX_HEAD terms.
+    """
+    nn = truncation_level
+    while True:
+        try:
+            return functional_moments(L, weights, prior, nn, truth, truth_sums)
+        except InadmissibleFunctionalError:
+            if (2 * nn > _MAX_DOUBLED_TRUNCATION
+                    or _point_fraction(L, nn - weights.lam.size) is None
+                    or (prior.kind is PriorFamily.EXPONENTIAL and min(
+                        2 * nn, math.sqrt(UNDERFLOW / prior.alpha)) > MAX_HEAD)):
+                raise
+        nn *= 2
 
 
 @functools.lru_cache(maxsize=8)

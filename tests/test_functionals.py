@@ -153,6 +153,25 @@ class TestCoordinate:
             with pytest.raises(ValueError):
                 LinearFunctional.coordinate(index)
 
+    def test_index_is_an_integer(self):
+        """True is no mu_1, and 2.5 is no index: both raise ValueError."""
+        assert LinearFunctional.coordinate(np.int64(2)).values == (0.0, 1.0)
+        for index in (True, False, 2.5, 2.0, "3", None):
+            with pytest.raises(ValueError, match="must be an integer"):
+                LinearFunctional.coordinate(index)
+
+
+class TestFiniteValues:
+    @pytest.mark.parametrize("values", [
+        [1.0, math.nan], [math.inf], [0.5, -math.inf, 1.0]])
+    def test_rejects_non_finite_values(self, values):
+        """A NaN or infinite coefficient gave a NaN interval, or coverage 0.6
+        with an infinite half-width: it is refused at construction."""
+        with pytest.raises(ValueError, match="values must be finite"):
+            LinearFunctional.from_coefficients(values)
+        with pytest.raises(ValueError, match="values must be finite"):
+            LinearFunctional(values=tuple(values))
+
 
 class TestPointEvaluation:
     @pytest.mark.parametrize("x", [-1e-12, -0.5, 1.0 + 1e-12, 1.5, math.nan,

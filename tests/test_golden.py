@@ -3,7 +3,8 @@
 Pins the sha256 of every CSV and SVG that `heatbayes figures --fig all
 --seed 7` writes and of the lemma-suite CSV, and every row of the
 benchmark's `coverage` jobs (fixed-truth balls, prior-draw balls and
-intervals, the exp risk curve) with each float as its hex form.  A refactor
+intervals, the exp risk curve) and of point-evaluation intervals near the
+ends, whose truncation doubles, with each float as its hex form.  A refactor
 that claims unchanged outputs must leave all of them bitwise equal.
 
 After a change that moves outputs on purpose, record the pins again with
@@ -60,10 +61,29 @@ def _coverage_reports():
     return out
 
 
-def _coverage_rows():
+def _interval_reports():
+    """name -> interval report near x = 0 and 1, where N doubles: poly
+    alpha in {1, 0.5} x x in {0.01, 0.1, 0.9} x T in {0.1, 0.001} x the
+    cubic and a prior-drawn truth, 50 replications at n in {1e4, 1e8}."""
+    out = {}
+    for alpha in (1.0, 0.5):
+        for x in (0.01, 0.1, 0.9):
+            for horizon in (0.1, 0.001):
+                for mu0 in (Mu0Source.test_cubic(), Mu0Source.prior_draw()):
+                    cfg = ExperimentConfig(
+                        prior=PriorSpec.polynomial(alpha), n_grid=(1e4, 1e8),
+                        replications=50, seed=SEED, mu0=mu0,
+                        time_horizon=horizon)
+                    out[f"poly-a{alpha:g}/x{x:g}/T{horizon:g}/"
+                        f"{mu0.kind.value}"] = run_interval_coverage(
+                            cfg, LinearFunctional.point_evaluation(x))
+    return out
+
+
+def _hex_rows(reports):
     return {name: [[v.hex() if isinstance(v, float) else v for v in row]
                    for row in report.to_table()[1]]
-            for name, report in _coverage_reports().items()}
+            for name, report in reports.items()}
 
 
 def _file_digests(out_dir):
@@ -93,16 +113,26 @@ def test_figure_and_lemma_files_are_pinned(tmp_path, capsys, pins):
 
 
 def test_coverage_rows_are_pinned(pins):
-    got = _coverage_rows()
+    got = _hex_rows(_coverage_reports())
     assert sorted(got) == sorted(pins["coverage"])
     for name, rows in got.items():
         assert rows == pins["coverage"][name], name
 
 
+def test_doubling_interval_rows_are_pinned(pins):
+    got = _hex_rows(_interval_reports())
+    assert len(got) == 24
+    assert sorted(got) == sorted(pins["intervals"])
+    for name, rows in got.items():
+        assert rows == pins["intervals"][name], name
+
+
 if __name__ == "__main__":
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
-        record = {"files": _file_digests(tmp), "coverage": _coverage_rows()}
+        record = {"files": _file_digests(tmp),
+                  "coverage": _hex_rows(_coverage_reports()),
+                  "intervals": _hex_rows(_interval_reports())}
     with open(PINS, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -972,6 +972,38 @@ class TestCommandOptions:
         assert f"{_flag(field)}: must be" in capsys.readouterr().err
         assert os.listdir(tmp_path) == ["cfg.json"]
 
+    @pytest.mark.parametrize("argv", [
+        ["coverage", "--n", "1e2,1e4", "--reps", "20"],
+        ["lemmas", "--grid", "1e4,1e6"]])
+    def test_manifest_config_replays_as_a_config_file(self, tmp_path,
+                                                      monkeypatch, capsys,
+                                                      argv):
+        """A run's manifest records n and grid as JSON lists of numbers; its
+        config object, written to a file and passed back through --config,
+        runs the same job and writes the same bytes."""
+        monkeypatch.chdir(tmp_path)
+        assert main(argv + ["--out", "a.csv"]) == EXIT_OK
+        config = json.loads((tmp_path / "a.manifest.json").read_text())["config"]
+        assert isinstance(config[argv[1][2:]], list)
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert main([argv[0], "--config", "cfg.json", "--out", "b.csv"]) == EXIT_OK
+        digests = {hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("a.csv", "b.csv")}
+        assert len(digests) == 1
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("value", [
+        [1e4, True], [1e4, "x"], [1e4, None], [1e4, [1e6]], [],
+        [1e4, -1.0], [1e4, math.inf], [1e4, math.nan]])
+    def test_config_list_of_n_takes_only_positive_finite_numbers(
+            self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({"n": value}))
+        assert main(["coverage", "--config", "cfg.json", "--reps", "5",
+                     "--out", "o.csv"]) == EXIT_CONFIG
+        assert "--n: " in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
 
 def test_readme_command_lines_parse():
     readme = os.path.join(os.path.dirname(os.path.abspath(__file__)),
